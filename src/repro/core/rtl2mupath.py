@@ -36,6 +36,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -131,10 +132,16 @@ class VisitIndex:
         self.paths: List[CycleAccuratePath] = []
         pls = metadata.pls
         slot_index = None
+        # views of equal contexts share one rows list, hence one path
+        by_rows: Dict[int, CycleAccuratePath] = {}
         for view in tracedb.views:
             if slot_index is None:
                 slot_index = build_slot_index(pls, view.index)
-            self.paths.append(extract_path(view, pls, iuv_pc, slot_index=slot_index))
+            path = by_rows.get(id(view.cycles))
+            if path is None:
+                path = extract_path(view, pls, iuv_pc, slot_index=slot_index)
+                by_rows[id(view.cycles)] = path
+            self.paths.append(path)
 
     def observed_sets(self) -> Counter:
         return Counter(path.pl_set for path in self.paths)
@@ -240,6 +247,9 @@ class Rtl2MuPath:
         self.config = config or Rtl2MuPathConfig()
         self.stats = stats if stats is not None else PropertyStats(label="rtl2mupath")
         self._duv_pls: Optional[FrozenSet[str]] = None
+        # DUV-pruning families, held so that synthesis finds them through
+        # TraceDB.shared until synthesize_all returns
+        self._duv_tracedbs: List[TraceDB] = []
         self._connectivity: Optional[Dict[str, Set[str]]] = None
         self._induction_pool = None
 
@@ -305,18 +315,19 @@ class Rtl2MuPath:
                 for name in representative_iuvs:
                     groups.extend(self.provider.mupath_groups(name))
                 tracedbs = [
-                    TraceDB(self.netlist, g.contexts, g.complete) for g in groups
+                    TraceDB.shared(self.netlist, g.contexts, g.complete)
+                    for g in groups
                 ]
+                self._duv_tracedbs = tracedbs
 
             with obs.span("phase.cover.duv_pls"):
+                scanned = list(self.metadata.pls.values())
+                if not self.config.prove_invalid_pls_by_induction:
+                    scanned += self.metadata.candidate_pls.values()
+                occupied = self._occupied_slots(tracedbs, scanned)
                 for pl_name, pl in self.metadata.pls.items():
                     started = time.perf_counter()
-                    hit = any(
-                        any(view.bit(slot.occ_signal, t) for slot in pl.slots)
-                        for db in tracedbs
-                        for view in db.views
-                        for t in range(view.horizon)
-                    )
+                    hit = any(slot.occ_signal in occupied for slot in pl.slots)
                     outcome = self._cover_outcome(
                         hit, all(db.complete for db in tracedbs)
                     )
@@ -358,10 +369,7 @@ class Rtl2MuPath:
                             reachable.add(pl_name)
                     else:
                         hit = any(
-                            any(view.bit(slot.occ_signal, t) for slot in pl.slots)
-                            for db in tracedbs
-                            for view in db.views
-                            for t in range(view.horizon)
+                            slot.occ_signal in occupied for slot in pl.slots
                         )
                         outcome = self._cover_outcome(hit, False)
                         self._record("duvpl_reach_%s" % pl_name, outcome, started)
@@ -369,6 +377,28 @@ class Rtl2MuPath:
                             reachable.add(pl_name)
             self._duv_pls = frozenset(reachable)
             return self._duv_pls
+
+    @staticmethod
+    def _occupied_slots(tracedbs: Sequence[TraceDB], pls) -> Set[str]:
+        """The slot occupancy signals of ``pls`` high in some traced cycle.
+
+        The DUV-level covers ask whether *any* instruction occupies a PL,
+        so one pass per distinct rows list over the slot columns decides
+        every such cover; a column leaves the scan once it is seen high.
+        """
+        signals = {slot.occ_signal for pl in pls for slot in pl.slots}
+        occupied: Set[str] = set()
+        for db in tracedbs:
+            if not db.views:
+                continue
+            index = db.views[0].index
+            pending = {index[s]: s for s in signals - occupied}
+            for rows in db.rows_by_context.values():
+                for column in [c for c in pending if any(map(itemgetter(c), rows))]:
+                    occupied.add(pending.pop(column))
+                if not pending:
+                    break
+        return occupied
 
     # --------------------------------------------------------- main synthesis
     def synthesize(self, iuv_name: str) -> MuPathResult:
@@ -385,7 +415,8 @@ class Rtl2MuPath:
             indexes: List[VisitIndex] = []
             truncated = False
             for group in groups:
-                db = TraceDB(self.netlist, group.contexts, group.complete)
+                # a family DUV pruning simulated is reused, not re-simulated
+                db = TraceDB.shared(self.netlist, group.contexts, group.complete)
                 index = VisitIndex(db, self.metadata, group.iuv_pc)
                 indexes.append(index)
                 certifier.add_index(db, index)
@@ -623,14 +654,21 @@ class Rtl2MuPath:
         processes, replays proof-cache hits, and folds every per-property
         result -- fresh or replayed -- back into ``self.stats``, so the
         SS VII-B3 accounting is identical to a serial run's.
-        """
-        if engine is None:
-            return {name: self.synthesize(name) for name in iuv_names}
-        from ..engine.specs import synthesis_jobs_for
 
-        jobs = synthesis_jobs_for(self, iuv_names)
-        outcome = engine.run(jobs, stats=self.stats)
-        return {job.iuv: outcome.results[job.job_id] for job in jobs}
+        Either way, the families :meth:`duv_pl_reachability` simulated
+        serve every in-process synthesis (inline engine jobs included)
+        and are released when this returns.
+        """
+        try:
+            if engine is None:
+                return {name: self.synthesize(name) for name in iuv_names}
+            from ..engine.specs import synthesis_jobs_for
+
+            jobs = synthesis_jobs_for(self, iuv_names)
+            outcome = engine.run(jobs, stats=self.stats)
+            return {job.iuv: outcome.results[job.job_id] for job in jobs}
+        finally:
+            self._duv_tracedbs = []
 
     # ------------------------------------------------------------- internals
     @staticmethod

@@ -38,6 +38,7 @@ __all__ = [
     "CacheConfig",
     "CacheDesign",
     "build_cache",
+    "CacheDriver",
     "cache_driver_factory",
     "CacheContextProvider",
 ]
@@ -314,17 +315,22 @@ def build_cache(config: Optional[CacheConfig] = None) -> CacheDesign:
     return CacheDesign(netlist=netlist, metadata=metadata, config=cfg)
 
 
-def cache_driver_factory(requests, taint: Optional[TaintSpec] = None,
-                         instrumented: bool = False):
-    """Reactive driver feeding (is_store, addr, data) requests.
+@dataclass(frozen=True)
+class CacheDriver:
+    """Reactive-driver factory feeding (is_store, addr, data) requests.
 
-    Request i is tagged with PC ``slot_pc(i)``.  ``requests`` items may
-    also be the string "quiesce" (wait for pipe_quiesce) or "flush"
-    (pulse taint_flush -- Assumption 3).
+    A value, like :class:`~repro.designs.harness.ProgramDriver`: calling
+    it returns a fresh per-run driver.  Request i is tagged with PC
+    ``slot_pc(i)``.  ``requests`` items may also be the string "quiesce"
+    (wait for pipe_quiesce) or "flush" (pulse taint_flush -- Assumption 3).
     """
-    requests = tuple(requests)
 
-    def factory():
+    requests: Tuple
+    taint: Optional[TaintSpec] = None
+    instrumented: bool = False
+
+    def __call__(self):
+        requests, taint, instrumented = self.requests, self.taint, self.instrumented
         state = {"phase": 0, "driving": False, "issued": 0}
 
         def driver(t, prev_obs):
@@ -372,7 +378,11 @@ def cache_driver_factory(requests, taint: Optional[TaintSpec] = None,
 
         return driver
 
-    return factory
+
+def cache_driver_factory(requests, taint: Optional[TaintSpec] = None,
+                         instrumented: bool = False) -> CacheDriver:
+    """The :class:`CacheDriver` feeding ``requests``."""
+    return CacheDriver(tuple(requests), taint, instrumented)
 
 
 class CacheContextProvider:

@@ -31,6 +31,7 @@ from . import isa
 __all__ = [
     "TaintSpec",
     "ScriptItem",
+    "ProgramDriver",
     "program_driver_factory",
     "ContextFamilyConfig",
     "ContextGroup",
@@ -69,21 +70,25 @@ class TaintSpec:
 ScriptItem = Tuple
 
 
-def program_driver_factory(
-    script: Sequence[ScriptItem],
-    taint: Optional[TaintSpec] = None,
-    instrumented: bool = False,
-):
-    """Build a reactive-driver factory executing ``script``.
+@dataclass(frozen=True)
+class ProgramDriver:
+    """Reactive-driver factory executing ``script``.
 
-    The driver replays each instruction until the fetch interface accepts
-    it (``fetch_ready`` observed high while driving ``in_valid``), waits
-    for pipeline quiescence on ``wait_quiesce`` items, and pulses
+    A value: the driver it builds is a pure function of these fields, so
+    contexts holding equal drivers compare, hash and pickle by value.
+    Calling it returns a fresh per-run driver ``f(t, prev_obs) -> inputs``
+    that replays each instruction until the fetch interface accepts it
+    (``fetch_ready`` observed high while driving ``in_valid``), waits for
+    pipeline quiescence on ``wait_quiesce`` items, and pulses
     ``taint_flush`` for one cycle on ``flush`` items (Assumption 3).
     """
-    script = tuple(script)
 
-    def factory():
+    script: Tuple[ScriptItem, ...]
+    taint: Optional[TaintSpec] = None
+    instrumented: bool = False
+
+    def __call__(self):
+        script, taint, instrumented = self.script, self.taint, self.instrumented
         state = {"phase": 0, "ptr": 0, "idle": 0, "driving": False}
 
         def driver(t, prev_obs):
@@ -145,7 +150,14 @@ def program_driver_factory(
 
         return driver
 
-    return factory
+
+def program_driver_factory(
+    script: Sequence[ScriptItem],
+    taint: Optional[TaintSpec] = None,
+    instrumented: bool = False,
+) -> ProgramDriver:
+    """The :class:`ProgramDriver` executing ``script``."""
+    return ProgramDriver(tuple(script), taint, instrumented)
 
 
 # ------------------------------------------------------- program execution

@@ -41,6 +41,7 @@ import time
 from typing import Any, Dict, Optional
 
 from ..obs.metrics import REGISTRY
+from ..rtl.netlist import netlist_fingerprint
 
 __all__ = [
     "canonical_json",
@@ -83,50 +84,6 @@ def entry_checksum(entry: Dict[str, Any]) -> str:
     """SHA-256 of an entry's canonical JSON, excluding its checksum field."""
     body = {k: v for k, v in entry.items() if k != "checksum"}
     return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
-
-def netlist_fingerprint(netlist) -> str:
-    """Canonical structural hash of an elaborated netlist.
-
-    Nodes are visited in topological (evaluation) order and renumbered
-    densely, so the hash is independent of builder-assigned uids and of
-    anything but structure: (op, width, const value, name, argument
-    positions), plus the register set (name, width, reset, next-state
-    node), primary-input order, and the named/output signal tables.
-    """
-    index: Dict[int, int] = {}
-    h = hashlib.sha256()
-    h.update(("netlist:%s\n" % netlist.name).encode("utf-8"))
-    for i, node in enumerate(netlist.order):
-        index[node.uid] = i
-        h.update(
-            (
-                "n%d:%s:%d:%s:%s:%s\n"
-                % (
-                    i,
-                    node.op,
-                    node.width,
-                    "" if node.value is None else node.value,
-                    node.name or "",
-                    ",".join(str(index[arg.uid]) for arg in node.args),
-                )
-            ).encode("utf-8")
-        )
-    for reg, next_node in netlist.registers:
-        h.update(
-            (
-                "r:%s:%d:%d:%d\n"
-                % (reg.name, reg.width, reg.reset, index[next_node.uid])
-            ).encode("utf-8")
-        )
-    h.update(
-        ("i:%s\n" % ",".join(str(index[n.uid]) for n in netlist.inputs)).encode()
-    )
-    for name in sorted(netlist.named):
-        h.update(("s:%s:%d\n" % (name, index[netlist.named[name].uid])).encode())
-    for name in sorted(netlist.outputs):
-        h.update(("o:%s:%d\n" % (name, index[netlist.outputs[name].uid])).encode())
-    return h.hexdigest()
 
 
 def observable_fingerprint(netlist) -> str:

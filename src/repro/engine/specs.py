@@ -1,11 +1,10 @@
 """Declarative, picklable job specifications.
 
-Worker processes cannot receive the live pipeline objects: reactive
-verification contexts hold driver *closures* (see
-:func:`repro.designs.harness.program_driver_factory`) and netlists are
-large shared-structure DAGs.  Jobs therefore carry **recipes** -- a design
-kind plus its build-time config, a provider kind plus its family config --
-and every worker rebuilds (and memoizes) the objects locally.  Builders
+Jobs do not ship the live pipeline objects: netlists are large
+shared-structure DAGs, and a context family is thousands of contexts that
+a few config fields regenerate.  Jobs therefore carry **recipes** -- a
+design kind plus its build-time config, a provider kind plus its family
+config -- and every worker rebuilds (and memoizes) the objects locally.  Builders
 are deterministic, so a spec names exactly one elaborated netlist and one
 context family; the parent additionally pins the netlist's canonical
 fingerprint into the spec so the proof cache can detect any divergence.

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..props.query import Query
 from ..props.views import ConcreteOps, ConcreteTraceView
-from ..sim.simulator import Simulator
+from ..sim.simulator import Simulator, compiled
 from ..rtl.netlist import Netlist
 from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from .stats import PropertyStats
@@ -71,7 +72,10 @@ class ReactiveContext:
     ``driver_factory()`` returns a fresh callable ``f(t, prev_obs) -> dict``
     invoked once per cycle; ``prev_obs`` is the previous cycle's observation
     dict (None at t=0), letting program drivers replay instructions until
-    the DUV's fetch interface accepts them.
+    the DUV's fetch interface accepts them.  The design harnesses' driver
+    factories are frozen dataclasses whose drivers are pure functions of
+    their fields, so their contexts compare, hash and pickle by value and
+    equal contexts simulate to equal rows.
     """
 
     reset_overrides: Tuple[Tuple[str, int], ...]
@@ -132,22 +136,53 @@ def simulate_context(simulator: Simulator, context) -> List[Tuple[int, ...]]:
 
 
 class TraceDB:
-    """Simulated traces for a context family, reusable across many queries."""
+    """Simulated traces for a context family, reusable across many queries.
+
+    Each distinct context is simulated once: equal contexts share one rows
+    list (``rows_by_context``), while ``views`` keeps one view per context,
+    in family order.
+    """
 
     def __init__(self, netlist: Netlist, contexts: Iterable, complete: bool):
         self.netlist = netlist
         self.complete = complete
-        self.contexts: List = []
-        self.views: List[ConcreteTraceView] = []
+        self.contexts: List = list(contexts)
+        self.rows_by_context: Dict[object, List[Tuple[int, ...]]] = {}
         simulator = Simulator(netlist)
         names = simulator.observable_names
-        for context in contexts:
-            rows = simulate_context(simulator, context)
-            self.contexts.append(context)
+        self.views: List[ConcreteTraceView] = []
+        for context in self.contexts:
+            rows = self.rows_by_context.get(context)
+            if rows is None:
+                rows = simulate_context(simulator, context)
+                self.rows_by_context[context] = rows
             self.views.append(ConcreteTraceView(rows, names=names))
+
+    @classmethod
+    def shared(cls, netlist: Netlist, contexts: Iterable, complete: bool) -> "TraceDB":
+        """The live TraceDB of an equal family, else a new registered one.
+
+        Families are keyed by content -- the netlist's
+        :func:`~repro.sim.simulator.simulation_key`, the contexts and
+        ``complete`` -- so a caller that rebuilt its design and provider
+        from recipes still finds a family another caller simulated, for
+        as long as some caller holds that TraceDB.
+        """
+        contexts = tuple(contexts)
+        key = (compiled(netlist).key, contexts, complete)
+        db = _SHARED.get(key)
+        if db is None:
+            db = cls(netlist, contexts, complete)
+            _SHARED[key] = db
+        return db
 
     def __len__(self):
         return len(self.views)
+
+
+# (netlist content key, contexts, complete) -> TraceDB, while some caller
+# holds it: Rtl2MuPath keeps its DUV-pruning families alive through synthesis
+_SHARED: "weakref.WeakValueDictionary[tuple, TraceDB]" = weakref.WeakValueDictionary()
 
 
 class EnumerativeEngine:

@@ -9,12 +9,13 @@ IFT instrumentation, static analysis) consume netlists.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Tuple
 
 from .module import Module, Register
 from .nodes import Node
 
-__all__ = ["Netlist", "elaborate", "CombinationalLoopError"]
+__all__ = ["Netlist", "elaborate", "CombinationalLoopError", "netlist_fingerprint"]
 
 
 class CombinationalLoopError(ValueError):
@@ -77,6 +78,53 @@ class Netlist:
 
     def __repr__(self):
         return self.describe()
+
+
+def netlist_fingerprint(netlist) -> str:
+    """Canonical structural hash of an elaborated netlist.
+
+    Nodes are visited in topological (evaluation) order and renumbered
+    densely, so the hash is independent of builder-assigned uids.  It
+    covers each node's (op, width, const value, name, argument
+    positions), the registers in order (name, width, reset, next-state
+    node), the primary-input order, and the named/output signal tables.
+    Those two tables are hashed sorted by name, so the hash misses their
+    insertion order -- the observable order the simulator emits
+    (:func:`repro.sim.simulator.simulation_key` adds it).
+    """
+    index: Dict[int, int] = {}
+    h = hashlib.sha256()
+    h.update(("netlist:%s\n" % netlist.name).encode("utf-8"))
+    for i, node in enumerate(netlist.order):
+        index[node.uid] = i
+        h.update(
+            (
+                "n%d:%s:%d:%s:%s:%s\n"
+                % (
+                    i,
+                    node.op,
+                    node.width,
+                    "" if node.value is None else node.value,
+                    node.name or "",
+                    ",".join(str(index[arg.uid]) for arg in node.args),
+                )
+            ).encode("utf-8")
+        )
+    for reg, next_node in netlist.registers:
+        h.update(
+            (
+                "r:%s:%d:%d:%d\n"
+                % (reg.name, reg.width, reg.reset, index[next_node.uid])
+            ).encode("utf-8")
+        )
+    h.update(
+        ("i:%s\n" % ",".join(str(index[n.uid]) for n in netlist.inputs)).encode()
+    )
+    for name in sorted(netlist.named):
+        h.update(("s:%s:%d\n" % (name, index[netlist.named[name].uid])).encode())
+    for name in sorted(netlist.outputs):
+        h.update(("o:%s:%d\n" % (name, index[netlist.outputs[name].uid])).encode())
+    return h.hexdigest()
 
 
 def elaborate(module: Module) -> Netlist:

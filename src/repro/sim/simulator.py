@@ -11,15 +11,22 @@ Semantics match the paper's timing model: observable (named) signals are
 functions of the register state *at the start of a cycle* plus that cycle's
 inputs; register updates take effect at the start of the next cycle
 (SS III-C: "state updates ... take effect at the start of the next cycle").
+
+Compiles are memoized per process by netlist *content*
+(:func:`simulation_key`), so every :class:`Simulator` over equal netlists
+-- two separate builds of one design, or a design rebuilt from a job
+recipe -- shares one step function.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from typing import Dict, List, Optional, Sequence
 
-from ..rtl.netlist import Netlist
+from ..rtl.netlist import Netlist, netlist_fingerprint
 
-__all__ = ["Simulator", "Trace"]
+__all__ = ["Simulator", "Trace", "compile_netlist", "compiled", "simulation_key"]
 
 
 class Trace:
@@ -63,6 +70,13 @@ class Trace:
 
 def _mask_expr(width):
     return (1 << width) - 1
+
+
+def _observable_names(netlist: Netlist) -> List[str]:
+    """Named signals in insertion order, then the outputs not among them."""
+    return list(netlist.named) + [
+        name for name in netlist.outputs if name not in netlist.named
+    ]
 
 
 def compile_netlist(netlist: Netlist):
@@ -148,9 +162,7 @@ def compile_netlist(netlist: Netlist):
     next_vars = ", ".join("v%d" % nxt.uid for _, nxt in netlist.registers)
     if len(netlist.registers) == 1:
         next_vars += ","
-    observable_names = list(netlist.named) + [
-        name for name in netlist.outputs if name not in netlist.named
-    ]
+    observable_names = _observable_names(netlist)
     obs_nodes = [
         netlist.named[name] if name in netlist.named else netlist.outputs[name]
         for name in observable_names
@@ -165,12 +177,62 @@ def compile_netlist(netlist: Netlist):
     return namespace["_step"], observable_names
 
 
+def simulation_key(netlist: Netlist) -> str:
+    """Content key of everything simulation derives from ``netlist``.
+
+    :func:`~repro.rtl.netlist.netlist_fingerprint` plus the observable
+    order that :func:`compile_netlist` emits, which the fingerprint does
+    not hash.  Equal keys mean equal step functions and equal rows.
+    """
+    h = hashlib.sha256(netlist_fingerprint(netlist).encode("utf-8"))
+    h.update("\n".join(_observable_names(netlist)).encode("utf-8"))
+    return h.hexdigest()
+
+
+class CompiledNetlist:
+    """One compiled step function, shared by every netlist with its content."""
+
+    __slots__ = ("key", "step", "observable_names", "__weakref__")
+
+    def __init__(self, key: str, step, observable_names: List[str]):
+        self.key = key
+        self.step = step
+        self.observable_names = observable_names
+
+
+# content key -> compiled netlist, held weakly: ``_BY_NETLIST`` holds each
+# entry strongly from every live netlist with that content, so an entry is
+# freed with the last of them
+_COMPILED: "weakref.WeakValueDictionary[str, CompiledNetlist]" = (
+    weakref.WeakValueDictionary()
+)
+# netlist object -> its entry; caches the content key per netlist object
+_BY_NETLIST: "weakref.WeakKeyDictionary[Netlist, CompiledNetlist]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def compiled(netlist: Netlist) -> CompiledNetlist:
+    """The process-wide compile of ``netlist``; compiles on a memo miss."""
+    entry = _BY_NETLIST.get(netlist)
+    if entry is None:
+        key = simulation_key(netlist)
+        entry = _COMPILED.get(key)
+        if entry is None:
+            entry = CompiledNetlist(key, *compile_netlist(netlist))
+            _COMPILED[key] = entry
+        _BY_NETLIST[netlist] = entry
+    return entry
+
+
 class Simulator:
     """Steppable simulator with trace recording."""
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._step_fn, self.observable_names = compile_netlist(netlist)
+        entry = compiled(netlist)
+        self._step_fn = entry.step
+        self.observable_names = list(entry.observable_names)
         self._reg_names = [reg.name for reg, _ in netlist.registers]
         self._input_names = [node.name for node in netlist.inputs]
         self._reset_values = tuple(reg.reset for reg, _ in netlist.registers)
