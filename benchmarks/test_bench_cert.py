@@ -1,8 +1,8 @@
 """Certification overhead bench: ``--certify off`` vs ``spot`` vs ``full``.
 
-Same workload as ``test_bench_solver.py`` (DUV PL reachability pruning
-followed by ``synthesize_all`` on the xlen=4 core at ``induction_k=8``),
-run once per certify mode.  ``off`` and ``spot`` run ``TRIALS`` times and
+Same workload as ``test_bench_incremental.py`` (DUV PL reachability
+pruning followed by ``synthesize_all`` on the xlen=4 core at
+``induction_k=8``), run once per certify mode.  ``off`` and ``spot`` run ``TRIALS`` times and
 the bench scores the *minimum* of the per-trial wall times (noise on a
 shared core is strictly additive, so the minimum is the closest
 observable to the true cost); ``full`` runs once, its overhead is

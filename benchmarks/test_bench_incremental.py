@@ -2,8 +2,8 @@
 
 Runs the full synthesis pipeline (DUV PL reachability pruning followed by
 ``synthesize_all``) on the 4-bit core twice from cold: once with the
-legacy per-property solver instances (``incremental=False, coi=False``)
-and once with the default assumption-based incremental contexts plus
+legacy per-property solver instances (``incremental=False``) and once
+with the default assumption-based incremental contexts plus
 cone-of-influence slicing.  Asserts the two arms produce byte-identical
 canonical uPATH sets, identical per-property induction verdicts, and
 byte-identical SynthLC labels (classified outside the timed region --
@@ -44,16 +44,14 @@ TAINT_FAMILY = ContextFamilyConfig(
 )
 
 
-def _run_pipeline(design, incremental, coi):
+def _run_pipeline(design, incremental):
     provider = CoreContextProvider(xlen=design.config.xlen, config=BENCH_FAMILY)
     stats = PropertyStats(label="incr-bench")
     tool = Rtl2MuPath(
         design,
         provider,
         stats=stats,
-        config=Rtl2MuPathConfig(
-            incremental=incremental, coi=coi, induction_k=INDUCTION_K
-        ),
+        config=Rtl2MuPathConfig(incremental=incremental, induction_k=INDUCTION_K),
     )
     started = time.perf_counter()
     reachable = tool.duv_pl_reachability(IUVS)
@@ -84,8 +82,8 @@ def _synthlc_labels(design, results):
 def test_incremental_cold_pipeline_vs_legacy():
     design = build_core(CoreConfig(xlen=4))
 
-    legacy = _run_pipeline(design, incremental=False, coi=False)
-    incr = _run_pipeline(design, incremental=True, coi=True)
+    legacy = _run_pipeline(design, incremental=False)
+    incr = _run_pipeline(design, incremental=True)
 
     # the incremental machinery must never change the answer
     assert legacy["reachable"] == incr["reachable"]

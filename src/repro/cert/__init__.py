@@ -2,11 +2,10 @@
 
 The verdict lattice (REACHABLE / UNREACHABLE / UNDETERMINED, paper
 SS V-B, SS VII-B3) is only as trustworthy as the solve path that produced
-it -- and PRs 5-8 stacked four verdict-affecting optimizations on that
-path (incremental contexts, COI slicing, CNF preprocessing with variable
-elimination, cross-worker clause sharing).  This package removes the
-"trusted model checker" assumption by making every final verdict carry
-an independently checkable *certificate*:
+it -- and that path carries verdict-affecting optimizations (incremental
+contexts with retractable property groups, COI slicing).  This package
+removes the "trusted model checker" assumption by making every final
+verdict carry an independently checkable *certificate*:
 
 * **REACHABLE** -- a *witness* certificate: the SAT model decoded into an
   initial register state plus a per-cycle input trace, replayed on the
@@ -14,11 +13,10 @@ an independently checkable *certificate*:
   fires at the claimed depth.  The replay shares zero code with the
   SAT engine, so a solver soundness bug cannot vouch for itself.
 * **UNREACHABLE** -- a *DRAT* certificate: the solver's proof log (input
-  clauses, CDCL-learned clauses, preprocessing derivations, validated
-  clause-sharing imports) plus the terminal negation-of-core lemma, for
-  *both* legs of a k-induction proof, checked by the pure-Python
-  backward RUP checker in :mod:`.drat` -- independent of the solver's
-  watch lists, trail, and heuristics.
+  clauses and CDCL-learned clauses) plus the terminal negation-of-core
+  lemma, for *both* legs of a k-induction proof, checked by the
+  pure-Python backward RUP checker in :mod:`.drat` -- independent of
+  the solver's watch lists, trail, and heuristics.
 * **UNDETERMINED** -- honestly uncertifiable: budget exhaustion has no
   finite refutation or witness, so undetermined results never carry a
   certificate (and, as before, are never cached).
@@ -28,8 +26,8 @@ bundles, through the format-v2 proof cache (digest-verified on
 read-through) and the dist wire protocol (oversized payloads degrade to
 digest-only instead of killing the connection).  A certification
 *failure* never aborts a campaign: the scheduler quarantines the result
-and re-solves the job on the conservative path (no preprocessing, no
-clause sharing, fresh non-incremental context) -- see DESIGN SS5j.
+and re-solves the job on the conservative path (fresh non-incremental
+contexts) when the job has one -- see DESIGN SS5j.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ built with ``proof=True``.  A log is a sequence of entries
 
 * ``"i"`` -- an input (axiom) clause, taken on trust: it is part of the
   formula whose unsatisfiability is being certified;
-* ``"a"`` -- an *addition* (CDCL-learned clause, preprocessing
-  derivation, validated clause-sharing import): must have the RUP
+* ``"a"`` -- an *addition* (a CDCL-learned clause): must have the RUP
   property against everything logged before it;
 * ``"d"`` -- an advisory deletion.  The checker ignores deletions:
   checking against a superset of the solver's live database only makes

@@ -46,12 +46,6 @@ Commands:
   * ``--no-incremental`` -- rebuild fresh solvers per induction proof
     instead of reusing one growing proof context per design (the legacy
     reference path; verdicts are identical, only slower);
-  * ``--no-coi`` -- disable cone-of-influence slicing, bit-blasting the
-    full design for every property;
-  * ``--no-preprocess`` -- skip CNF preprocessing (bounded variable
-    elimination, subsumption) ahead of each proof context's first solve;
-  * ``--no-clause-sharing`` -- disable the portfolio learned-clause
-    exchange between same-design workers (verdicts never depend on it);
   * ``--broker HOST:PORT`` -- dispatch the jobs through a campaign
     broker (see ``repro broker`` / ``repro worker``) instead of a local
     process pool.  Verdicts, labels, and manifests are byte-identical
@@ -291,9 +285,6 @@ def cmd_synth_all(args):
         _default_provider(design.config.xlen),
         config=Rtl2MuPathConfig(
             incremental=not args.no_incremental,
-            coi=not args.no_coi,
-            preprocess=not args.no_preprocess,
-            clause_sharing=not args.no_clause_sharing,
             certify=args.certify,
             certify_proof_limit=args.certify_proof_limit,
             certify_time_budget=args.certify_time_budget,
@@ -301,7 +292,6 @@ def cmd_synth_all(args):
     )
     engine_config = EngineConfig(
         jobs=args.jobs,
-        clause_sharing=not args.no_clause_sharing,
         cache_dir=args.cache_dir,
         trace_path=args.trace,
         timeout_seconds=args.timeout,
@@ -860,16 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable incremental solving: rebuild a fresh "
                         "solver per induction proof (legacy reference "
                         "path; the verdicts must not change)")
-    p.add_argument("--no-coi", action="store_true",
-                   help="disable cone-of-influence slicing before "
-                        "bit-blasting induction proofs")
-    p.add_argument("--no-preprocess", action="store_true",
-                   help="disable CNF preprocessing (variable elimination, "
-                        "subsumption) before the first solve of each "
-                        "proof context; the verdicts must not change")
-    p.add_argument("--no-clause-sharing", action="store_true",
-                   help="disable the portfolio learned-clause exchange "
-                        "between workers; the verdicts must not change")
     p.add_argument("--certify", choices=("off", "spot", "full"),
                    default="off",
                    help="verdict certification (repro.cert): 'spot' logs "

@@ -63,9 +63,6 @@ class Rtl2MuPathConfig:
     induction_k: int = 1
     induction_conflict_budget: int = 400000
     incremental: bool = True  # shared growing proof context per design
-    coi: bool = True  # cone-of-influence slicing before bit-blasting
-    preprocess: bool = True  # CNF preprocessing before the first solve
-    clause_sharing: bool = True  # portfolio learned-clause exchange
     # verdict certification (repro.cert): "off" | "spot" | "full".  These
     # knobs are excluded from proof-cache keys -- certification changes
     # how much a verdict is *checked*, never what the verdict is
@@ -261,12 +258,7 @@ class Rtl2MuPath:
             from ..mc.incremental import InductionPool
 
             self._induction_pool = InductionPool(
-                coi=self.config.coi,
-                preprocess=self.config.preprocess,
-                share_namespace=(
-                    "local" if self.config.clause_sharing else None
-                ),
-                certify=self.config.certify_policy(),
+                certify=self.config.certify_policy()
             )
         return self._induction_pool
 
@@ -352,7 +344,6 @@ class Rtl2MuPath:
                             k=self.config.induction_k,
                             conflict_budget=self.config.induction_conflict_budget,
                             pool=self._pool(),
-                            preprocess=self.config.preprocess,
                             certify=self.config.certify_policy(),
                         )
                         self._record(

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: bumped when frame or payload semantics change; hello/welcome exchange it
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard per-frame ceiling -- a peer sending an unterminated line cannot
 #: balloon broker memory (asyncio's readline enforces it for us)

@@ -147,10 +147,6 @@ class EngineConfig:
     cache_dir: Optional[str] = None
     trace_path: Optional[str] = None
     keep_going: bool = False  # map failed jobs to None instead of raising
-    # portfolio clause sharing: workers ship shareable learned clauses
-    # home in their reports; the scheduler pools them and seeds every
-    # later dispatch (rebuild rounds, subsequent runs) with the pool
-    clause_sharing: bool = True
     # ---- fault tolerance (see module docs) ----
     max_rss_mb: Optional[float] = None  # per-worker RSS soft ceiling
     backoff_seconds: float = 0.1  # base delay between pool rebuilds
@@ -197,10 +193,6 @@ class WorkerReport:
     quarantined: bool = False  # job repeatedly killed its worker
     spans: List = field(default_factory=list)  # collected (kind, fields) events
     node_id: Optional[str] = None  # worker node that executed it (dist runs)
-    # portfolio channel: the worker-side clause exchange's harvest, keyed
-    # by share-prefix key (see repro.solver.share); empty off the last
-    # report of a batch or when sharing is disabled
-    shared_clauses: Dict[str, List] = field(default_factory=dict)
     # ---- verdict certification (repro.cert, DESIGN SS5j) ----
     cert_failures: int = 0  # certificates that failed verification
     cert_degraded: bool = False  # conservative re-solve was performed
@@ -324,9 +316,7 @@ def _deadline(seconds: Optional[float]):
             )
 
 
-def _run_job_group(
-    entries, shared_seed=None, harvest_shared=False, **kwargs
-) -> List["WorkerReport"]:
+def _run_job_group(entries, **kwargs) -> List["WorkerReport"]:
     """Execute a batch of same-group jobs serially inside one worker.
 
     Jobs sharing a ``group_key()`` (same design) are dispatched as one
@@ -334,27 +324,11 @@ def _run_job_group(
     induction pool (:func:`repro.engine.specs._worker_induction_pool`)
     serve the whole batch: the worker holds one growing proof context
     and drains the property group against it.
-
-    ``shared_seed`` pre-loads this worker's clause exchange with the
-    scheduler's pooled learned clauses; with ``harvest_shared`` the
-    exchange's new clauses travel home on the batch's last report --
-    together they form the portfolio's worker channel.
     """
-    if shared_seed:
-        from ..solver.share import EXCHANGE
-
-        EXCHANGE.absorb(shared_seed)
-    reports = [
+    return [
         _run_job_with_retries(job, job_seq=seq, **kwargs)
         for seq, job in entries
     ]
-    if harvest_shared and reports:
-        from ..solver.share import EXCHANGE
-
-        harvest = EXCHANGE.harvest()
-        if harvest:
-            reports[-1].shared_clauses = harvest
-    return reports
 
 
 def _group_batches(pending, workers: int):
@@ -610,12 +584,13 @@ def _certify_degrade(
     When the winning attempt's results carry *failed* certificates, the
     verdicts cannot be trusted as-is -- but a campaign must not abort on
     them either.  The job re-solves once on its conservative recipe
-    (``job.conservative()``: no preprocessing, no clause sharing, fresh
-    non-incremental contexts), under the same deadline/RSS guards; the
-    quarantined attempt's results are superseded (and their span
-    accounting scrubbed), and any verdict drift between the two solves
-    is recorded on the report for the manifest.  Jobs without a
-    conservative recipe, or a conservative re-solve that itself fails,
+    (``job.conservative()``: fresh non-incremental contexts), under the
+    same deadline/RSS guards; the quarantined attempt's results are
+    superseded (and their span accounting scrubbed), and any verdict
+    drift between the two solves is recorded on the report for the
+    manifest.  Jobs without a conservative recipe (reach jobs already
+    solve on fresh solvers, so a second solve would retrace the same
+    deterministic path), or a conservative re-solve that itself fails,
     keep the original results with ``cert_uncaught`` set -- surfaced,
     never silently dropped.
     """
@@ -696,20 +671,6 @@ class JobScheduler:
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
         self.last_manifest: Optional[RunManifest] = None
-        # pooled portfolio clauses (share key -> clause tuples), grown
-        # from worker-report harvests; seeds every later dispatch
-        self._shared_clauses: Dict[str, List] = {}
-        self._shared_seen: Dict[str, set] = {}
-
-    def _absorb_shared(self, payload: Dict[str, List]) -> None:
-        for key, clauses in payload.items():
-            seen = self._shared_seen.setdefault(key, set())
-            pool = self._shared_clauses.setdefault(key, [])
-            for clause in clauses:
-                canon = tuple(clause)
-                if canon not in seen:
-                    seen.add(canon)
-                    pool.append(canon)
 
     # ------------------------------------------------------------------ run
     def run(
@@ -971,15 +932,6 @@ class JobScheduler:
             seq, job, key = queue.pop(0)
             try:
                 report = _run_job_with_retries(job, job_seq=seq, **kwargs)
-                if cfg.clause_sharing:
-                    # inline jobs already meet in this process's exchange;
-                    # harvesting still mirrors their clauses into the
-                    # scheduler pool so later pooled runs get seeded
-                    from ..solver.share import EXCHANGE
-
-                    harvest = EXCHANGE.harvest()
-                    if harvest:
-                        report.shared_clauses = harvest
             except InjectedWorkerDeath as exc:
                 count = poison[job.job_id] = poison.get(job.job_id, 0) + 1
                 log.event(
@@ -1044,18 +996,11 @@ class JobScheduler:
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(batches))
             ) as pool:
-                shared_seed = (
-                    {k: list(v) for k, v in self._shared_clauses.items()}
-                    if cfg.clause_sharing and self._shared_clauses
-                    else None
-                )
                 submitted = [
                     (
                         pool.submit(
                             _run_job_group,
                             [(seq, job) for seq, job, _key in batch],
-                            shared_seed=shared_seed,
-                            harvest_shared=cfg.clause_sharing,
                             **kwargs,
                         ),
                         batch,
@@ -1134,8 +1079,6 @@ class JobScheduler:
             # worker (or inline collector) span events, re-rooted under the
             # run span with their original worker-side timestamps
             replay_into(report.spans, log.event, reparent=run_span_id)
-        if report.shared_clauses:
-            self._absorb_shared(report.shared_clauses)
         manifest.attempts += len(report.attempts)
         manifest.retries += max(0, len(report.attempts) - 1)
         manifest.timeouts += sum(1 for a in report.attempts if a.timed_out)

@@ -199,31 +199,17 @@ def _provider_family_params(spec: ProviderSpec) -> Dict[str, Any]:
 
 # ------------------------------------------------------------ synthesis jobs
 @lru_cache(maxsize=None)
-def _worker_induction_pool(
-    design_spec: DesignSpec,
-    coi: bool,
-    preprocess: bool = True,
-    share_namespace: Optional[str] = None,
-):
+def _worker_induction_pool(design_spec: DesignSpec):
     """Per-worker shared :class:`~repro.mc.incremental.InductionPool`.
 
     Memoized alongside :func:`_built_design`, so every job the scheduler
     batches onto this worker for the same design recipe proves against
     the same growing contexts (the netlist object identity the pool keys
-    on is itself stable through the design memoization).  The memo key
-    includes the preprocessing and sharing knobs: a ``--no-preprocess``
-    job must never reuse a preprocessed pool and vice versa.
-
-    ``share_namespace`` (derived from the content-stable netlist hash)
-    roots the pool's portfolio share keys: every worker proving the same
-    design recipe derives the same namespace, so their solvers' prefixes
-    line up and the scheduler's clause channel connects them.
+    on is itself stable through the design memoization).
     """
     from ..mc.incremental import InductionPool
 
-    return InductionPool(
-        coi=coi, preprocess=preprocess, share_namespace=share_namespace
-    )
+    return InductionPool()
 
 
 @dataclass(frozen=True)
@@ -259,19 +245,9 @@ class SynthesisJob:
         config = Rtl2MuPathConfig(**_unparams(self.config_params))
         tool = Rtl2MuPath(design, provider, config=config, stats=stats)
         if config.incremental:
-            # one pool per (design recipe, solver knobs) per worker
-            # process: jobs batched onto this worker extend the same
-            # proof contexts
-            tool._induction_pool = _worker_induction_pool(
-                self.design_spec,
-                config.coi,
-                config.preprocess,
-                (
-                    "design:%s" % self.netlist_hash
-                    if config.clause_sharing
-                    else None
-                ),
-            )
+            # one pool per design recipe per worker process: jobs batched
+            # onto this worker extend the same proof contexts
+            tool._induction_pool = _worker_induction_pool(self.design_spec)
         if self.duv_pls is not None:
             tool._duv_pls = frozenset(self.duv_pls)
         result = tool.synthesize(self.iuv)
@@ -295,15 +271,13 @@ class SynthesisJob:
     def conservative(self) -> "SynthesisJob":
         """The certification-failure fallback recipe (DESIGN SS5j).
 
-        Re-solves on the most trustworthy path: fresh non-incremental
-        contexts, no CNF preprocessing, no clause-sharing imports --
-        every optimization a bad certificate implicates is off.
-        Certification itself stays on, so the re-solve is re-checked.
+        Re-solves on the fresh-solver reference path: no incremental
+        proof context, so no learned clause or retired activation group
+        from an earlier property can touch the verdict.  Certification
+        itself stays on, so the re-solve is re-checked.
         """
         params = _unparams(self.config_params)
         params["incremental"] = False
-        params["preprocess"] = False
-        params["clause_sharing"] = False
         return SynthesisJob(
             iuv=self.iuv,
             design_spec=self.design_spec,
@@ -529,11 +503,9 @@ class ReachJob:
     horizon: int = 4
     k: int = 2
     conflict_budget: int = 200000
-    # certification + solve-path knobs; deliberately NOT part of
-    # cache_key() -- they change how much the verdict is checked (or
-    # which solve path produced it), never what the verdict is
+    # deliberately NOT part of cache_key(): certification changes how
+    # much the verdict is checked, never what the verdict is
     certify: str = "off"
-    preprocess: bool = True
 
     @property
     def job_id(self) -> str:
@@ -561,7 +533,7 @@ class ReachJob:
         netlist = design.netlist
         bmc = BmcContext(
             netlist, horizon=self.horizon, conflict_budget=self.conflict_budget,
-            preprocess=self.preprocess, certify=policy,
+            certify=policy,
         )
         result = bmc.check(
             Query("reach_%s" % self.probe, Eventually(sig(self.probe)))
@@ -575,7 +547,6 @@ class ReachJob:
                 sig(self.probe),
                 k=self.k,
                 conflict_budget=self.conflict_budget,
-                preprocess=self.preprocess,
                 certify=policy,
             )
             if proof.outcome == UNREACHABLE:
@@ -594,13 +565,6 @@ class ReachJob:
         return replace(
             self, conflict_budget=self.conflict_budget * (factor ** attempt)
         )
-
-    def conservative(self) -> "ReachJob":
-        """Certification-failure fallback: re-solve without preprocessing
-        (reach jobs already build fresh, unshared solver state)."""
-        from dataclasses import replace
-
-        return replace(self, preprocess=False)
 
     def cache_key(self) -> str:
         import hashlib

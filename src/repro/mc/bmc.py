@@ -17,16 +17,13 @@ The context is incremental along two axes: properties are swapped via
 solver assumptions against the single unrolling (learned clauses carry
 over between checks), and :meth:`BmcContext.extend_to` deepens the
 unrolling in place -- frames k..k'-1 are blasted on top of the existing
-ones instead of rebuilding the whole formula.  Passing ``coi_targets``
-slices the netlist to the sequential cone of influence of those named
-signals before any bit-blasting, so properties over a corner of the
-design never pay for the rest of it.
+ones instead of rebuilding the whole formula.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .. import obs
 from ..props.query import Query
@@ -75,19 +72,11 @@ class BmcContext:
         complete_horizon: bool = False,
         conflict_budget: Optional[int] = 200000,
         stats: Optional[PropertyStats] = None,
-        coi_targets: Optional[Sequence[str]] = None,
-        preprocess: bool = True,
         certify=None,
     ):
         from ..cert import CertifyPolicy
 
         self.certify = certify or CertifyPolicy()
-        self.coi = None
-        if coi_targets is not None:
-            from ..rtl.coi import coi_slice
-
-            self.coi = coi_slice(netlist, coi_targets)
-            netlist = self.coi.netlist
         self.netlist = netlist
         self.horizon = horizon
         self.context = context or SymbolicContextSpec()
@@ -95,10 +84,9 @@ class BmcContext:
         self.conflict_budget = conflict_budget
         self.stats = stats
 
-        self.solver = SatSolver(preprocess=preprocess, proof=self.certify.enabled)
+        self.solver = SatSolver(proof=self.certify.enabled)
         self.builder = BitBuilder(self.solver)
         self.frames: List[Frame] = []
-        self._frozen_frames = 0
         self._checks = 0
         self._unroll()
         self.view = SymbolicTraceView(self.frames, self.builder)
@@ -126,15 +114,6 @@ class BmcContext:
                 self.frames.append(frame)
                 state = frame.next_state
         self._frontier_state = state
-        # freeze the interface bits later queries build gates over, so
-        # preprocessing's variable elimination never removes them
-        freeze = self.solver.freeze_many
-        for frame in self.frames[self._frozen_frames :]:
-            for bits in frame.named.values():
-                freeze(abs(lit) for lit in bits)
-            for bits in frame.next_state.values():
-                freeze(abs(lit) for lit in bits)
-        self._frozen_frames = len(self.frames)
         if self.context.constrain is not None:
             # constraint literals are built through the builder's gate
             # caches, so re-running the callable over the full frame list

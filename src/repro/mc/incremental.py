@@ -25,12 +25,16 @@ simple-path constraints span exactly ``k + 1`` states, so a context
 answers at its *current* k only -- extension is monotonic.
 
 :class:`InductionPool` memoizes contexts per (netlist, sequential
-support, symbolic-register set, simple-path flag).  With ``coi=True``
-each property is sliced to its sequential cone of influence
-(:mod:`repro.rtl.coi`) enriched with every named signal computable from
-the same support, so properties whose support is covered by an existing
-context's cone reuse it -- that sharing is how a worker drains a whole
-same-design property group on a single solver.
+support, symbolic-register set, simple-path flag).  Each property is
+sliced to its sequential cone of influence (:mod:`repro.rtl.coi`)
+enriched with every named signal computable from the same support, so
+properties whose support is covered by an existing context's cone reuse
+it -- that sharing is how a worker drains a whole same-design property
+group on a single solver.  Slicing is part of the verdict contract, not
+only a speed-up: the sliced step formula's simple-path constraint
+ranges over fewer registers, so it can close an induction the full
+formula leaves step-SAT.  ``InductionPool(coi=False)`` exists only as
+the exact-parity reference of the parity suite.
 
 Verdict parity with the legacy path is the soundness argument (see
 ``tests/test_parity_incremental.py``): definite verdicts must coincide,
@@ -53,7 +57,6 @@ from ..rtl.netlist import Netlist
 from ..solver.bitblast import blast_frame, paused_gc
 from ..solver.bits import BitBuilder
 from ..solver.sat import SAT, UNKNOWN, UNSAT, SatSolver
-from ..solver.share import EXCHANGE
 from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 
 __all__ = ["IncrementalInductionContext", "InductionPool"]
@@ -74,14 +77,12 @@ class _Unrolling:
         netlist: Netlist,
         symbolic_init: bool,
         symbolic_registers,
-        preprocess: bool = True,
         proof: bool = False,
     ):
         self.netlist = netlist
-        self.solver = SatSolver(preprocess=preprocess, proof=proof)
+        self.solver = SatSolver(proof=proof)
         self.builder = BitBuilder(self.solver)
         self.frames: List = []
-        self._frozen_frames = 0
         state: Dict[str, List[int]] = {}
         for reg, _ in netlist.registers:
             if symbolic_init or reg.name in symbolic_registers:
@@ -90,8 +91,6 @@ class _Unrolling:
                 state[reg.name] = self.builder.const_word(reg.reset, reg.width)
         self.initial_state = state
         self._frontier = state
-        for bits in state.values():
-            self.solver.freeze_many(abs(lit) for lit in bits)
         self.view = SymbolicTraceView(self.frames, self.builder)
         self.ops = SymbolicOps(self.builder)
 
@@ -106,102 +105,11 @@ class _Unrolling:
             self.frames.append(frame)
             state = frame.next_state
         self._frontier = state
-        # freeze the interface bits future clauses will mention (property
-        # targets over named signals, distinctness over state words):
-        # preprocessing must never variable-eliminate them
-        freeze = self.solver.freeze_many
-        for frame in self.frames[self._frozen_frames :]:
-            for bits in frame.named.values():
-                freeze(abs(lit) for lit in bits)
-            for bits in frame.next_state.values():
-                freeze(abs(lit) for lit in bits)
-        self._frozen_frames = len(self.frames)
 
     @property
     def states(self):
         """State vectors s_0 .. s_h (initial plus each frame's next)."""
         return [self.initial_state] + [f.next_state for f in self.frames]
-
-
-class _ShareEnd:
-    """One solver's hookup to the process-local clause exchange."""
-
-    def __init__(self, key: str, solver: SatSolver, activation: int):
-        self.key = key
-        self.solver = solver
-        self.activation = activation
-        self.cursor = 0
-        self.own: set = set()
-
-
-class _SharedLink:
-    """Wires a context's base/step solvers into the portfolio exchange.
-
-    Armed exactly once, over the context's *creation* build (frames plus
-    distinctness, before any property): that is the prefix every peer
-    worker constructs identically, so clauses learned over it are valid
-    lemmas for all of them.  The share key embeds the prefix variable
-    count and a sampled clause fingerprint -- builds that diverged for
-    any reason get distinct keys and exchange nothing.
-    """
-
-    def __init__(self, key: str, k: int, base: _Unrolling, step: _Unrolling):
-        self.ends: List[_ShareEnd] = []
-        for role, unrolling in (("base", base), ("step", step)):
-            solver = unrolling.solver
-            limit = solver.mark_share_prefix()
-            clauses = solver._clauses
-            stride = max(1, len(clauses) // 64)
-            sample = tuple(tuple(c) for c in clauses[::stride])
-            # int-tuple hashes are not randomized across processes, so
-            # this fingerprint is stable worker-to-worker
-            fingerprint = hash((limit, len(clauses), sample)) & 0xFFFFFFFFFFFF
-            full_key = "%s|k%d|%s|v%d|f%x" % (key, k, role, limit, fingerprint)
-            # the import guard: a post-prefix activation literal assumed
-            # on every solve, so foreign clauses stay retractable and can
-            # never leak into an unrelated check's assumption state
-            activation = solver.new_activation()
-            self.ends.append(_ShareEnd(full_key, solver, activation))
-
-    @property
-    def base_activation(self) -> int:
-        return self.ends[0].activation
-
-    @property
-    def step_activation(self) -> int:
-        return self.ends[1].activation
-
-    def pull(self) -> int:
-        """Import peers' newly published clauses (activation-guarded)."""
-        imported = 0
-        for end in self.ends:
-            batch = EXCHANGE.snapshot(end.key, end.cursor)
-            if not batch:
-                continue
-            end.cursor += len(batch)
-            fresh = [c for c in batch if c not in end.own]
-            if fresh:
-                imported += end.solver.import_shared(fresh, end.activation)
-        return imported
-
-    def push(self) -> int:
-        """Publish this context's newly exportable learned clauses."""
-        published = 0
-        for end in self.ends:
-            batch = end.solver.export_shared()
-            if batch:
-                end.own.update(batch)
-                published += EXCHANGE.publish(end.key, batch)
-        return published
-
-    def freeze_export(self) -> None:
-        """Stop exporting (the prefix is about to grow non-conservatively).
-
-        Importing continues: creation-prefix lemmas remain implied when
-        the formula only gains clauses.
-        """
-        for end in self.ends:
-            end.solver.freeze_share_export()
 
 
 class IncrementalInductionContext:
@@ -217,8 +125,6 @@ class IncrementalInductionContext:
         k: int,
         symbolic_registers=(),
         simple_path: bool = True,
-        preprocess: bool = True,
-        share_key: Optional[str] = None,
         certify=None,
     ):
         if k < 1:
@@ -230,24 +136,12 @@ class IncrementalInductionContext:
         self.k = k
         self.symbolic_registers = frozenset(symbolic_registers)
         self.simple_path = simple_path
-        self.preprocess = preprocess
         self.checks = 0
         proof = self.certify.enabled
-        self._base = _Unrolling(
-            netlist, False, self.symbolic_registers, preprocess=preprocess,
-            proof=proof,
-        )
-        self._step = _Unrolling(netlist, True, (), preprocess=preprocess, proof=proof)
+        self._base = _Unrolling(netlist, False, self.symbolic_registers, proof=proof)
+        self._step = _Unrolling(netlist, True, (), proof=proof)
         self._asserted_pairs: set = set()
         self._build(k)
-        # portfolio sharing is armed over the creation build only: after
-        # extend_k the variable numbering depends on the property history,
-        # so peers could no longer be assumed prefix-identical
-        self._shared = (
-            _SharedLink(share_key, k, self._base, self._step)
-            if share_key is not None
-            else None
-        )
 
     def _build(self, k: int):
         with paused_gc():
@@ -287,12 +181,6 @@ class IncrementalInductionContext:
                 "induction context cannot shrink k %d -> %d" % (self.k, new_k)
             )
         if new_k > self.k:
-            if self._shared is not None:
-                # the deeper simple-path constraints are not conservative
-                # over the creation prefix: clauses learned after them are
-                # no longer lemmas of the shared formula, so stop exporting
-                # (imports of creation-prefix lemmas remain sound)
-                self._shared.freeze_export()
             self._build(new_k)
             self.k = new_k
 
@@ -309,8 +197,6 @@ class IncrementalInductionContext:
         query_name = "kind(%r)" % (bad,)
 
         def _finish(sp, outcome, detail, solver_delta, witness=None, certificate=None):
-            if self._shared is not None:
-                self._shared.push()
             elapsed = time.perf_counter() - start
             sp.set("outcome", outcome)
             return CheckResult(
@@ -326,9 +212,6 @@ class IncrementalInductionContext:
             )
 
         with obs.span("mc.kinduction", k=k, incremental=True) as root:
-            shared = self._shared
-            if shared is not None:
-                shared.pull()
             # ---- base case: BMC from reset for k steps, property assumed
             with obs.span("mc.kinduction.base"):
                 base = self._base
@@ -337,11 +220,8 @@ class IncrementalInductionContext:
                     target = base.builder.or_(
                         target, bad.evaluate(base.view, t, base.ops)
                     )
-                assumptions = [target]
-                if shared is not None:
-                    assumptions.insert(0, shared.base_activation)
                 verdict = base.solver.solve(
-                    assumptions=assumptions, max_conflicts=conflict_budget
+                    assumptions=[target], max_conflicts=conflict_budget
                 )
                 base_delta = dict(base.solver.last_solve)
                 # snapshot the proof leg while the verdict is fresh: later
@@ -406,11 +286,8 @@ class IncrementalInductionContext:
                     good = -bad.evaluate(step.view, t, step.ops)
                     step.solver.add_clause([good], activation=act)
                 bad_at_k = bad.evaluate(step.view, k, step.ops)
-                assumptions = [act, bad_at_k]
-                if shared is not None:
-                    assumptions.insert(0, shared.step_activation)
                 verdict = step.solver.solve(
-                    assumptions=assumptions, max_conflicts=conflict_budget
+                    assumptions=[act, bad_at_k], max_conflicts=conflict_budget
                 )
                 step_delta = dict(step.solver.last_solve)
                 # capture the step leg BEFORE retract(): retraction logs a
@@ -464,41 +341,11 @@ class InductionPool:
     group" pattern the engine's same-design batching sets up.
     """
 
-    def __init__(
-        self,
-        coi: bool = True,
-        preprocess: bool = True,
-        share_namespace: Optional[str] = None,
-        certify=None,
-    ):
+    def __init__(self, coi: bool = True, certify=None):
         self.coi = coi
-        self.preprocess = preprocess
         self.certify = certify
-        # non-None arms portfolio clause sharing: contexts publish/import
-        # short learned clauses through the process-local exchange under
-        # keys rooted at this namespace (workers proving the same design
-        # recipe use the same namespace, so their peers' lemmas connect)
-        self.share_namespace = share_namespace
         self._contexts: Dict[Tuple, IncrementalInductionContext] = {}
         self._supports: Dict[int, Dict[str, Tuple]] = {}
-
-    def _share_key(self, support, symbolic_registers, simple_path) -> Optional[str]:
-        if self.share_namespace is None:
-            return None
-        if support is None:
-            token = "full"
-        else:
-            token = "r:%s;i:%s" % (
-                ",".join(sorted(support[0])),
-                ",".join(sorted(support[1])),
-            )
-        return "%s|%s|%s|%s|%s" % (
-            self.share_namespace,
-            token,
-            ",".join(sorted(symbolic_registers)),
-            "sp" if simple_path else "nosp",
-            "coi" if self.coi else "nocoi",
-        )
 
     def _named_supports(self, netlist: Netlist) -> Dict[str, Tuple]:
         """name -> (register names, input names) sequential support, for
@@ -583,10 +430,6 @@ class InductionPool:
                 k,
                 symbolic_registers,
                 simple_path,
-                preprocess=self.preprocess,
-                share_key=self._share_key(
-                    support, symbolic_registers, simple_path
-                ),
                 certify=policy,
             )
             self._contexts[key] = ctx

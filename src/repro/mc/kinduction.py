@@ -60,7 +60,6 @@ def prove_unreachable_kinduction(
     conflict_budget: Optional[int] = 200000,
     simple_path: bool = True,
     pool=None,
-    preprocess: bool = True,
     certify=None,
 ) -> CheckResult:
     """Try to prove ``bad`` globally unreachable via k-induction.
@@ -111,7 +110,7 @@ def prove_unreachable_kinduction(
     with obs.span("mc.kinduction", k=k) as root:
         # ---- base case: BMC from reset for k steps
         with obs.span("mc.kinduction.base"):
-            base_solver = SatSolver(preprocess=preprocess, proof=policy.enabled)
+            base_solver = SatSolver(proof=policy.enabled)
             base_builder = BitBuilder(base_solver)
             with paused_gc():
                 reset_state: Dict[str, List[int]] = {}
@@ -177,7 +176,7 @@ def prove_unreachable_kinduction(
 
         # ---- inductive step: arbitrary start state, k good steps, bad at k
         with obs.span("mc.kinduction.step"):
-            step_solver = SatSolver(preprocess=preprocess, proof=policy.enabled)
+            step_solver = SatSolver(proof=policy.enabled)
             step_builder = BitBuilder(step_solver)
             with paused_gc():
                 free_state: Dict[str, List[int]] = {

@@ -10,7 +10,6 @@ formulas one clock cycle at a time.
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .bits import BitBuilder
 from .bitblast import Frame, blast_frame, paused_gc
-from .share import EXCHANGE, ClauseExchange
 
 __all__ = [
     "SAT",
@@ -21,6 +20,4 @@ __all__ = [
     "Frame",
     "blast_frame",
     "paused_gc",
-    "ClauseExchange",
-    "EXCHANGE",
 ]

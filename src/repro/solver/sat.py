@@ -14,11 +14,7 @@ conflict-driven clause-learning solver:
 * Luby-sequence restarts,
 * learned-clause database reduction by activity,
 * a conflict budget so callers can obtain honest ``UNKNOWN`` outcomes
-  (the paper's "undetermined" model-checker verdict, SS V-B),
-* an optional SatELite-style preprocessing pass (:mod:`.preprocess`)
-  run once before the first solve: duplicate-clause hashing,
-  subsumption / self-subsuming resolution, and bounded variable
-  elimination with model reconstruction, see ``preprocess=``.
+  (the paper's "undetermined" model-checker verdict, SS V-B).
 
 Internally literals are *encoded*: variable ``v`` becomes the literal
 pair ``2*v`` (positive) and ``2*v + 1`` (negative), so negation is
@@ -41,25 +37,6 @@ assumptions conflict, :attr:`~SatSolver.last_core` holds the subset of
 assumption literals actually used in the refutation (MiniSat's
 ``analyzeFinal``); it is reset on every call so verdicts never inherit a
 stale core from an earlier property.
-
-Variables eliminated by preprocessing are reconstructed on demand: a SAT
-answer extends the model over the eliminated variables from the saved
-clauses (SatELite's extend-in-reverse-elimination-order rule), and any
-later clause or assumption that mentions an eliminated variable
-*uneliminates* it first by restoring its saved clauses, so incremental
-use (``BmcContext.extend_to``, ``InductionPool`` growth, ``retract``)
-never observes the elimination.
-
-Portfolio clause sharing: :meth:`~SatSolver.mark_share_prefix` snapshots
-the variable count after a deterministic build; short learned clauses
-over prefix variables are collected for :meth:`~SatSolver.export_shared`
-and a peer solver built from the same recipe imports them with
-:meth:`~SatSolver.import_shared` behind an activation guard.  Callers
-must call :meth:`~SatSolver.freeze_share_export` before asserting any
-post-prefix fact that genuinely constrains prefix variables (e.g.
-simple-path distinctness added by ``extend_k``); Tseitin definitions
-over fresh variables, activation-guarded clauses and retraction units
-are conservative extensions and keep exports sound (DESIGN SS5i).
 
 Literals use DIMACS conventions: nonzero ints, ``-v`` is the negation of
 ``v``.  Variables are allocated densely from 1.
@@ -103,19 +80,11 @@ _INCREMENTAL_REUSE = REGISTRY.counter(
     "repro_solver_incremental_reuse_total",
     "solve() calls answered on a reused solver (learned clauses retained)",
 )
-_SHARED_CLAUSES = REGISTRY.counter(
-    "repro_solver_shared_clauses_total",
-    "learned clauses crossing solver boundaries, by direction",
-)
 
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-# longest learned clause eligible for cross-worker sharing
-SHARE_MAX_LEN = 8
-# cap on clauses buffered for export between harvests
-_EXPORT_POOL_CAP = 2048
 # hard ceiling on retained proof entries (DRAT logging, see repro.cert):
 # a run that blows past it keeps its prefix and flags the overflow, so
 # certificates degrade to "skipped" instead of exhausting memory
@@ -153,7 +122,7 @@ def _dec(enc: int) -> int:
 class SatSolver:
     """CDCL solver with incremental clause addition and assumptions."""
 
-    def __init__(self, preprocess: bool = True, proof: bool = False):
+    def __init__(self, proof: bool = False):
         self.num_vars = 0
         # truth value per *encoded* literal: 0 unassigned, 1 true, -1
         # false; both polarities are kept in sync on (un)assignment so the
@@ -208,23 +177,7 @@ class SatSolver:
         # assumption literals used by the most recent UNSAT verdict (None
         # after SAT/UNKNOWN); see analyze-final in _search
         self.last_core: Optional[List[int]] = None
-        self._activations: set = set()
         self._retired_activations: set = set()
-        # ---- preprocessing state (see repro.solver.preprocess)
-        self._preprocess = preprocess
-        self._frozen: set = set()
-        self._preprocessed = False
-        self._eliminated: set = set()
-        self._elim_order: List[int] = []
-        self._elim_saved: Dict[int, List[List[int]]] = {}
-        # model overlay for eliminated vars, rebuilt after each SAT answer
-        self._elim_model: Optional[Dict[int, bool]] = None
-        # ---- clause-sharing state (see repro.solver.share)
-        self._share_limit = 0  # 0 = sharing not armed
-        self._share_export_ok = False
-        self._export_pool: List[Tuple[int, ...]] = []
-        self._export_seen: set = set()
-        self._export_cursor = 0
         # ---- DRAT proof log (see repro.cert): logical entries are
         # (tag, dimacs_lits) with tag "i" (input), "a" (derived, must be
         # RUP against the preceding entries) or "d" (advisory deletion).
@@ -240,7 +193,6 @@ class SatSolver:
         self._proof_tags: Optional[bytearray] = bytearray() if proof else None
         self._proof_lits = _array("q") if proof else None
         self._proof_overflow = False
-        self._proof_tag = "i"  # add_clause's tag; import_shared flips to "a"
 
     # ------------------------------------------------------------------ setup
     def _grow(self):
@@ -276,27 +228,9 @@ class SatSolver:
         :meth:`retract` disables them for good.  The variable's saved
         phase starts negative, so an unassumed activation literal defaults
         to "inactive" and foreign properties' guards never burden an
-        unrelated check.  Activation variables are also *frozen* for
-        preprocessing: eliminating one would resolve guarded clauses into
-        unguarded resolvents and break retraction.
+        unrelated check.
         """
-        act = self.new_var()
-        self._activations.add(act)
-        return act
-
-    def freeze(self, var: int) -> None:
-        """Protect ``var`` from elimination by preprocessing.
-
-        Callers freeze the variables later clauses or assumptions will
-        mention (e.g. a BMC context freezes its frames' named-signal and
-        next-state bits): eliminated variables are restored on demand,
-        but freezing the known interface avoids that churn entirely.
-        """
-        self._frozen.add(var)
-
-    def freeze_many(self, variables: Iterable[int]) -> None:
-        for var in variables:
-            self._frozen.add(var)
+        return self.new_var()
 
     def retract(self, activation: int) -> bool:
         """Permanently disable every clause guarded by ``activation``.
@@ -309,7 +243,6 @@ class SatSolver:
         """
         if activation in self._retired_activations:
             return self._ok
-        self._activations.discard(activation)
         self._retired_activations.add(activation)
         return self.add_clause([-activation])
 
@@ -330,7 +263,7 @@ class SatSolver:
             # root simplification below: stripped/falsified literals are
             # recovered by unit propagation, so the checker sees the same
             # formula the solver reasons over
-            self._proof_log(self._proof_tag, lits)
+            self._proof_log("i", lits)
         # Adding a clause invalidates any model from a previous solve().
         # Return to the root level first: the satisfied/falsified checks
         # below must only consult root facts, and a unit clause enqueued
@@ -339,13 +272,6 @@ class SatSolver:
         # losing the constraint (found by the differential fuzzer).
         if self._trail_lim:
             self._backtrack(0)
-        if self._eliminated:
-            # a clause touching an eliminated variable restores that
-            # variable's saved clauses first, so the new constraint and
-            # the old ones interact soundly (unelimination-on-demand)
-            for lit in lits:
-                if (lit if lit > 0 else -lit) in self._eliminated:
-                    self._uneliminate(lit if lit > 0 else -lit)
         lit_val = self._lit_val
         seen = set()
         clause = []
@@ -398,10 +324,6 @@ class SatSolver:
             or lit_val[eb]
             or ea >> 1 == eb >> 1
             or not self._ok
-            or (
-                self._eliminated
-                and (ea >> 1 in self._eliminated or eb >> 1 in self._eliminated)
-            )
         ):
             out = self.new_var()
             self.add_and_gate(out, a, b)
@@ -450,10 +372,6 @@ class SatSolver:
             or lit_val[eb]
             or ea >> 1 == eb >> 1
             or not self._ok
-            or (
-                self._eliminated
-                and (ea >> 1 in self._eliminated or eb >> 1 in self._eliminated)
-            )
         ):
             out = self.new_var()
             self.add_xor_gate(out, a, b)
@@ -497,8 +415,8 @@ class SatSolver:
         appended and watched directly -- this is the hottest call in
         circuit construction (hundreds of thousands of gates per
         unrolled core).  Any precondition miss (root-assigned input,
-        eliminated variable, shared input variable, open decision level)
-        falls back to :meth:`add_clause`, which handles every case.
+        shared input variable, open decision level) falls back to
+        :meth:`add_clause`, which handles every case.
         """
         if not self._ok:
             return False
@@ -510,10 +428,6 @@ class SatSolver:
             or lit_val[ea]
             or lit_val[eb]
             or ea >> 1 == eb >> 1
-            or (
-                self._eliminated
-                and (ea >> 1 in self._eliminated or eb >> 1 in self._eliminated)
-            )
         ):
             return (
                 self.add_clause([-out, a])
@@ -564,10 +478,6 @@ class SatSolver:
             or lit_val[ea]
             or lit_val[eb]
             or ea >> 1 == eb >> 1
-            or (
-                self._eliminated
-                and (ea >> 1 in self._eliminated or eb >> 1 in self._eliminated)
-            )
         ):
             return (
                 self.add_clause([-out, a, b])
@@ -615,54 +525,6 @@ class SatSolver:
         self._watches[clause[0] ^ 1].extend((clause, clause[1]))
         self._watches[clause[1] ^ 1].extend((clause, clause[0]))
 
-    def _attach_simplified(self, saved: List[int]) -> None:
-        """Re-add a saved (encoded) clause during unelimination."""
-        if not self._ok:
-            return
-        lit_val = self._lit_val
-        clause = []
-        for enc in saved:
-            value = lit_val[enc]
-            if value == 1:
-                return  # satisfied at root since it was saved
-            if value == -1:
-                continue
-            clause.append(enc)
-        if not clause:
-            self._ok = False
-            return
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], None) or self._propagate() is not None:
-                self._ok = False
-            return
-        self._clauses.append(clause)
-        self._watch(clause)
-
-    def _uneliminate(self, var: int) -> None:
-        """Restore ``var``'s saved clauses (removed by preprocessing).
-
-        Clauses re-added here may mention *other* eliminated variables
-        (eliminated after ``var`` was); those are restored transitively so
-        the search always branches on every variable its clauses mention.
-        The resolvents the elimination introduced stay in the database --
-        they are implied by the restored clauses, so keeping them is
-        sound (just redundant).
-        """
-        stack = [var]
-        while stack:
-            v = stack.pop()
-            if v not in self._eliminated:
-                continue
-            self._eliminated.discard(v)
-            self._elim_order.remove(v)
-            saved = self._elim_saved.pop(v)
-            heapq.heappush(self._order_heap, (-self._activity[v], v))
-            for clause in saved:
-                for enc in clause:
-                    if (enc >> 1) in self._eliminated:
-                        stack.append(enc >> 1)
-                self._attach_simplified(clause)
-
     # --------------------------------------------------------------- interface
     def counters(self) -> Dict[str, int]:
         """Cumulative search-effort counters for this solver instance."""
@@ -687,26 +549,6 @@ class SatSolver:
         started = time.perf_counter()
         if self.solves:
             _INCREMENTAL_REUSE.inc(context="solver")
-        if self._ok:
-            if self._preprocess and not self._preprocessed:
-                self._preprocessed = True
-                from .preprocess import preprocess as _run_preprocess
-
-                frozen = set(self._activations)
-                frozen.update(self._retired_activations)
-                frozen.update(self._frozen)
-                for lit in assumptions:
-                    frozen.add(lit if lit > 0 else -lit)
-                _run_preprocess(self, frozen)
-            elif self._eliminated:
-                # assumptions over eliminated variables restore them first
-                # (rare: only assumptions minted before preprocessing ran)
-                for lit in assumptions:
-                    var = lit if lit > 0 else -lit
-                    if var in self._eliminated:
-                        if self._trail_lim:
-                            self._backtrack(0)
-                        self._uneliminate(var)
         verdict = UNSAT
         # search allocates only acyclic objects (learned-clause lists, heap
         # tuples); gen-0/gen-2 scans over a clause database this size cost
@@ -720,9 +562,6 @@ class SatSolver:
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self._elim_model = None
-            if verdict == SAT and self._elim_order:
-                self._reconstruct_model()
             elapsed = time.perf_counter() - started
             after = self.counters()
             delta = {key: after[key] - before[key] for key in after}
@@ -830,10 +669,6 @@ class SatSolver:
             self._enqueue(enc, None)
 
     def model_value(self, var: int) -> bool:
-        if self._elim_model is not None:
-            value = self._elim_model.get(var)
-            if value is not None:
-                return value
         return self._lit_val[var << 1] == 1
 
     # ------------------------------------------------------------- internals
@@ -1066,19 +901,6 @@ class SatSolver:
         self._learned.append(learned)
         self._watch(learned)
         self._enqueue(learned[0], learned)
-        if (
-            self._share_export_ok
-            and len(learned) <= SHARE_MAX_LEN
-            and len(self._export_pool) < _EXPORT_POOL_CAP
-        ):
-            limit = self._share_limit
-            for q in learned:
-                if q >> 1 > limit:
-                    return
-            key = tuple(sorted(_dec(q) for q in learned))
-            if key not in self._export_seen:
-                self._export_seen.add(key)
-                self._export_pool.append(key)
 
     def _backtrack(self, level):
         if len(self._trail_lim) <= level:
@@ -1108,25 +930,17 @@ class SatSolver:
     def _pick_branch(self):
         # lazy-deletion heap: entries go stale when a variable is assigned
         # or its activity is bumped (the bump pushes a fresh entry), so pop
-        # until an entry matches the variable's current state; variables
-        # eliminated by preprocessing are skipped (no clause mentions
-        # them; model reconstruction assigns them after SAT)
+        # until an entry matches the variable's current state
         heap = self._order_heap
         activity = self._activity
         lit_val = self._lit_val
-        eliminated = self._eliminated
         while heap:
             neg_act, var = heapq.heappop(heap)
-            if (
-                lit_val[var << 1] == 0
-                and -neg_act == activity[var]
-                and var not in eliminated
-            ):
+            if lit_val[var << 1] == 0 and -neg_act == activity[var]:
                 return (var << 1) if self._phase[var] > 0 else (var << 1) | 1
         # every unassigned variable has a current entry by construction
-        # (the search-entry bulk enroll, _bump, _backtrack and
-        # _uneliminate all push), so an empty heap means a complete
-        # assignment
+        # (the search-entry bulk enroll, _bump and _backtrack all push),
+        # so an empty heap means a complete assignment
         return None
 
     def _bump(self, var):
@@ -1138,7 +952,7 @@ class SatSolver:
             self._order_heap = [
                 (-self._activity[v], v)
                 for v in range(1, self.num_vars + 1)
-                if self._lit_val[v << 1] == 0 and v not in self._eliminated
+                if self._lit_val[v << 1] == 0
             ]
             heapq.heapify(self._order_heap)
         elif self._lit_val[var << 1] == 0:
@@ -1220,46 +1034,6 @@ class SatSolver:
                 return False  # missing or asymmetric watches
         return True
 
-    # ----------------------------------------------------- model reconstruction
-    def _reconstruct_model(self):
-        """Extend a SAT model over eliminated variables.
-
-        SatELite's rule: walk the elimination stack in reverse order; a
-        variable is set true iff one of its saved clauses with a positive
-        occurrence has every *other* literal false under the model built
-        so far (otherwise false satisfies all negative occurrences --
-        the resolvents being satisfied guarantees one polarity works).
-        """
-        overlay: Dict[int, bool] = {}
-        lit_val = self._lit_val
-
-        def _lit_true(enc):
-            var = enc >> 1
-            if var in overlay:
-                value = overlay[var]
-            else:
-                value = lit_val[var << 1] == 1
-            return (not value) if enc & 1 else value
-
-        for var in reversed(self._elim_order):
-            pos = var << 1
-            if lit_val[pos] != 0:
-                # eliminated, then root-assigned by a late unit chain over
-                # the original watch structure: the search's value is a
-                # sound consequence and provably agrees with the saved
-                # clauses, so keep it
-                overlay[var] = lit_val[pos] == 1
-                continue
-            value = False
-            for clause in self._elim_saved[var]:
-                if pos in clause and not any(
-                    _lit_true(enc) for enc in clause if enc != pos
-                ):
-                    value = True
-                    break
-            overlay[var] = value
-        self._elim_model = overlay
-
     # ------------------------------------------------------------ proof logging
     def _proof_log(self, tag: str, lits) -> None:
         """Append one proof entry (caller guards logging is on)."""
@@ -1323,108 +1097,3 @@ class SatSolver:
         if self.last_core is None:
             return None
         return tuple(-lit for lit in self.last_core)
-
-    def _rup_check(self, lits: Sequence[int]) -> bool:
-        """True iff ``lits`` (DIMACS) is implied by the database via RUP.
-
-        Assumes the negation of every literal at a throwaway decision
-        level and propagates; a conflict proves the clause.  Used to vet
-        shared-clause imports when proof logging is on: a clause that
-        passes is a sound DRAT addition *here*, independent of the peer
-        that learned it.  No learning, no lasting state.
-        """
-        if not self._ok:
-            return True
-        if self._trail_lim:
-            self._backtrack(0)
-        if self._propagate() is not None:
-            self._ok = False
-            return True
-        lit_val = self._lit_val
-        self._trail_lim.append(len(self._trail))
-        for lit in lits:
-            enc = (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-            value = lit_val[enc]
-            if value == 1:
-                # already satisfied by root facts (or by an earlier
-                # complementary literal of this clause): trivially implied
-                self._backtrack(0)
-                return True
-            if value == -1:
-                continue
-            self._enqueue(enc ^ 1, None)
-        conflict = self._propagate() is not None
-        self._backtrack(0)
-        return conflict
-
-    # ------------------------------------------------------------ clause sharing
-    def mark_share_prefix(self) -> int:
-        """Arm clause export over the current (deterministic) prefix.
-
-        Call once the formula prefix every portfolio peer builds
-        identically is in place.  From here on, learned clauses of length
-        <= ``SHARE_MAX_LEN`` whose variables all lie in the prefix are
-        buffered for :meth:`export_shared`.  Callers must
-        :meth:`freeze_share_export` before asserting any post-prefix fact
-        that constrains prefix variables (see module docstring).
-        """
-        self._share_limit = self.num_vars
-        self._share_export_ok = True
-        return self._share_limit
-
-    def freeze_share_export(self) -> None:
-        """Permanently stop collecting clauses for export.
-
-        Required before non-conservative post-prefix assertions (e.g. the
-        deeper simple-path constraints ``extend_k`` adds): clauses learned
-        after them are no longer implied by the shared prefix alone.
-        Imports stay sound -- an implied clause remains implied when the
-        formula grows -- so importing continues after a freeze.
-        """
-        self._share_export_ok = False
-
-    def export_shared(self) -> List[Tuple[int, ...]]:
-        """Drain newly buffered shareable learned clauses (DIMACS tuples)."""
-        batch = self._export_pool[self._export_cursor :]
-        self._export_cursor = len(self._export_pool)
-        if batch:
-            _SHARED_CLAUSES.inc(len(batch), direction="exported")
-        return batch
-
-    def import_shared(
-        self, clauses: Iterable[Sequence[int]], activation: int
-    ) -> int:
-        """Install peer-learned clauses behind ``activation``.
-
-        The guard keeps foreign clauses inert unless the importing
-        context assumes the guard on its own solves, and lets the whole
-        import be retracted at once -- shared clauses can never poison an
-        unrelated check's assumption state.
-        """
-        count = 0
-        rejected = 0
-        proof = self._proof_tags is not None
-        for clause in clauses:
-            if proof:
-                # With proof logging on, an import is only accepted if it
-                # is RUP against *this* solver's database: validated
-                # imports are logged as derivations ("a"), so the checker
-                # never has to trust the peer.  A clause that fails the
-                # check is skipped -- that only costs pruning power.
-                if not self._rup_check(clause):
-                    rejected += 1
-                    continue
-                self._proof_tag = "a"
-            try:
-                ok = self.add_clause(clause, activation=activation)
-            finally:
-                if proof:
-                    self._proof_tag = "i"
-            if not ok:
-                break
-            count += 1
-        if count:
-            _SHARED_CLAUSES.inc(count, direction="imported")
-        if rejected:
-            _SHARED_CLAUSES.inc(rejected, direction="rejected")
-        return count

@@ -4,15 +4,17 @@ Four layers, mirroring the trust chain:
 
 * the pure-Python DRAT checker rejects forged, truncated, and
   model-corrupting mutations (the checker itself must not be gameable);
-* the seeded solver-soundness mutation -- polarity-blind subsumption
-  re-enabled by monkeypatching ``repro.solver.preprocess._subsumes`` --
-  flips a crafted UNSAT instance to SAT, and certification catches it;
+* the seeded solver-soundness mutation -- a conflict analysis that
+  drops a non-asserting literal from the learned clause, planted by
+  monkeypatching ``SatSolver._analyze`` -- flips a crafted SAT instance
+  to UNSAT, and the DRAT check of that refutation catches it;
 * certify-full verdicts are byte-identical to uncertified ones on the
   fuzz corpus (certification observes, never decides);
 * the scheduler's certification rung quarantines a failed certificate,
   re-solves on the conservative recipe, surfaces the verdict divergence
   in the manifest, and never caches an uncaught failure -- end to end
-  through the real :class:`JobScheduler`.
+  through the real :class:`JobScheduler`; a reach job, which has no
+  conservative recipe, surfaces its failure without a second solve.
 
 Plus the backward-compat pin: a cache entry written before this PR
 (committed fixture, no ``certificate`` keys anywhere) still loads as a
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-import repro.solver.preprocess as preprocess_mod
+import repro.cert as cert_mod
 from repro.cert import (
     CertifyPolicy,
     certificate_failed,
@@ -47,6 +49,7 @@ from repro.mc.kinduction import prove_unreachable_kinduction
 from repro.mc.outcomes import REACHABLE, UNREACHABLE, CheckResult
 from repro.props import Eventually, Query, sig
 from repro.solver.sat import SAT, UNSAT, SatSolver
+from tests.test_solver_diff import drop_learned_literal
 
 CORPUS = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -61,7 +64,7 @@ def _corpus_paths(limit=None):
 
 def _unsat_proof():
     """A small real proof log: pigeonhole-ish UNSAT instance."""
-    s = SatSolver(preprocess=False, proof=True)
+    s = SatSolver(proof=True)
     a, b, c = (s.new_var() for _ in range(3))
     s.add_clause([a, b])
     s.add_clause([a, -b, c])
@@ -105,7 +108,7 @@ class TestDratCheckerMutations:
         assert not outcome.ok
 
     def test_flipped_bit_model_rejected(self):
-        s = SatSolver(preprocess=False, proof=True)
+        s = SatSolver(proof=True)
         a, b = s.new_var(), s.new_var()
         s.add_clause([a, b])
         s.add_clause([-a, b])
@@ -172,51 +175,44 @@ class TestWitnessMutations:
 
 
 # -------------------------------------------- seeded solver soundness mutation
-def _polarity_blind(small, big):
-    """The seeded mutation: subsumption that ignores literal polarity."""
-    big_vars = {lit >> 1 for lit in big}
-    return all((lit >> 1) in big_vars for lit in small)
-
-
-#: crafted instance: clauses (1∨2), (1∨¬2∨3), (2∨3) under assumptions
-#: (¬1, ¬3) -- cleanly UNSAT; polarity-blind subsumption kills the
-#: clauses that block the all-false corner and the solver answers SAT
-_CRAFTED_CLAUSES = ((1, 2), (1, -2, 3), (2, 3))
-_CRAFTED_ASSUMPTIONS = (-1, -3)
+#: crafted instance, satisfiable (e.g. 1 true, 2-4 false): the clean
+#: search learns (1 ∨ 2) on its way to a model; the mutant learns the
+#: unit (2) instead, which wipes out every model
+_CRAFTED_CLAUSES = ((-4, 2, 1), (3, 1, 2), (-2, -3, -4), (-2, 3), (-3, 4))
 
 
 def _solve_crafted():
-    s = SatSolver(preprocess=True, proof=True)
+    s = SatSolver(proof=True)
     top = max(abs(l) for clause in _CRAFTED_CLAUSES for l in clause)
-    variables = [s.new_var() for _ in range(top)]
+    for _ in range(top):
+        s.new_var()
     for clause in _CRAFTED_CLAUSES:
-        s.add_clause([clause_lit for clause_lit in clause])
-    for v in variables:
-        s.freeze(v)
-    verdict = s.solve(list(_CRAFTED_ASSUMPTIONS))
-    return s, verdict
+        s.add_clause(list(clause))
+    return s, s.solve()
 
 
 class TestSeededSolverMutation:
-    def test_clean_solver_answers_unsat(self):
-        _s, verdict = _solve_crafted()
-        assert verdict == UNSAT
+    def test_clean_solver_answers_sat(self):
+        s, verdict = _solve_crafted()
+        assert verdict == SAT
+        model = {v: s.model_value(v) for v in (1, 2, 3, 4)}
+        ok, detail = verify_model(s.proof_entries(), model)
+        assert ok, detail
 
     def test_mutation_flips_verdict_and_certification_catches_it(
         self, monkeypatch
     ):
-        monkeypatch.setattr(preprocess_mod, "_subsumes", _polarity_blind)
+        monkeypatch.setattr(SatSolver, "_analyze", drop_learned_literal)
         s, verdict = _solve_crafted()
-        assert verdict == SAT  # the soundness bug fires
-        model = {v: s.model_value(v) for v in (1, 2, 3)}
-        ok, detail = verify_model(s.proof_entries(), model)
-        assert not ok  # ...and the independent checker refutes the model
-        assert "falsified" in detail
+        assert verdict == UNSAT  # the soundness bug fires
+        outcome = check_proof(s.proof_entries(), s.final_lemma())
+        assert not outcome.ok  # ...and the DRAT check refutes the proof
+        assert "not RUP" in outcome.detail
 
     def test_mutation_does_not_break_witness_replay_path(self, monkeypatch):
         """Corpus REACHABLE witnesses still replay under the mutation:
         replay uses the simulator, which the solver bug cannot touch."""
-        monkeypatch.setattr(preprocess_mod, "_subsumes", _polarity_blind)
+        monkeypatch.setattr(SatSolver, "_analyze", drop_learned_literal)
         for path in _corpus_paths(limit=2):
             design = build_design(load_reproducer(path))
             for probe in design.probe_names:
@@ -293,7 +289,6 @@ class TestCacheBackwardCompat:
     def test_certified_and_uncertified_jobs_share_cache_keys(self):
         job = ReachJob(design_json="{}", probe="p", design_label="d")
         assert job.cache_key() == replace(job, certify="full").cache_key()
-        assert job.cache_key() == job.conservative().cache_key()
 
     def test_verify_store_quarantines_refuted_certificates(self, tmp_path):
         cache = ProofCache(str(tmp_path))
@@ -425,6 +420,37 @@ class TestSchedulerDegradeRung:
         text = outcome.manifest.summary()
         assert "certification failure" in text
         assert "re-solved" in text
+
+    def test_failed_reach_certificate_is_uncaught_after_one_solve(
+        self, tmp_path, monkeypatch
+    ):
+        """Reach jobs have no conservative recipe: they already solve on
+        fresh solvers, so a second solve would retrace the same
+        deterministic path.  A failed certificate is surfaced as uncaught
+        after exactly one execute."""
+        job = next(
+            j
+            for j in reach_jobs_for_corpus(CORPUS, certify="full")
+            if j.execute()[0][0] == REACHABLE
+        )
+        assert not hasattr(job, "conservative")
+        executes = []
+        real_execute = ReachJob.execute
+
+        def counting_execute(self):
+            executes.append(self.job_id)
+            return real_execute(self)
+
+        monkeypatch.setattr(ReachJob, "execute", counting_execute)
+        # a replay that refutes every witness fails the REACHABLE
+        # verdict's certificate
+        monkeypatch.setattr(cert_mod, "replay_witness", lambda *args: False)
+        engine = JobScheduler(EngineConfig(jobs=1, cache_dir=str(tmp_path)))
+        manifest = engine.run([job]).manifest
+        assert manifest.cert_failures == 1
+        assert manifest.cert_uncaught == 1
+        assert manifest.cert_degraded_jobs == 0
+        assert executes == [job.job_id]
 
 
 class TestEndToEndCertifiedCampaign:

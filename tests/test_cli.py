@@ -39,6 +39,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["upath", "NOPE"])
 
+    @pytest.mark.parametrize(
+        "flag", ["--no-coi", "--no-preprocess", "--no-clause-sharing"]
+    )
+    def test_removed_solver_flags_rejected(self, flag, capsys):
+        """One CDCL path: these switches are gone, not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["synth-all", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
     def test_command_required(self):
         parser = build_parser()
         with pytest.raises(SystemExit):

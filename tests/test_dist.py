@@ -53,6 +53,7 @@ from repro.dist import (
 )
 from repro.dist.protocol import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     ProtocolError,
     decode_frame,
     decode_job,
@@ -420,7 +421,8 @@ class TestProtocolFuzz:
             b"\"string\"",
             b"{\"no\":\"type\"}",
             b"{\"type\":\"hello\",\"role\":\"client\",\"version\":999}",
-            b"{\"type\":\"hello\",\"role\":\"alien\",\"version\":1}",
+            b"{\"type\":\"hello\",\"role\":\"alien\",\"version\":%d}"
+            % PROTOCOL_VERSION,
             b"{\"type\":\"submit\"}",
         ]
         with BrokerHarness() as harness:
@@ -443,7 +445,8 @@ class TestProtocolFuzz:
             )
             try:
                 sock.sendall(
-                    b"{\"type\":\"hello\",\"role\":\"client\",\"version\":1}\n"
+                    b"{\"type\":\"hello\",\"role\":\"client\",\"version\":%d}\n"
+                    % PROTOCOL_VERSION
                 )
                 sock.recv(65536)
                 sock.sendall(b"<<<garbage>>>\n")

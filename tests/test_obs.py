@@ -267,9 +267,6 @@ class TestSolverCounters:
     def _formula(self):
         solver = SatSolver()
         a, b, c = solver.new_var(), solver.new_var(), solver.new_var()
-        # frozen so preprocessing's variable elimination keeps the clause
-        # database intact: this class asserts on formula-size counters
-        solver.freeze_many((a, b, c))
         solver.add_clause([a, b])
         solver.add_clause([-a, c])
         solver.add_clause([-b, -c])

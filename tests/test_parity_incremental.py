@@ -21,6 +21,9 @@ is the gate that makes that claim testable, across every design in
   unconstrained), so full-step-UNSAT implies sliced-step-UNSAT and never
   the reverse: COI may strengthen a step-SAT UNDETERMINED into
   UNREACHABLE, and that is the only extra divergence Leg B admits.
+  Slicing is therefore part of the verdict contract and stays on in
+  every production path; ``InductionPool(coi=False)`` survives only as
+  Leg A's exact-parity reference.
 
 REACHABLE witnesses are not compared bit-for-bit -- model choice is
 solver-state dependent and both paths may pick different satisfying
@@ -227,12 +230,12 @@ class TestCorePipelineParity:
         legacy_tool = Rtl2MuPath(
             core,
             CoreContextProvider(xlen=core.config.xlen, config=SYNTH_FAMILY),
-            config=Rtl2MuPathConfig(incremental=False, coi=False),
+            config=Rtl2MuPathConfig(incremental=False),
         )
         incr_tool = Rtl2MuPath(
             core,
             CoreContextProvider(xlen=core.config.xlen, config=SYNTH_FAMILY),
-            config=Rtl2MuPathConfig(incremental=True, coi=True),
+            config=Rtl2MuPathConfig(incremental=True),
         )
         assert legacy_tool.duv_pl_reachability(self.IUVS) == (
             incr_tool.duv_pl_reachability(self.IUVS)
@@ -293,18 +296,6 @@ class TestBmcExtendParity:
             b = grown.check(query)
             assert a.outcome == b.outcome, query.name
             assert a.detail == b.detail, query.name
-
-    def test_coi_targets_match_full(self):
-        netlist = _bmc_design()
-        full = BmcContext(netlist, horizon=6, complete_horizon=True)
-        sliced = BmcContext(
-            netlist, horizon=6, complete_horizon=True,
-            coi_targets=["at3", "at6"],
-        )
-        for query in self.QUERIES:
-            a = full.check(query)
-            b = sliced.check(query)
-            assert a.outcome == b.outcome, query.name
 
 
 # ------------------------------------------------------------ mutation tests
@@ -395,102 +386,3 @@ class TestMutationCoverage:
         )
         with pytest.raises(ValueError, match="COI closure broken"):
             run_leg_b()
-
-
-# ----------------------------------------- solver-speed parity (preproc/share)
-#: SYNTH_FAMILY with taint instrumentation, for SynthLC label parity
-TAINT_SYNTH_FAMILY = ContextFamilyConfig(
-    horizon=30,
-    neighbors=("DIV",),
-    iuv_values=(0, 1),
-    neighbor_values=(0, 1),
-    instrumented=True,
-)
-
-
-class TestSolverSpeedParity:
-    """CNF preprocessing + portfolio clause sharing are speed work only.
-
-    Same contract as the incremental/COI legs above: turning the solver
-    optimizations on must never change a verdict, a uPATH set, or a
-    SynthLC label.  ``assert_exact_parity`` is reused with the tuned
-    path in the ``incr`` seat, so only a budget-exhaustion UNDETERMINED
-    on the untuned side may be traded up to a definite verdict (the
-    optimizations make the same search cheaper, never different).
-    """
-
-    @pytest.mark.parametrize("name,design", _DESIGNS, ids=[n for n, _ in _DESIGNS])
-    def test_corpus_preprocess_and_sharing_parity(self, name, design):
-        plain = InductionPool(coi=True, preprocess=False)
-        tuned = InductionPool(
-            coi=True, preprocess=True, share_namespace="parity:%s" % name
-        )
-        for probe in design.probe_names:
-            off = prove_unreachable_kinduction(
-                design.netlist, sig(probe), k=2, pool=plain
-            )
-            on = prove_unreachable_kinduction(
-                design.netlist, sig(probe), k=2, pool=tuned
-            )
-            assert_exact_parity("%s/%s" % (name, probe), off, on, probe)
-
-    def test_core_pipeline_mupaths_identical(self, core):
-        """xlen=8 core, full pipeline: uPATH sets are byte-identical with
-        preprocessing + clause sharing on vs off, serial vs --jobs 2."""
-        def tool(config=None):
-            return Rtl2MuPath(
-                core,
-                CoreContextProvider(xlen=core.config.xlen, config=SYNTH_FAMILY),
-                config=config,
-            )
-
-        iuvs = ["ADD", "MUL"]
-        on = tool().synthesize_all(iuvs)  # defaults: both optimizations on
-        off = tool(
-            Rtl2MuPathConfig(preprocess=False, clause_sharing=False)
-        ).synthesize_all(iuvs)
-        assert canonical_mupaths(on) == canonical_mupaths(off)
-        jobs2 = tool().synthesize_all(
-            iuvs, engine=JobScheduler(EngineConfig(jobs=2, clause_sharing=True))
-        )
-        assert canonical_mupaths(on) == canonical_mupaths(jobs2)
-        jobs2_off = tool(
-            Rtl2MuPathConfig(preprocess=False, clause_sharing=False)
-        ).synthesize_all(
-            iuvs, engine=JobScheduler(EngineConfig(jobs=2, clause_sharing=False))
-        )
-        assert canonical_mupaths(on) == canonical_mupaths(jobs2_off)
-
-    def test_synthlc_labels_identical(self, core):
-        """Transmitter labels and signature names survive the solver flags
-        (and the classify fan-out across a --jobs 2 scheduler)."""
-        from repro.core.synthlc import SynthLC
-
-        synth_provider = CoreContextProvider(
-            xlen=core.config.xlen, config=SYNTH_FAMILY
-        )
-        mp_on = Rtl2MuPath(core, synth_provider).synthesize("DIVU")
-        mp_off = Rtl2MuPath(
-            core,
-            CoreContextProvider(xlen=core.config.xlen, config=SYNTH_FAMILY),
-            config=Rtl2MuPathConfig(preprocess=False, clause_sharing=False),
-        ).synthesize("DIVU")
-        classifier = SynthLC(
-            core,
-            CoreContextProvider(xlen=core.config.xlen, config=TAINT_SYNTH_FAMILY),
-        )
-        labels = []
-        for result, engine in (
-            (mp_on, None),
-            (mp_off, JobScheduler(EngineConfig(jobs=2))),
-        ):
-            out = classifier.classify(
-                {"DIVU": result}, transmitters=["DIVU", "SW"], engine=engine
-            )
-            labels.append(
-                (
-                    {k: sorted(v) for k, v in out.transmitters.items()},
-                    sorted(s.name for s in out.signatures),
-                )
-            )
-        assert labels[0] == labels[1]

@@ -376,18 +376,6 @@ class TestWatchInvariant:
         assert s.solve() == UNSAT
         assert s.check_watch_invariant()
 
-    def test_invariant_after_preprocessing_rebuild(self):
-        s = SatSolver(preprocess=True)
-        for _ in range(8):
-            s.new_var()
-        s.add_clause([1, 2, 3])
-        s.add_clause([1, 2, 3, 4])    # subsumed
-        s.add_clause([-1, 5])
-        s.add_clause([-1, 5])         # duplicate
-        s.add_clause([6, 7, -8])
-        assert s.solve() == SAT       # preprocessing rebuilds the watches
-        assert s.check_watch_invariant()
-
     def test_asymmetric_corruption_is_detected(self):
         # the invariant checker itself must notice a one-sided watch:
         # drop one entry from a main watch list and expect False

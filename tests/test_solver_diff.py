@@ -1,22 +1,18 @@
 """Differential fuzz harness for the SAT stack.
 
-The solver-speed work -- CNF preprocessing (structural hashing, bounded
-variable elimination, subsumption / self-subsuming resolution), the
-array-based BCP inner loop, and portfolio clause sharing -- is locked
-down here by running seeded random formulas through three independent
-answerers and insisting they agree:
+The CDCL core -- the array-based BCP inner loop, first-UIP learning
+with clause minimization, assumptions, cores and activation-guarded
+retraction -- is locked down here by running seeded random formulas
+through two independent answerers and insisting they agree:
 
-* ``SatSolver(preprocess=True)``  -- the full production path;
-* ``SatSolver(preprocess=False)`` -- the same CDCL core without the
-  pre-search transformation (the ``--no-preprocess`` path);
+* :class:`~repro.solver.sat.SatSolver` -- the production path;
 * a tiny reference DPLL with unit propagation -- slow, obviously
   correct, and sharing no code with the production solver.
 
 Beyond verdict agreement the harness checks the *evidence*:
 
-* on SAT, the model must satisfy every **original** clause (exercising
-  model reconstruction over BVE-eliminated variables) and every assumed
-  literal must hold in the model;
+* on SAT, the model must satisfy every original clause and every
+  assumed literal must hold in the model;
 * on UNSAT under assumptions, ``last_core`` must be a subset of the
   assumptions and the original formula plus the core alone must still be
   UNSAT per the oracle (core soundness);
@@ -24,14 +20,13 @@ Beyond verdict agreement the harness checks the *evidence*:
 
 Three generators stress the incremental paths: plain formulas,
 assumption-heavy runs (several assumption sets against one solver, so
-later rounds hit variables preprocessing may have eliminated), and
-retract-heavy runs (activation-guarded clause groups activated,
-deactivated, and permanently retracted).
+later rounds reuse what earlier rounds learned), and retract-heavy runs
+(activation-guarded clause groups activated, deactivated, and
+permanently retracted).
 
-Mutation tests at the bottom prove the harness has teeth: breaking
-frozen-variable protection (``preprocess._is_frozen``) or making
-subsumption polarity-blind (``preprocess._subsumes``) must each be
-caught.
+The mutation test at the bottom proves the harness has teeth: a
+conflict analysis that drops a non-asserting literal from the learned
+clause (an unsound lemma) must be caught.
 
 Set ``SOLVER_DIFF_ARTIFACTS=<dir>`` to dump the DIMACS of any failing
 formula (the CI ``solver-diff`` job uploads that directory), and
@@ -48,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-import repro.solver.preprocess as preprocess_mod
 from repro.solver import SAT, UNSAT, SatSolver
 
 Clause = Tuple[int, ...]
@@ -65,7 +59,7 @@ def dpll(clauses: Sequence[Sequence[int]], assignment=None) -> Optional[Dict[int
 
     Deliberately naive and recursive: for the <= ~20-variable formulas
     the generators emit this is instant, and it shares nothing with the
-    production solver -- no watch lists, no preprocessing, no learning.
+    production solver -- no watch lists, no learning.
     """
     assignment = dict(assignment or {})
     while True:
@@ -113,13 +107,11 @@ def _random_clause(rng: random.Random, num_vars: int, width: int) -> Clause:
 
 
 def random_formula(rng: random.Random) -> Tuple[int, List[Clause]]:
-    """A small CNF with deliberate preprocessing fodder mixed in.
+    """A small CNF with duplicate and near-duplicate clauses mixed in.
 
-    Duplicates exercise structural hashing, strict supersets exercise
-    subsumption, polarity-flipped variable-supersets are exactly what a
-    polarity-blind subsumption test would wrongly delete, and the low
-    clause/variable ratio leaves pure and low-occurrence variables for
-    BVE to eliminate.
+    Duplicates, strict supersets and polarity-flipped variable-supersets
+    put redundant and almost-redundant clauses side by side, and the low
+    clause/variable ratio leaves pure and low-occurrence variables.
     """
     num_vars = rng.randrange(4, 13)
     num_clauses = rng.randrange(num_vars, 4 * num_vars)
@@ -157,8 +149,8 @@ def _dump_cnf(tag: str, num_vars: int, clauses: Sequence[Sequence[int]]) -> None
             fh.write(" ".join(str(lit) for lit in clause) + " 0\n")
 
 
-def _build(num_vars: int, clauses: Sequence[Clause], preprocess: bool) -> SatSolver:
-    solver = SatSolver(preprocess=preprocess)
+def _build(num_vars: int, clauses: Sequence[Clause]) -> SatSolver:
+    solver = SatSolver()
     for _ in range(num_vars):
         solver.new_var()
     for clause in clauses:
@@ -194,35 +186,31 @@ def run_plain(seed: int) -> None:
     num_vars, clauses = random_formula(rng)
     try:
         expected = oracle_verdict(clauses)
-        for preprocess in (True, False):
-            context = "plain seed=%d preprocess=%s" % (seed, preprocess)
-            solver = _build(num_vars, clauses, preprocess)
-            verdict = solver.solve()
-            assert verdict == expected, (
-                "%s: solver says %s, oracle says %s" % (context, verdict, expected)
-            )
-            if verdict == SAT:
-                _assert_model(solver, clauses, (), context)
-            assert solver.check_watch_invariant(), context
+        context = "plain seed=%d" % seed
+        solver = _build(num_vars, clauses)
+        verdict = solver.solve()
+        assert verdict == expected, (
+            "%s: solver says %s, oracle says %s" % (context, verdict, expected)
+        )
+        if verdict == SAT:
+            _assert_model(solver, clauses, (), context)
+        assert solver.check_watch_invariant(), context
     except AssertionError:
         _dump_cnf("plain_seed%d" % seed, num_vars, clauses)
         raise
 
 
 def run_assumptions(seed: int, rounds: int = 4) -> None:
-    """Several assumption sets against one solver pair.
+    """Several assumption sets against one solver.
 
-    Round 0's assumptions are frozen when preprocessing runs at the first
-    solve; later rounds pick fresh variables, which may have been
-    eliminated in the meantime -- exercising unelimination on demand.
+    Every round keeps the clauses learned by the rounds before it, so a
+    lemma that is only valid under an earlier round's assumptions would
+    poison a later verdict.
     """
     rng = random.Random(seed)
     num_vars, clauses = random_formula(rng)
     try:
-        solvers = {
-            True: _build(num_vars, clauses, True),
-            False: _build(num_vars, clauses, False),
-        }
+        solver = _build(num_vars, clauses)
         for round_idx in range(rounds):
             count = rng.randrange(1, 4)
             chosen = rng.sample(range(1, num_vars + 1), min(count, num_vars))
@@ -230,20 +218,19 @@ def run_assumptions(seed: int, rounds: int = 4) -> None:
             expected = oracle_verdict(
                 list(clauses) + [[lit] for lit in assumptions]
             )
-            for preprocess, solver in solvers.items():
-                context = "assume seed=%d round=%d preprocess=%s assumptions=%r" % (
-                    seed, round_idx, preprocess, assumptions,
-                )
-                verdict = solver.solve(assumptions=assumptions)
-                assert verdict == expected, (
-                    "%s: solver says %s, oracle says %s"
-                    % (context, verdict, expected)
-                )
-                if verdict == SAT:
-                    _assert_model(solver, clauses, assumptions, context)
-                else:
-                    _assert_core(solver, clauses, assumptions, context)
-                assert solver.check_watch_invariant(), context
+            context = "assume seed=%d round=%d assumptions=%r" % (
+                seed, round_idx, assumptions,
+            )
+            verdict = solver.solve(assumptions=assumptions)
+            assert verdict == expected, (
+                "%s: solver says %s, oracle says %s"
+                % (context, verdict, expected)
+            )
+            if verdict == SAT:
+                _assert_model(solver, clauses, assumptions, context)
+            else:
+                _assert_core(solver, clauses, assumptions, context)
+            assert solver.check_watch_invariant(), context
     except AssertionError:
         _dump_cnf("assume_seed%d" % seed, num_vars, clauses)
         raise
@@ -252,19 +239,17 @@ def run_assumptions(seed: int, rounds: int = 4) -> None:
 def run_retract(seed: int, rounds: int = 5) -> None:
     """Activation-guarded clause groups: activate, skip, retract.
 
-    Both solvers see the identical operation sequence (so activation
-    variables get the same numbering) and are checked against an oracle
-    formula that mirrors the guard encoding exactly: group clauses carry
-    ``-act``, a retracted group contributes the root unit ``-act``.
+    The solver is checked against an oracle formula that mirrors the
+    guard encoding exactly: group clauses carry ``-act``, a retracted
+    group contributes the root unit ``-act``.
     """
     rng = random.Random(seed)
     num_vars, base = random_formula(rng)
     try:
-        solvers = [_build(num_vars, base, True), _build(num_vars, base, False)]
+        solver = _build(num_vars, base)
         groups = []
         for _ in range(3):
-            acts = [solver.new_activation() for solver in solvers]
-            assert acts[0] == acts[1]
+            act = solver.new_activation()
             clauses = [
                 list(_random_clause(rng, num_vars, rng.choice((2, 3, 3, 4))))
                 for _ in range(rng.randrange(1, 4))
@@ -273,17 +258,15 @@ def run_retract(seed: int, rounds: int = 5) -> None:
                 # plant a contradiction so activating this group matters
                 var = rng.randrange(1, num_vars + 1)
                 clauses += [[var], [-var]]
-            for solver in solvers:
-                for clause in clauses:
-                    solver.add_clause(list(clause), activation=acts[0])
-            groups.append({"act": acts[0], "clauses": clauses, "retired": False})
+            for clause in clauses:
+                solver.add_clause(list(clause), activation=act)
+            groups.append({"act": act, "clauses": clauses, "retired": False})
         for round_idx in range(rounds):
             live = [g for g in groups if not g["retired"]]
             if live and rng.random() < 0.4:
                 victim = rng.choice(live)
                 victim["retired"] = True
-                for solver in solvers:
-                    solver.retract(victim["act"])
+                solver.retract(victim["act"])
             assumed_acts = {
                 g["act"]
                 for g in groups
@@ -307,20 +290,19 @@ def run_retract(seed: int, rounds: int = 5) -> None:
             expected = oracle_verdict(
                 oracle_clauses + [[lit] for lit in assumptions]
             )
-            for preprocess, solver in zip((True, False), solvers):
-                context = "retract seed=%d round=%d preprocess=%s assumptions=%r" % (
-                    seed, round_idx, preprocess, assumptions,
-                )
-                verdict = solver.solve(assumptions=assumptions)
-                assert verdict == expected, (
-                    "%s: solver says %s, oracle says %s"
-                    % (context, verdict, expected)
-                )
-                if verdict == SAT:
-                    _assert_model(solver, oracle_clauses, assumptions, context)
-                else:
-                    _assert_core(solver, oracle_clauses, assumptions, context)
-                assert solver.check_watch_invariant(), context
+            context = "retract seed=%d round=%d assumptions=%r" % (
+                seed, round_idx, assumptions,
+            )
+            verdict = solver.solve(assumptions=assumptions)
+            assert verdict == expected, (
+                "%s: solver says %s, oracle says %s"
+                % (context, verdict, expected)
+            )
+            if verdict == SAT:
+                _assert_model(solver, oracle_clauses, assumptions, context)
+            else:
+                _assert_core(solver, oracle_clauses, assumptions, context)
+            assert solver.check_watch_invariant(), context
     except AssertionError:
         _dump_cnf("retract_seed%d" % seed, num_vars, base)
         raise
@@ -367,37 +349,26 @@ class TestRandomizedBudget:
         assert explored > 0
 
 
-# -------------------------------------------------------- preprocess gate
-class TestPreprocessGate:
-    """Pin the _CLAUSE_LIMIT build-dominated-regime gate both ways."""
-
-    def _duplicate_heavy_solver(self):
-        solver = SatSolver(preprocess=False)  # call preprocess() directly
-        for _ in range(6):
-            solver.new_var()
-        clauses = [[1, 2, 3], [1, 2, 3], [-1, 4], [-1, 4], [2, -5, 6]]
-        for clause in clauses:
-            solver.add_clause(clause)
-        return solver
-
-    def test_small_formula_is_preprocessed(self):
-        solver = self._duplicate_heavy_solver()
-        stats = preprocess_mod.preprocess(solver, frozen=set())
-        assert stats["duplicates"] == 2
-        assert len(solver._clauses) < 5
-        assert solver.check_watch_invariant()
-        assert solver.solve() == SAT
-
-    def test_oversized_formula_is_skipped(self, monkeypatch):
-        monkeypatch.setattr(preprocess_mod, "_CLAUSE_LIMIT", 3)
-        solver = self._duplicate_heavy_solver()
-        stats = preprocess_mod.preprocess(solver, frozen=set())
-        assert stats["duplicates"] == 0
-        assert len(solver._clauses) == 5  # untouched: build-dominated regime
-        assert solver.solve() == SAT
-
-
 # --------------------------------------------------------- mutation tests
+_clean_analyze = SatSolver._analyze
+
+
+def drop_learned_literal(solver: SatSolver, conflict):
+    """The seeded mutation: first-UIP learning that loses the last
+    non-asserting literal, so the learned clause is no longer implied.
+
+    The highest-level non-asserting literal always survives, so the
+    backtrack level still fits the shortened clause and the mutant stays
+    a well-formed CDCL search over a wrong lemma.
+    """
+    learned, back_level = _clean_analyze(solver, conflict)
+    if len(learned) > 1:
+        learned.pop()
+        if len(learned) == 1:
+            back_level = 0
+    return learned, back_level
+
+
 def _sweep_for_detection(seeds) -> int:
     """How many harness runs notice something wrong under a mutation."""
     detections = 0
@@ -412,44 +383,16 @@ def _sweep_for_detection(seeds) -> int:
 
 
 class TestMutationDetection:
-    """The harness must have teeth: planted preprocessing bugs get caught."""
+    """The harness must have teeth: a planted CDCL bug gets caught."""
 
-    def test_unfrozen_bve_is_caught(self, monkeypatch):
-        monkeypatch.setattr(
-            preprocess_mod, "_is_frozen", lambda var, frozen: False
-        )
-        # Directed case: the assumption variable of the *first* solve is
-        # frozen at preprocessing time precisely because the same call
-        # skips unelimination-on-demand.  Unfreeze it and x (pure in the
-        # formula) is eliminated, its clause deleted, and the assumed
-        # literal comes back SAT where the oracle says UNSAT.
-        num_vars, clauses = 3, [(-1, 2, 3)]
-        assumptions = [1, -2, -3]
-        assert oracle_verdict(list(clauses) + [[l] for l in assumptions]) == UNSAT
-        solver = _build(num_vars, clauses, preprocess=True)
-        verdict = solver.solve(assumptions=assumptions)
-        directed_caught = verdict != UNSAT
-        if verdict == SAT:
-            # a SAT answer here is the lie itself; the model check would
-            # flag it too (the assumed literal cannot hold post-reconstruction)
-            directed_caught = True
+    def test_dropped_learned_literal_is_caught(self, monkeypatch):
+        monkeypatch.setattr(SatSolver, "_analyze", drop_learned_literal)
+        # The unsound lemma only removes models, so the bug surfaces as a
+        # wrong UNSAT (or as a core the oracle cannot confirm); which
+        # seeds learn a lemma whose lost literal matters depends on the
+        # search, so the seeded sweep is the check
         detections = _sweep_for_detection(range(40))
-        assert directed_caught or detections, (
-            "harness failed to detect disabled frozen-variable protection"
-        )
-
-    def test_polarity_blind_subsumption_is_caught(self, monkeypatch):
-        def bad_subsumes(small, big):
-            return {enc >> 1 for enc in small} <= {enc >> 1 for enc in big}
-
-        monkeypatch.setattr(preprocess_mod, "_subsumes", bad_subsumes)
-        # No single directed formula works here: whether the bad test
-        # first *deletes* a clause (weakening, -> wrong SAT / invalid
-        # model) or first *strengthens* one via self-subsuming resolution
-        # (-> wrong UNSAT) depends on clause processing order.  The
-        # seeded sweep covers both failure shapes and is deterministic.
-        detections = _sweep_for_detection(range(40))
-        assert detections, "harness failed to detect polarity-blind subsumption"
+        assert detections, "harness failed to detect an unsound learned clause"
 
 
 def test_unmutated_sweep_is_clean():
