@@ -34,6 +34,7 @@ the SAT-based BMC engine on the same templates.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -45,6 +46,7 @@ from ..mc.kinduction import prove_unreachable_kinduction
 from ..mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from ..mc.stats import PropertyStats
 from ..rtl.analysis import connectivity_matrix
+from ..rtl.netlist import Netlist
 from ..solver.bitblast import paused_gc
 from .decisions import DecisionSet, extract_decisions
 from .mhb import CycleAccuratePath, build_slot_index, extract_path
@@ -247,7 +249,6 @@ class Rtl2MuPath:
         # DUV-pruning families, held so that synthesis finds them through
         # TraceDB.shared until synthesize_all returns
         self._duv_tracedbs: List[TraceDB] = []
-        self._connectivity: Optional[Dict[str, Set[str]]] = None
         self._induction_pool = None
 
     def _pool(self):
@@ -715,20 +716,31 @@ class Rtl2MuPath:
         return out
 
     def _pl_connectivity(self) -> Dict[str, Set[str]]:
-        """Class-level combinational connectivity between PLs (SS V-B5)."""
-        if self._connectivity is not None:
-            return self._connectivity
-        slot_signals = []
-        slot_owner = {}
-        for name, pl in self.metadata.pls.items():
-            for slot in pl.slots:
-                slot_signals.append(slot.occ_signal)
-                slot_owner[slot.occ_signal] = name
-        matrix = connectivity_matrix(self.netlist, slot_signals)
-        lifted: Dict[str, Set[str]] = {}
-        for src_sig, dsts in matrix.items():
-            src = slot_owner[src_sig]
-            for dst_sig in dsts:
-                lifted.setdefault(src, set()).add(slot_owner[dst_sig])
-        self._connectivity = lifted
+        """Class-level combinational connectivity between PLs (SS V-B5).
+
+        Computed once per netlist and PL slot map: the engine's inline
+        jobs build one tool per IUV over the same memoized design.
+        """
+        slot_owner = {
+            slot.occ_signal: name
+            for name, pl in self.metadata.pls.items()
+            for slot in pl.slots
+        }
+        by_slots = _CONNECTIVITY.setdefault(self.netlist, {})
+        key = tuple(slot_owner.items())
+        lifted = by_slots.get(key)
+        if lifted is None:
+            lifted = {}
+            matrix = connectivity_matrix(self.netlist, list(slot_owner))
+            for src_sig, dsts in matrix.items():
+                src = slot_owner[src_sig]
+                for dst_sig in dsts:
+                    lifted.setdefault(src, set()).add(slot_owner[dst_sig])
+            by_slots[key] = lifted
         return lifted
+
+
+# netlist -> {PL slot map -> lifted PL connectivity}, freed with the netlist
+_CONNECTIVITY: "weakref.WeakKeyDictionary[Netlist, Dict[tuple, dict]]" = (
+    weakref.WeakKeyDictionary()
+)

@@ -110,17 +110,12 @@ def simulate_context(simulator: Simulator, context) -> List[Tuple[int, ...]]:
     if isinstance(context, ReactiveContext):
         # hand the driver a minimal dict of its declared feedback
         # signals instead of materializing every observable
-        index = getattr(simulator, "_observable_index", None)
-        if index is None:
-            index = {
-                name: i for i, name in enumerate(simulator.observable_names)
-            }
-            simulator._observable_index = index
-        feedback = [
-            (name, index[name])
-            for name in context.feedback_signals
-            if name in index
-        ]
+        feedback = []
+        for name in context.feedback_signals:
+            try:
+                feedback.append((name, simulator.observable_index(name)))
+            except KeyError:  # a netlist need not expose every signal
+                pass
         driver = context.driver_factory()
         rows = []
         prev_obs = None

@@ -1,7 +1,7 @@
 """Cycle-accurate two-valued simulator over elaborated netlists.
 
 The simulator compiles the expression DAG to a flat Python function once
-(straight-line code, one local per node), then steps it.  Compilation makes
+(straight-line code, single-use cells inlined), then steps it.  Compilation makes
 exhaustive context enumeration -- the workhorse of the fast verification
 engine -- run one to two orders of magnitude faster than tree-walking
 evaluation, which matters when a single RTL2MuPATH run executes hundreds of
@@ -15,7 +15,8 @@ inputs; register updates take effect at the start of the next cycle
 Compiles are memoized per process by netlist *content*
 (:func:`simulation_key`), so every :class:`Simulator` over equal netlists
 -- two separate builds of one design, or a design rebuilt from a job
-recipe -- shares one step function.
+recipe -- shares one step function.  A :class:`Simulator` skips the steps
+that would repeat a fixed-point transition (see ``step_tuple``).
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ class Trace:
         return times
 
 
-def _mask_expr(width):
-    return (1 << width) - 1
+# Deepest parenthesis nesting an inlined expression may reach; a deeper
+# one is spilled to a local.  CPython's tokenizer rejects source nested
+# more than 200 parentheses deep, and each inlined level adds at most two.
+_MAX_DEPTH = 48
 
 
 def _observable_names(netlist: Netlist) -> List[str]:
@@ -79,6 +82,51 @@ def _observable_names(netlist: Netlist) -> List[str]:
     ]
 
 
+def _cell_expr(node, a) -> str:
+    """Python expression of one cell over its argument expressions ``a``."""
+    op = node.op
+    if op == "and":
+        return "%s & %s" % a
+    if op == "or":
+        return "%s | %s" % a
+    if op == "xor":
+        return "%s ^ %s" % a
+    if op == "add":
+        return "(%s + %s) & %d" % (a + ((1 << node.width) - 1,))
+    if op == "sub":
+        return "(%s - %s) & %d" % (a + ((1 << node.width) - 1,))
+    if op == "mul":
+        return "(%s * %s) & %d" % (a + ((1 << node.width) - 1,))
+    if op == "eq":
+        return "1 if %s == %s else 0" % a
+    if op == "ult":
+        return "1 if %s < %s else 0" % a
+    if op == "not":
+        return "%s ^ %d" % (a[0], (1 << node.width) - 1)
+    if op == "shl":
+        return "(%s << %d) & %d" % (a[0], node.value, (1 << node.width) - 1)
+    if op == "shr":
+        return "%s >> %d" % (a[0], node.value)
+    if op == "mux":
+        sel, hi, lo = a
+        return "%s if %s else %s" % (hi, sel, lo)
+    if op == "concat":
+        # args are most-significant first
+        parts = []
+        shift = 0
+        for arg, text in zip(reversed(node.args), reversed(a)):
+            parts.append("(%s << %d)" % (text, shift) if shift else text)
+            shift += arg.width
+        return " | ".join(parts)
+    if op == "slice":
+        return "(%s >> %d) & %d" % (a[0], node.value, (1 << node.width) - 1)
+    if op == "redor":
+        return "1 if %s else 0" % a
+    if op == "redand":
+        return "1 if %s == %d else 0" % (a[0], (1 << node.args[0].width) - 1)
+    raise NotImplementedError("simulator: unknown op %r" % op)
+
+
 def compile_netlist(netlist: Netlist):
     """Compile ``netlist`` into a step function.
 
@@ -86,91 +134,62 @@ def compile_netlist(netlist: Netlist):
     ``step(state_tuple, input_tuple) -> (next_state_tuple, obs_tuple)``.
     State ordering follows ``netlist.registers``; input ordering follows
     ``netlist.inputs``; observables are named signals then outputs.
+
+    The step is straight-line code.  Constants are literals, and a cell
+    with a single consumer that is neither an observable nor a register
+    next-state root is inlined into that consumer's expression (so a mux
+    evaluates only its selected arm's inlined cells); every other cell
+    gets a local.
     """
-    lines = ["def _step(state, inputs):"]
-    reg_index = {reg.q.uid: i for i, (reg, _) in enumerate(netlist.registers)}
-    input_index = {node.uid: i for i, node in enumerate(netlist.inputs)}
-
-    for node in netlist.order:
-        var = "v%d" % node.uid
-        op = node.op
-        if op == "const":
-            lines.append("    %s = %d" % (var, node.value))
-        elif op == "input":
-            lines.append("    %s = inputs[%d]" % (var, input_index[node.uid]))
-        elif op == "reg":
-            lines.append("    %s = state[%d]" % (var, reg_index[node.uid]))
-        elif op == "and":
-            a, b = node.args
-            lines.append("    %s = v%d & v%d" % (var, a.uid, b.uid))
-        elif op == "or":
-            a, b = node.args
-            lines.append("    %s = v%d | v%d" % (var, a.uid, b.uid))
-        elif op == "xor":
-            a, b = node.args
-            lines.append("    %s = v%d ^ v%d" % (var, a.uid, b.uid))
-        elif op == "add":
-            a, b = node.args
-            lines.append("    %s = (v%d + v%d) & %d" % (var, a.uid, b.uid, _mask_expr(node.width)))
-        elif op == "sub":
-            a, b = node.args
-            lines.append("    %s = (v%d - v%d) & %d" % (var, a.uid, b.uid, _mask_expr(node.width)))
-        elif op == "mul":
-            a, b = node.args
-            lines.append("    %s = (v%d * v%d) & %d" % (var, a.uid, b.uid, _mask_expr(node.width)))
-        elif op == "eq":
-            a, b = node.args
-            lines.append("    %s = 1 if v%d == v%d else 0" % (var, a.uid, b.uid))
-        elif op == "ult":
-            a, b = node.args
-            lines.append("    %s = 1 if v%d < v%d else 0" % (var, a.uid, b.uid))
-        elif op == "not":
-            (a,) = node.args
-            lines.append("    %s = v%d ^ %d" % (var, a.uid, _mask_expr(node.width)))
-        elif op == "shl":
-            (a,) = node.args
-            lines.append("    %s = (v%d << %d) & %d" % (var, a.uid, node.value, _mask_expr(node.width)))
-        elif op == "shr":
-            (a,) = node.args
-            lines.append("    %s = v%d >> %d" % (var, a.uid, node.value))
-        elif op == "mux":
-            sel, a, b = node.args
-            lines.append("    %s = v%d if v%d else v%d" % (var, a.uid, sel.uid, b.uid))
-        elif op == "concat":
-            # args are most-significant first
-            parts = []
-            shift = 0
-            for arg in reversed(node.args):
-                if shift:
-                    parts.append("(v%d << %d)" % (arg.uid, shift))
-                else:
-                    parts.append("v%d" % arg.uid)
-                shift += arg.width
-            lines.append("    %s = %s" % (var, " | ".join(parts)))
-        elif op == "slice":
-            (a,) = node.args
-            lines.append("    %s = (v%d >> %d) & %d" % (var, a.uid, node.value, _mask_expr(node.width)))
-        elif op == "redor":
-            (a,) = node.args
-            lines.append("    %s = 1 if v%d else 0" % (var, a.uid))
-        elif op == "redand":
-            (a,) = node.args
-            lines.append("    %s = 1 if v%d == %d else 0" % (var, a.uid, _mask_expr(node.args[0].width)))
-        else:
-            raise NotImplementedError("simulator: unknown op %r" % op)
-
-    next_vars = ", ".join("v%d" % nxt.uid for _, nxt in netlist.registers)
-    if len(netlist.registers) == 1:
-        next_vars += ","
     observable_names = _observable_names(netlist)
     obs_nodes = [
         netlist.named[name] if name in netlist.named else netlist.outputs[name]
         for name in observable_names
     ]
-    obs_vars = ", ".join("v%d" % node.uid for node in obs_nodes)
-    if len(obs_nodes) == 1:
-        obs_vars += ","
-    lines.append("    return (%s), (%s)" % (next_vars or "()", obs_vars or "()"))
+    next_nodes = [nxt for _, nxt in netlist.registers]
+    pinned = {node.uid for node in obs_nodes}
+    pinned.update(node.uid for node in next_nodes)
+    uses: Dict[int, int] = {}
+    for node in netlist.order:
+        for arg in node.args:
+            uses[arg.uid] = uses.get(arg.uid, 0) + 1
+
+    lines = ["def _step(state, inputs):"]
+    # per node: the text its consumers use (a local, a literal or an
+    # inlined expression) and that text's parenthesis depth
+    text: Dict[int, str] = {}
+    depth: Dict[int, int] = {}
+    for leaves, source in (
+        ([reg.q for reg, _ in netlist.registers], "state"),
+        (netlist.inputs, "inputs"),
+    ):
+        for node in leaves:
+            text[node.uid] = "v%d" % node.uid
+            depth[node.uid] = 0
+        if leaves:
+            lines.append("    %s, = %s" % (", ".join(text[n.uid] for n in leaves), source))
+    for node in netlist.order:
+        uid = node.uid
+        if uid in text:
+            continue
+        if node.op == "const":
+            text[uid] = "%d" % node.value
+            depth[uid] = 0
+            continue
+        expr = _cell_expr(node, tuple(text[arg.uid] for arg in node.args))
+        level = 2 + max(depth[arg.uid] for arg in node.args)
+        if uses.get(uid) == 1 and uid not in pinned and level <= _MAX_DEPTH:
+            text[uid] = "(%s)" % expr
+            depth[uid] = level
+        else:
+            lines.append("    v%d = %s" % (uid, expr))
+            text[uid] = "v%d" % uid
+            depth[uid] = 0
+
+    def packed(nodes):
+        return "(%s)" % "".join(text[node.uid] + ", " for node in nodes)
+
+    lines.append("    return %s, %s" % (packed(next_nodes), packed(obs_nodes)))
     source = "\n".join(lines)
     namespace: Dict[str, object] = {}
     exec(compile(source, "<netlist:%s>" % netlist.name, "exec"), namespace)
@@ -226,7 +245,14 @@ def compiled(netlist: Netlist) -> CompiledNetlist:
 
 
 class Simulator:
-    """Steppable simulator with trace recording."""
+    """Steppable simulator with trace recording.
+
+    ``step_tuple`` elides fixed-point transitions: once a step returns
+    the state it was given, later calls with that same state object and
+    equal inputs return the remembered row without running the step
+    function, which is a pure function of (state, inputs).  Elided rows
+    are one shared tuple, so consumers must not rely on row identity.
+    """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
@@ -234,13 +260,15 @@ class Simulator:
         self._step_fn = entry.step
         self.observable_names = list(entry.observable_names)
         self._reg_names = [reg.name for reg, _ in netlist.registers]
+        self._reg_index = {name: i for i, name in enumerate(self._reg_names)}
         self._input_names = [node.name for node in netlist.inputs]
+        self._input_set = frozenset(self._input_names)
+        self._zero_inputs = (0,) * len(self._input_names)
         self._reset_values = tuple(reg.reset for reg, _ in netlist.registers)
         self._obs_index = {
             name: i for i, name in enumerate(self.observable_names)
         }
-        self.state = self._reset_values
-        self.cycle = 0
+        self.reset()
 
     def observable_index(self, name: str) -> int:
         """Position of observable ``name`` in ``step_tuple`` results."""
@@ -254,13 +282,16 @@ class Simulator:
         architectural register/memory contents while everything else takes
         its RTL reset value.
         """
-        values = list(self._reset_values)
         if overrides:
-            index = {name: i for i, name in enumerate(self._reg_names)}
+            values = list(self._reset_values)
             for name, value in overrides.items():
-                values[index[name]] = value
-        self.state = tuple(values)
+                values[self._reg_index[name]] = value
+            self.state = tuple(values)
+        else:
+            self.state = self._reset_values
         self.cycle = 0
+        # the fixed point step_tuple last saw: (state object, inputs, row)
+        self._fixed_state = self._fixed_inputs = self._fixed_obs = None
 
     def step(self, inputs: Optional[Dict[str, int]] = None):
         """Advance one cycle; returns the observation dict for this cycle."""
@@ -272,9 +303,18 @@ class Simulator:
         Tuple entries follow ``observable_names`` ordering.
         """
         input_tuple = self._pack_inputs(inputs)
-        next_state, obs = self._step_fn(self.state, input_tuple)
-        self.state = next_state
+        state = self.state
         self.cycle += 1
+        if state is self._fixed_state and input_tuple == self._fixed_inputs:
+            return self._fixed_obs
+        next_state, obs = self._step_fn(state, input_tuple)
+        if next_state == state:
+            # keep the old state object, so the next call can test identity
+            self._fixed_state = state
+            self._fixed_inputs = input_tuple
+            self._fixed_obs = obs
+        else:
+            self.state = next_state
         return obs
 
     def run(self, input_seq: Sequence[Dict[str, int]], record_states=False) -> Trace:
@@ -290,8 +330,8 @@ class Simulator:
         return dict(zip(self._reg_names, self.state))
 
     def _pack_inputs(self, inputs):
-        inputs = inputs or {}
-        unknown = set(inputs) - set(self._input_names)
-        if unknown:
-            raise KeyError("unknown inputs: %s" % sorted(unknown))
-        return tuple(inputs.get(name, 0) for name in self._input_names)
+        if not inputs:
+            return self._zero_inputs
+        if not inputs.keys() <= self._input_set:
+            raise KeyError("unknown inputs: %s" % sorted(set(inputs) - self._input_set))
+        return tuple(map(inputs.get, self._input_names, self._zero_inputs))

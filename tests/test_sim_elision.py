@@ -1,0 +1,210 @@
+"""Fixed-point elision in ``Simulator.step_tuple``.
+
+Once a step returns the state it was given, later calls with that state
+object and equal inputs replay the remembered row instead of running the
+step function.  Rows must equal a direct step loop's, a changed input
+must re-step, ``reset`` must forget the fixed point, and ``cycle`` must
+count every call.
+"""
+
+import pytest
+
+from repro.core.synthlc import instrument_design
+from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core
+from repro.designs.cache import CacheContextProvider, build_cache
+from repro.designs.core import CoreConfig
+from repro.mc.enumerative import simulate_context
+from repro.rtl import Module, elaborate, mux
+from repro.sim import Simulator
+from repro.sim.simulator import compiled
+
+# the e2e benchmark's smoke-scale upath family, and the leakage taint family
+SMOKE_FAMILY = ContextFamilyConfig(
+    horizon=32, neighbors=("DIV",), iuv_values=(0, 15), neighbor_values=(0,),
+)
+TAINT_FAMILY = ContextFamilyConfig(
+    instrumented=True, horizon=32, neighbors=("DIV",), iuv_values=(0, 15),
+    neighbor_values=(0, 15),
+)
+
+
+class _AnyInputs:
+    """Compares equal to every input tuple."""
+
+    def __eq__(self, other):
+        return True
+
+
+class IgnoresInputs(Simulator):
+    """Planted bug: replays the remembered row whatever the inputs."""
+
+    def step_tuple(self, inputs=None):
+        obs = super().step_tuple(inputs)
+        if self._fixed_state is not None:
+            self._fixed_inputs = _AnyInputs()
+        return obs
+
+
+def counted(sim):
+    """Wrap ``sim``'s step function; returns the list each call appends to."""
+    calls = []
+    step = sim._step_fn
+
+    def counting(state, inputs):
+        calls.append(inputs)
+        return step(state, inputs)
+
+    sim._step_fn = counting
+    return calls
+
+
+def direct_rows(netlist, context):
+    """``context``'s rows from a plain loop over the compiled step."""
+    step = compiled(netlist).step
+    names = compiled(netlist).observable_names
+    overrides = dict(context.reset_overrides)
+    state = tuple(overrides.get(reg.name, reg.reset) for reg, _ in netlist.registers)
+    feedback = [(n, names.index(n)) for n in context.feedback_signals if n in names]
+    driver = context.driver_factory()
+    rows = []
+    prev_obs = None
+    for t in range(context.horizon):
+        inputs = driver(t, prev_obs)
+        state, row = step(state, tuple(inputs.get(node.name, 0) for node in netlist.inputs))
+        rows.append(row)
+        prev_obs = {name: row[i] for name, i in feedback}
+    return rows
+
+
+def mismatches(simulator_cls, netlist, contexts):
+    """Contexts whose simulated rows differ from the direct loop's."""
+    sim = simulator_cls(netlist)
+    return [
+        context for context in dict.fromkeys(contexts)
+        if simulate_context(sim, context) != direct_rows(netlist, context)
+    ]
+
+
+# en = 0 five times, then 1 three times: the counter holds, then counts
+ENABLE_ROWS = [0] * 6 + [1, 2]
+
+
+def _enable_rows(sim):
+    return [sim.step_tuple({"en": en})[0] for en in (0,) * 5 + (1,) * 3]
+
+
+def _counter(enable=True):
+    m = Module("c")
+    c = m.reg("count", 4, reset=0)
+    if enable:
+        c.next = mux(m.input("en", 1), c.q + 1, c.q)
+    else:
+        c.next = c.q + 1
+    m.name_signal("value", c.q)
+    return elaborate(m)
+
+
+@pytest.fixture(scope="module")
+def core():
+    return build_core(CoreConfig(xlen=4))
+
+
+@pytest.fixture(scope="module")
+def static_taint(core):
+    """The static-taint script, ``feed; wait_quiesce; flush; feed``, on IFT."""
+    provider = CoreContextProvider(xlen=4, config=TAINT_FAMILY)
+    contexts = [
+        c
+        for operand in ("rs1", "rs2")
+        for g in provider.taint_groups("LW", "DIV", "static", operand)
+        for c in g.contexts
+    ]
+    return instrument_design(core).netlist, contexts
+
+
+class TestElision:
+    def test_quiescent_design_stops_stepping(self):
+        sim = Simulator(_counter())
+        calls = counted(sim)
+        rows = [sim.step_tuple({"en": 1}) for _ in range(3)]
+        rows += [sim.step_tuple({"en": 0}) for _ in range(10)]
+        # the first en=0 step finds the fixed point; the nine after it replay
+        assert len(calls) == 4
+        assert sim.cycle == 13
+        assert [row[0] for row in rows] == [0, 1, 2] + [3] * 10
+
+    def test_changed_input_after_quiescence_steps_again(self):
+        sim = Simulator(_counter())
+        calls = counted(sim)
+        assert _enable_rows(sim) == ENABLE_ROWS
+        # one call finds the fixed point, then each enabled cycle steps
+        assert len(calls) == 4 and sim.cycle == len(ENABLE_ROWS)
+
+    def test_quiescing_core_context_skips_its_tail(self, core):
+        provider = CoreContextProvider(xlen=4, config=SMOKE_FAMILY)
+        context = provider.mupath_groups("ADD")[0].contexts[0]
+        sim = Simulator(core.netlist)
+        calls = counted(sim)
+        rows = simulate_context(sim, context)
+        assert len(rows) == sim.cycle == context.horizon
+        assert 0 < len(calls) < context.horizon
+        assert rows == direct_rows(core.netlist, context)
+
+    def test_free_running_counter_never_elides(self):
+        sim = Simulator(_counter(enable=False))
+        calls = counted(sim)
+        rows = [sim.step_tuple() for _ in range(40)]
+        assert len(calls) == sim.cycle == 40
+        assert [row[0] for row in rows] == [t % 16 for t in range(40)]
+
+    def test_reset_clears_the_fixed_point(self):
+        sim = Simulator(_counter())
+        calls = counted(sim)
+        sim.step_tuple({"en": 0})
+        sim.step_tuple({"en": 0})
+        assert len(calls) == 1
+        sim.reset()  # back to the very state object the fixed point holds
+        assert sim.cycle == 0
+        assert sim.step_tuple({"en": 0}) == (0,)
+        assert len(calls) == 2
+        sim.reset({"count": 0})
+        assert sim.step_tuple({"en": 0}) == (0,)
+        assert len(calls) == 3
+        sim.reset({"count": 5})
+        assert sim.step_tuple({"en": 0}) == (5,)
+        assert len(calls) == 4 and sim.cycle == 1
+
+    def test_reset_override_unknown_register_still_raises(self):
+        with pytest.raises(KeyError):
+            Simulator(_counter()).reset({"nope": 1})
+
+    def test_unknown_input_still_raises_after_quiescence(self):
+        sim = Simulator(_counter())
+        sim.step_tuple({"en": 0})
+        sim.step_tuple({"en": 0})
+        with pytest.raises(KeyError):
+            sim.step_tuple({"bogus": 1})
+
+
+class TestRowsMatchDirectLoop:
+    def test_static_taint_script(self, static_taint):
+        netlist, contexts = static_taint
+        assert mismatches(Simulator, netlist, contexts) == []
+
+    def test_smoke_core_family(self, core):
+        provider = CoreContextProvider(xlen=4, config=SMOKE_FAMILY)
+        for iuv in ("ADD", "DIV"):
+            contexts = [c for g in provider.mupath_groups(iuv) for c in g.contexts]
+            assert mismatches(Simulator, core.netlist, contexts) == []
+
+    def test_smoke_cache_family(self):
+        contexts = [
+            c for g in CacheContextProvider(horizon=40).mupath_groups("LD") for c in g.contexts
+        ]
+        assert mismatches(Simulator, build_cache().netlist, contexts) == []
+
+    def test_planted_input_blind_replay_is_caught(self, static_taint):
+        netlist, contexts = static_taint
+        assert mismatches(IgnoresInputs, netlist, contexts)
+        assert _enable_rows(IgnoresInputs(_counter())) != ENABLE_ROWS
+
