@@ -213,12 +213,19 @@ def extract_path(
         if slot_index is None:
             slot_index = build_slot_index(pls, None)
     visit_sets = []
+    prev_row = visited = None
     for row in rows:
-        visited = set()
-        for name, occ_key, pc_key in slot_index:
-            if row[occ_key] and row[pc_key] == iuv_pc:
-                visited.add(name)
-        visit_sets.append(frozenset(visited))
+        # an elided cycle hands back the previous row object (DESIGN SS5m):
+        # its visit set is the previous one.  Equal but distinct rows
+        # still compute.
+        if row is not prev_row:
+            visited = frozenset(
+                name
+                for name, occ_key, pc_key in slot_index
+                if row[occ_key] and row[pc_key] == iuv_pc
+            )
+            prev_row = row
+        visit_sets.append(visited)
     return CycleAccuratePath.from_cycles(iuv, visit_sets)
 
 

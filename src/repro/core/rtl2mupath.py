@@ -23,19 +23,27 @@ verification (IUV):
 
 Engine note: cover evaluation over an enumerated context family reduces to
 scanning the recorded traces.  The pipeline therefore builds one
-*visit-profile index* per (context group, IUV) and answers each template
-query from it; every answered template is still recorded individually in
+*visit-profile index* per (context group, IUV), holding one concrete path
+per context, and answers each template query from it.  Every template is
+a function of a path's visits, and a family's paths collapse to few
+distinct values, so each cover scans the *distinct* paths in order of
+first occurrence: the IUV-PL, dominates, exclusive and PL-set covers are
+set algebra over the distinct PL sets, and the revisit, run-length and
+happens-before covers are answered once per distinct visit sequence.
+The first matching distinct path is the first matching path, so every
+witness and certificate is the one a per-path scan gives (DESIGN SS5n).
+Every answered template is still recorded individually in
 :class:`~repro.mc.stats.PropertyStats`, reproducing the paper's property
 accounting (SS VII-B3).  The test suite cross-checks indexed answers
-against direct :class:`~repro.props.query.Query` evaluation and against
-the SAT-based BMC engine on the same templates.
+against direct :class:`~repro.props.query.Query` evaluation, against the
+per-path loops, and against the SAT-based BMC engine on the same
+templates.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -142,13 +150,10 @@ class VisitIndex:
                 by_rows[id(view.cycles)] = path
             self.paths.append(path)
 
-    def observed_sets(self) -> Counter:
-        return Counter(path.pl_set for path in self.paths)
 
-
-def _merge_run_lengths(target: Dict[str, Set[int]], path: CycleAccuratePath):
-    for pl in path.pl_set:
-        target.setdefault(pl, set()).update(path.run_lengths(pl))
+def _first_occurrences(paths: Sequence[CycleAccuratePath]) -> List[CycleAccuratePath]:
+    """The distinct values of ``paths``, in order of first occurrence."""
+    return list(dict.fromkeys(paths))
 
 
 class _CoverCertifier:
@@ -416,6 +421,29 @@ class Rtl2MuPath:
             all_paths = [path for index in indexes for path in index.paths]
         complete = not truncated
 
+        # Every cover below is a function of a path's visits, so each is
+        # answered over the distinct paths in order of first occurrence:
+        # the first matching distinct path is the first matching path, so
+        # witnesses and certificates are a per-path scan's (DESIGN SS5n).
+        distinct = _first_occurrences(all_paths)
+        pl_sets = [path.pl_set for path in distinct]
+        # distinct PL set -> its first path, in first-occurrence order
+        first_by_set: Dict[FrozenSet[str], CycleAccuratePath] = {}
+        for path, pl_set in zip(distinct, pl_sets):
+            first_by_set.setdefault(pl_set, path)
+        set_order = list(first_by_set)
+        # PL -> bit mask of the distinct PL sets (bit i: set_order[i]) holding it
+        holding: Dict[str, int] = {}
+        for bit, pl_set in enumerate(set_order):
+            for pl in pl_set:
+                holding[pl] = holding.get(pl, 0) | 1 << bit
+
+        def first_path(mask: int) -> Optional[CycleAccuratePath]:
+            """The first path of the first PL set in ``mask``, or None."""
+            if not mask:
+                return None
+            return first_by_set[set_order[(mask & -mask).bit_length() - 1]]
+
         # ---- step 2: IUV PL reachability
         with obs.span("phase.cover.iuv_pls"):
             duv_pls = self._duv_pls or frozenset(self.metadata.pls)
@@ -423,7 +451,7 @@ class Rtl2MuPath:
             for pl_name in sorted(duv_pls & set(self.metadata.pls)):
                 started = time.perf_counter()
                 pred = lambda p, pl=pl_name: pl in p.pl_set
-                witness = next((p for p in all_paths if pred(p)), None)
+                witness = first_path(holding.get(pl_name, 0))
                 outcome = self._cover_outcome(witness is not None, complete)
                 name = "iuvpl_%s_%s" % (iuv_name, pl_name)
                 self._record(
@@ -446,7 +474,7 @@ class Rtl2MuPath:
                     pred = lambda p, a=pl0, b=pl1: (
                         b in p.pl_set and a not in p.pl_set
                     )
-                    witness = next((p for p in all_paths if pred(p)), None)
+                    witness = first_path(holding[pl1] & ~holding[pl0])
                     outcome = self._cover_outcome(witness is not None, complete)
                     name = "dom_%s_%s_%s" % (iuv_name, pl0, pl1)
                     self._record(
@@ -462,7 +490,7 @@ class Rtl2MuPath:
                     pred = lambda p, a=pl0, b=pl1: (
                         a in p.pl_set and b in p.pl_set
                     )
-                    witness = next((p for p in all_paths if pred(p)), None)
+                    witness = first_path(holding[pl0] & holding[pl1])
                     outcome = self._cover_outcome(witness is not None, complete)
                     name = "excl_%s_%s_%s" % (iuv_name, pl0, pl1)
                     self._record(
@@ -475,33 +503,23 @@ class Rtl2MuPath:
         # ---- step 4: candidate enumeration + PL-set reachability
         with obs.span("phase.cover.plsets"):
             candidates = self._enumerate_candidates(iuv_pl_list, dominates, exclusive)
-            observed: Counter = Counter()
-            for index in indexes:
-                observed.update(index.observed_sets())
-            observed.pop(frozenset(), None)
-
-            witness_by_set: Dict[FrozenSet[str], CycleAccuratePath] = {}
-            for path in all_paths:
-                witness_by_set.setdefault(path.pl_set, path)
             reachable_sets: List[FrozenSet[str]] = []
             for cand in candidates:
                 started = time.perf_counter()
-                hit = cand in observed
-                outcome = self._cover_outcome(hit, complete)
+                witness = first_by_set.get(cand)
+                outcome = self._cover_outcome(witness is not None, complete)
                 name = "plset_%s_{%s}" % (iuv_name, ",".join(sorted(cand)))
                 self._record(
                     name, outcome, started,
                     certificate=certifier.certify(
-                        name,
-                        witness_by_set.get(cand) if hit else None,
-                        lambda p, c=cand: p.pl_set == c,
+                        name, witness, lambda p, c=cand: p.pl_set == c
                     ),
                 )
-                if hit:
+                if witness is not None:
                     reachable_sets.append(cand)
             # any observed set must have survived pruning (sanity of the relations)
-            for seen in observed:
-                if seen not in candidates:
+            for seen in set_order:
+                if seen and seen not in candidates:
                     reachable_sets.append(seen)
 
         # ---- steps 4b/5/6 per reachable set
@@ -509,20 +527,24 @@ class Rtl2MuPath:
             conn = self._pl_connectivity()
             upaths: List[UPathSummary] = []
             global_run_lengths: Dict[str, Set[int]] = {}
+            # distinct paths per PL set, in first-occurrence order
             paths_by_set: Dict[FrozenSet[str], List[CycleAccuratePath]] = {}
-            for path in all_paths:
-                if path.pl_set:
-                    paths_by_set.setdefault(path.pl_set, []).append(path)
+            for path, pl_set in zip(distinct, pl_sets):
+                if pl_set:
+                    paths_by_set.setdefault(pl_set, []).append(path)
             for pl_set in sorted(reachable_sets, key=sorted):
                 set_paths = paths_by_set.get(pl_set, [])
                 revisit: Dict[str, str] = {}
                 run_lengths: Dict[str, FrozenSet[int]] = {}
                 for pl in sorted(pl_set):
+                    runs = [(p, p.run_lengths(pl)) for p in set_paths]
                     started = time.perf_counter()
                     pred_c = lambda p, pl=pl: p.revisit_kind(pl) in (
                         "consecutive", "both"
                     )
-                    consec_w = next((p for p in set_paths if pred_c(p)), None)
+                    consec_w = next(
+                        (p for p, r in runs if any(n > 1 for n in r)), None
+                    )
                     consec = consec_w is not None
                     name = "revisit_c_%s_%s" % (iuv_name, pl)
                     self._record(
@@ -535,9 +557,7 @@ class Rtl2MuPath:
                     pred_n = lambda p, pl=pl: p.revisit_kind(pl) in (
                         "nonconsecutive", "both"
                     )
-                    nonconsec_w = next(
-                        (p for p in set_paths if pred_n(p)), None
-                    )
+                    nonconsec_w = next((p for p, r in runs if len(r) > 1), None)
                     nonconsec = nonconsec_w is not None
                     name = "revisit_n_%s_%s" % (iuv_name, pl)
                     self._record(
@@ -555,16 +575,15 @@ class Rtl2MuPath:
                     else:
                         revisit[pl] = "none"
                     if cfg.collect_run_lengths:
-                        lengths = set()
-                        for p in set_paths:
-                            lengths.update(p.run_lengths(pl))
-                        for length in sorted(lengths):
+                        # run length -> first path with a run that long
+                        length_w: Dict[int, CycleAccuratePath] = {}
+                        for p, r in runs:
+                            for length in r:
+                                length_w.setdefault(length, p)
+                        for length in sorted(length_w):
                             started = time.perf_counter()
                             pred_l = lambda p, pl=pl, n=length: (
                                 n in p.run_lengths(pl)
-                            )
-                            length_w = next(
-                                (p for p in set_paths if pred_l(p)), None
                             )
                             name = "runlen_%s_%s_%d" % (iuv_name, pl, length)
                             self._record(
@@ -572,12 +591,19 @@ class Rtl2MuPath:
                                 REACHABLE,
                                 started,
                                 certificate=certifier.certify(
-                                    name, length_w, pred_l
+                                    name, length_w[length], pred_l
                                 ),
                             )
-                        run_lengths[pl] = frozenset(lengths)
-                        global_run_lengths.setdefault(pl, set()).update(lengths)
+                        run_lengths[pl] = frozenset(length_w)
+                        global_run_lengths.setdefault(pl, set()).update(length_w)
 
+                # happens-before edge -> first path taking it
+                edge_w: Dict[Tuple[str, str], CycleAccuratePath] = {}
+                for p in set_paths:
+                    for now, nxt in zip(p.visits, p.visits[1:]):
+                        for pl0 in now:
+                            for pl1 in nxt:
+                                edge_w.setdefault((pl0, pl1), p)
                 hb_edges: Set[Tuple[str, str]] = set()
                 for pl0 in sorted(pl_set):
                     for pl1 in sorted(pl_set):
@@ -587,18 +613,16 @@ class Rtl2MuPath:
                         pred_e = lambda p, a=pl0, b=pl1: self._has_edge(
                             p, a, b
                         )
-                        edge_w = next(
-                            (p for p in set_paths if pred_e(p)), None
-                        )
+                        witness = edge_w.get((pl0, pl1))
                         outcome = self._cover_outcome(
-                            edge_w is not None, complete
+                            witness is not None, complete
                         )
                         name = "hbedge_%s_%s_%s" % (iuv_name, pl0, pl1)
                         self._record(
                             name, outcome, started,
-                            certificate=certifier.certify(name, edge_w, pred_e),
+                            certificate=certifier.certify(name, witness, pred_e),
                         )
-                        if edge_w is not None:
+                        if witness is not None:
                             hb_edges.add((pl0, pl1))
 
                 upaths.append(
@@ -614,8 +638,8 @@ class Rtl2MuPath:
         # concrete cycle-accurate uPATHs (deduplicated)
         with obs.span("phase.decisions"):
             unique_paths: Dict[Tuple, CycleAccuratePath] = {}
-            for path in all_paths:
-                if path.pl_set:
+            for path, pl_set in zip(distinct, pl_sets):
+                if pl_set:
                     unique_paths.setdefault(path.visits, path)
             concrete = sorted(unique_paths.values(), key=lambda p: (p.latency, sorted(p.pl_set)))
 

@@ -28,15 +28,17 @@ analysis, which there required manual inspection).
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..designs import isa
-from ..ift.cellift import IftConfig, instrument_ift
+from ..ift.cellift import IftConfig, IftDesign, instrument_ift
 from ..mc.enumerative import TraceDB
 from ..mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from ..mc.stats import PropertyStats
+from ..sim.simulator import simulation_key
 from .decisions import Decision
 from .pl import DesignMetadata
 from .rtl2mupath import MuPathResult
@@ -138,8 +140,21 @@ class SynthLCResult:
         return [s for s in self.signatures if s.transponder == transponder]
 
 
+# (netlist content key, IFT config) -> instrumented design, held weakly:
+# while a tool holds an instrumentation, a tool rebuilt in the same process
+# from a job recipe (the engine's inline SynthLC jobs) reuses it
+_INSTRUMENTED: "weakref.WeakValueDictionary[tuple, IftDesign]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 def instrument_design(design, extra_persistent: Iterable[str] = ()):
-    """IFT-instrument a design per its metadata (SS V-A's final two inputs)."""
+    """IFT-instrument a design per its metadata (SS V-A's final two inputs).
+
+    The instrumentation is a pure function of the netlist and the IFT
+    config, so equal inputs share one live :class:`IftDesign`, keyed by
+    :func:`~repro.sim.simulator.simulation_key` as the compile memo is.
+    """
     md: DesignMetadata = design.metadata
     introduce_map = {}
     if md.intro_cond_rs1:
@@ -153,7 +168,17 @@ def instrument_design(design, extra_persistent: Iterable[str] = ()):
         | frozenset(extra_persistent),
         add_flush=True,
     )
-    return instrument_ift(design.netlist, config)
+    # the config fields set above; the others keep their defaults
+    key = (
+        simulation_key(design.netlist),
+        tuple(sorted(introduce_map.items())),
+        config.blocked_registers,
+        config.persistent_registers,
+    )
+    ift = _INSTRUMENTED.get(key)
+    if ift is None:
+        ift = _INSTRUMENTED[key] = instrument_ift(design.netlist, config)
+    return ift
 
 
 class _TaintIndex:
@@ -192,25 +217,35 @@ class _TaintIndex:
             tainted: List[FrozenSet[str]] = []
             t_inflight: List[bool] = []
             flush_tainted: List[bool] = []
+            prev_row = None
             for row in view.cycles:
-                vset = set()
-                tset = set()
-                t_fly = False
-                for name, occ_i, pc_i, taint_i in slots:
-                    if row[occ_i]:
-                        pc = row[pc_i]
-                        if pc == p_pc:
-                            vset.add(name)
-                            if taint_i is not None and row[taint_i]:
-                                tset.add(name)
-                        if pc == t_pc:
-                            t_fly = True
-                visits.append(frozenset(vset))
-                tainted.append(frozenset(tset))
+                # an elided cycle repeats the previous row object (DESIGN
+                # SS5m), hence its profile; equal but distinct rows compute
+                if row is not prev_row:
+                    prev_row = row
+                    vset = set()
+                    tset = set()
+                    t_fly = False
+                    for name, occ_i, pc_i, taint_i in slots:
+                        if row[occ_i]:
+                            pc = row[pc_i]
+                            if pc == p_pc:
+                                vset.add(name)
+                                if taint_i is not None and row[taint_i]:
+                                    tset.add(name)
+                            if pc == t_pc:
+                                t_fly = True
+                    vset = frozenset(vset)
+                    tset = frozenset(tset)
+                    f_taint = (
+                        bool(row[flush_taint_i])
+                        if flush_taint_i is not None
+                        else False
+                    )
+                visits.append(vset)
+                tainted.append(tset)
                 t_inflight.append(t_fly)
-                flush_tainted.append(
-                    bool(row[flush_taint_i]) if flush_taint_i is not None else False
-                )
+                flush_tainted.append(f_taint)
             self.traces.append((visits, tainted, t_inflight, flush_tainted))
 
 

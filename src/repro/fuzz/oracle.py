@@ -323,8 +323,15 @@ def _check_witness(design, query, result, report):
 
 def _check_engines(design, sequences, complete, config, report):
     netlist = design.netlist
+    # the sequences share their per-cycle dicts: sort each one once, so
+    # the contexts share the sorted tuples ``Context.make`` would build
+    items: Dict[int, tuple] = {}
+    for seq in sequences:
+        for cycle in seq:
+            if id(cycle) not in items:
+                items[id(cycle)] = tuple(sorted(cycle.items()))
     contexts = [
-        Context.make({}, seq, label="seq%d" % i)
+        Context((), tuple(items[id(cycle)] for cycle in seq), label="seq%d" % i)
         for i, seq in enumerate(sequences)
     ]
     tracedb = TraceDB(netlist, contexts, complete=complete)

@@ -14,6 +14,15 @@ relevant context space is small enough to enumerate, which turns each of
 those minutes into microseconds while preserving the verdicts.  The
 SAT-based :mod:`repro.mc.bmc` engine answers the same queries symbolically
 and is cross-checked against this engine in the test suite.
+
+A query's verdict on a trace is a function of the trace's rows alone, and
+families collapse to few distinct traces (the fuzz oracle's 64,736
+simulated contexts hold 4,146).  :meth:`EnumerativeEngine.check`
+therefore evaluates each query once per *distinct* trace, in order of
+first occurrence in the family (DESIGN SS5n).  The first satisfying
+distinct trace is the first occurrence of the first satisfying context's
+rows, so outcome, witness, ``depth`` and ``contexts_scanned`` are the
+ones a per-context scan reports.
 """
 
 from __future__ import annotations
@@ -135,7 +144,10 @@ class TraceDB:
 
     Each distinct context is simulated once: equal contexts share one rows
     list (``rows_by_context``), while ``views`` keeps one view per context,
-    in family order.
+    in family order.  Every view shares the database's one observable
+    ``{name: position}`` index.  :meth:`distinct_views` groups the views
+    by equal rows -- distinct contexts often simulate to equal traces --
+    once, on first use.
     """
 
     def __init__(self, netlist: Netlist, contexts: Iterable, complete: bool):
@@ -145,13 +157,27 @@ class TraceDB:
         self.rows_by_context: Dict[object, List[Tuple[int, ...]]] = {}
         simulator = Simulator(netlist)
         names = simulator.observable_names
+        index = {name: i for i, name in enumerate(names)}
         self.views: List[ConcreteTraceView] = []
         for context in self.contexts:
             rows = self.rows_by_context.get(context)
             if rows is None:
                 rows = simulate_context(simulator, context)
                 self.rows_by_context[context] = rows
-            self.views.append(ConcreteTraceView(rows, names=names))
+            self.views.append(ConcreteTraceView(rows, names=names, index=index))
+        self._distinct: Optional[List[Tuple[int, ConcreteTraceView]]] = None
+
+    def distinct_views(self) -> List[Tuple[int, ConcreteTraceView]]:
+        """``(family index, view)`` of the first view of each distinct trace.
+
+        In family order: the views a per-context scan reaches first.
+        """
+        if self._distinct is None:
+            first: Dict[tuple, Tuple[int, ConcreteTraceView]] = {}
+            for i, view in enumerate(self.views):
+                first.setdefault(tuple(view.cycles), (i, view))
+            self._distinct = list(first.values())
+        return self._distinct
 
     @classmethod
     def shared(cls, netlist: Netlist, contexts: Iterable, complete: bool) -> "TraceDB":
@@ -190,20 +216,27 @@ class EnumerativeEngine:
         self.stats = stats
 
     def check(self, query: Query) -> CheckResult:
+        """Scan the distinct traces for the first one satisfying ``query``.
+
+        ``contexts_scanned`` counts the contexts a per-context scan would
+        have visited: the witness context's family index + 1, or the whole
+        family.  ``depth`` is the longest of their horizons; equal traces
+        have equal horizons, so the distinct traces scanned so far carry it.
+        """
         start = time.perf_counter()
         ops = ConcreteOps
         witness = None
         outcome = UNREACHABLE if self.tracedb.complete else UNDETERMINED
-        scanned = 0
+        scanned = len(self.tracedb)
         depth = 0
-        for context, view in zip(self.tracedb.contexts, self.tracedb.views):
-            scanned += 1
+        for index, view in self.tracedb.distinct_views():
             depth = max(depth, view.horizon)
             if not self._satisfies_assumes(view, query.assumes):
                 continue
             if query.prop.evaluate(view, ops):
                 outcome = REACHABLE
                 witness = view.as_dicts()
+                scanned = index + 1
                 break
         elapsed = time.perf_counter() - start
         result = CheckResult(

@@ -27,7 +27,9 @@ answers at its *current* k only -- extension is monotonic.
 :class:`InductionPool` memoizes contexts per (netlist, sequential
 support, symbolic-register set, simple-path flag).  Each property is
 sliced to its sequential cone of influence (:mod:`repro.rtl.coi`)
-enriched with every named signal computable from the same support, so
+enriched with every named signal computable from the same support (a
+property's support is the union of its signals' supports, which
+:func:`~repro.rtl.coi.coi_supports` computes for every name at once), so
 properties whose support is covered by an existing context's cone reuse
 it -- that sharing is how a worker drains a whole same-design property
 group on a single solver.  Slicing is part of the verdict contract, not
@@ -46,13 +48,14 @@ a bounded horizon" are definite facts both paths must agree on.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+import weakref
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .. import obs
 from ..obs.metrics import REGISTRY
 from ..props.exprs import CycleExpr
 from ..props.views import SymbolicOps, SymbolicTraceView
-from ..rtl.coi import coi_cone, coi_slice
+from ..rtl.coi import coi_slice, coi_supports
 from ..rtl.netlist import Netlist
 from ..solver.bitblast import blast_frame, paused_gc
 from ..solver.bits import BitBuilder
@@ -345,28 +348,28 @@ class InductionPool:
         self.coi = coi
         self.certify = certify
         self._contexts: Dict[Tuple, IncrementalInductionContext] = {}
-        self._supports: Dict[int, Dict[str, Tuple]] = {}
+        # keyed weakly by netlist object: every property looks its
+        # netlist up here, also one whose context is never built
+        self._supports: "weakref.WeakKeyDictionary[Netlist, Dict[str, Tuple]]" = (
+            weakref.WeakKeyDictionary()
+        )
 
-    def _named_supports(self, netlist: Netlist) -> Dict[str, Tuple]:
+    def _supports_of(self, netlist: Netlist) -> Dict[str, Tuple]:
         """name -> (register names, input names) sequential support, for
-        every named signal; computed once per netlist."""
-        cached = self._supports.get(id(netlist))
+        every named signal and output; computed once per netlist."""
+        cached = self._supports.get(netlist)
         if cached is None:
-            cached = {
-                name: self._support(netlist, coi_cone(netlist, (name,)))
-                for name in netlist.named
-            }
-            self._supports[id(netlist)] = cached
+            cached = self._supports[netlist] = coi_supports(netlist)
         return cached
 
-    @staticmethod
-    def _support(netlist: Netlist, cone) -> Tuple:
-        regs = frozenset(
-            reg.name for reg, _ in netlist.registers if reg.q.uid in cone
-        )
-        inputs = frozenset(
-            node.name for node in netlist.inputs if node.uid in cone
-        )
+    def _support(self, netlist: Netlist, targets) -> Tuple:
+        """The support of ``targets``' cone: the union of theirs."""
+        supports = self._supports_of(netlist)
+        regs: FrozenSet[str] = frozenset()
+        inputs: FrozenSet[str] = frozenset()
+        for name in targets:
+            regs |= supports[name][0]
+            inputs |= supports[name][1]
         return (regs, inputs)
 
     def context_for(
@@ -386,7 +389,7 @@ class InductionPool:
         support = None
         if self.coi:
             targets = tuple(sorted(bad.signals()))
-            support = self._support(netlist, coi_cone(netlist, targets))
+            support = self._support(netlist, targets)
         key = (netlist, support, symbolic_registers, simple_path, certified)
         ctx = self._contexts.get(key)
         if (ctx is None or ctx.k > k) and self.coi:
@@ -418,11 +421,12 @@ class InductionPool:
                 # lies inside this property's cone: equal- or smaller-cone
                 # properties then share this context instead of building
                 # their own
-                supports = self._named_supports(netlist)
+                supports = self._supports_of(netlist)
                 enriched = list(targets) + [
                     name
-                    for name, sup in supports.items()
-                    if sup[0] <= support[0] and sup[1] <= support[1]
+                    for name in netlist.named
+                    if supports[name][0] <= support[0]
+                    and supports[name][1] <= support[1]
                 ]
                 target_netlist = coi_slice(netlist, enriched).netlist
             ctx = IncrementalInductionContext(

@@ -61,17 +61,19 @@ class ConcreteTraceView:
     Two storage modes: per-cycle observation *dicts* (convenient), or raw
     observation *tuples* plus a shared name list (compact and fast -- the
     enumerative engine simulates hundreds of thousands of cycles, and dict
-    construction would dominate its runtime).
+    construction would dominate its runtime).  A caller holding many views
+    over one layout passes ``names`` together with its ``{name: position}``
+    ``index``; the view then shares both instead of building its own.
     """
 
-    def __init__(self, cycles: Sequence, names: Sequence[str] = None):
+    def __init__(self, cycles: Sequence, names: Sequence[str] = None,
+                 index: Dict[str, int] = None):
         self.cycles = cycles
-        self.names = list(names) if names is not None else None
-        self.index = (
-            {name: i for i, name in enumerate(self.names)}
-            if self.names is not None
-            else None
-        )
+        if names is not None and index is None:
+            names = list(names)
+            index = {name: i for i, name in enumerate(names)}
+        self.names = names
+        self.index = index
 
     @property
     def horizon(self):
