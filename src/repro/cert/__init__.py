@@ -22,9 +22,8 @@ verdict carry an independently checkable *certificate*:
   certificate (and, as before, are never cached).
 
 Certificates travel inside :class:`~repro.mc.outcomes.CheckResult`
-bundles, through the format-v2 proof cache (digest-verified on
-read-through) and the dist wire protocol (oversized payloads degrade to
-digest-only instead of killing the connection).  A certification
+bundles, through the worker reports and the format-v2 proof cache
+(digest-verified on read-through).  A certification
 *failure* never aborts a campaign: the scheduler quarantines the result
 and re-solves the job on the conservative path (fresh non-incremental
 contexts) when the job has one -- see DESIGN SS5j.
@@ -51,7 +50,6 @@ __all__ = [
     "certificate_failed",
     "failed_certificates",
     "checked_certificates",
-    "strip_payload",
     "drat_certificate",
     "witness_certificate",
     "cover_witness_certificate",
@@ -69,10 +67,6 @@ _CHECK_SECONDS = REGISTRY.histogram(
 _UNCAUGHT = REGISTRY.counter(
     "repro_cert_uncaught_total",
     "certification failures that survived into final results",
-)
-_WIRE_DEGRADED = REGISTRY.counter(
-    "repro_cert_wire_degraded_total",
-    "certificates degraded to digest-only to fit the wire frame cap",
 )
 
 
@@ -153,7 +147,7 @@ def make_certificate(
     ``budget`` / ``overflow``; ``verified`` is the derived tri-state the
     rest of the system branches on (True / False / None-for-unchecked).
     The payload is retained only under the policy's size limit -- a
-    dropped payload keeps its digest, so cache and wire spot checks can
+    dropped payload keeps its digest, so cache read-through checks can
     still prove the bytes they *do* see are the bytes that were checked.
     """
     data = canonical_payload_bytes(payload)
@@ -185,15 +179,6 @@ def verify_certificate_digest(cert: dict) -> bool:
     if payload is None:
         return True  # digest-only bundles have nothing left to corrupt
     return payload_digest(payload) == cert.get("digest")
-
-
-def strip_payload(cert: dict) -> dict:
-    """A digest-only copy of ``cert`` (wire/frame-cap degradation)."""
-    out = dict(cert)
-    out["payload"] = None
-    out["payload_dropped"] = True
-    _WIRE_DEGRADED.inc()
-    return out
 
 
 def certificate_failed(result) -> bool:

@@ -45,40 +45,11 @@ Commands:
     candidate PLs) before synthesis, accounted in its own stats block;
   * ``--no-incremental`` -- rebuild fresh solvers per induction proof
     instead of reusing one growing proof context per design (the legacy
-    reference path; verdicts are identical, only slower);
-  * ``--broker HOST:PORT`` -- dispatch the jobs through a campaign
-    broker (see ``repro broker`` / ``repro worker``) instead of a local
-    process pool.  Verdicts, labels, and manifests are byte-identical
-    to a local ``--jobs N`` run; the broker's shared proof cache (when
-    it has one) replaces ``--cache-dir``;
-  * ``--priority N`` -- broker queue priority for this campaign
-    (higher runs first; default 0);
-  * ``--cache-server HOST:PORT`` -- keep dispatch local but read/write
-    the broker's shared proof cache (read-through gets, write-behind
-    puts), so multiple machines share one store's verdicts.
+    reference path; verdicts are identical, only slower).
 
   A clean Ctrl-C drains in-flight results into the checkpoint (with
   ``--run-dir``) and exits 130 with the resume command printed; the
   run directory is never left torn.
-
-* ``broker`` -- run the distributed campaign broker: an asyncio
-  TCP/JSON-lines server with priority queues, group-sticky sharding,
-  backpressure (park/shed), node quarantine, and an optional shared
-  proof cache (``--cache-dir``; read-through gets, write-behind puts
-  flushed on shutdown).  SIGTERM/SIGINT drain gracefully.
-  ``--metrics-port N`` serves the fleet-merged Prometheus registry
-  (broker gauges plus every worker's pushed snapshot, tagged by node).
-
-* ``worker`` -- run one worker node against a broker: registers its
-  ``--slots``, heartbeats, executes dispatched job batches in a local
-  process pool, and streams results back.  ``--fault-plan`` arms chaos
-  on this node only.  SIGTERM/SIGINT finish in-flight batches first.
-  ``--metrics-port N`` serves the node's own registry.
-
-* ``top`` -- live fleet dashboard over a running broker: per-node
-  throughput, cache hit rate, ETA, slowest in-flight jobs, and the
-  join/leave/quarantine event ring.  ``--once --json`` emits a single
-  machine-readable sample for scripting and CI.
 
 * ``cache-info DIR`` -- summarize a proof-cache directory (entry and
   quarantine counts, sizes, age range); ``--json`` for machine output.
@@ -130,8 +101,7 @@ Commands:
     JSON rendering of the span tree (opens in ``ui.perfetto.dev``);
   * ``--check`` -- exit non-zero if the trace is malformed (unbalanced
     or mis-nested spans, events without timestamps) or the checker-time
-    reconciliation fails; on merged fleet traces it additionally fails
-    when any checker time lacks a ``node_id`` attribution.  Used by CI.
+    reconciliation fails.  Used by CI.
 
 The CLI is a thin veneer over the library; see ``examples/`` for richer
 workflows.
@@ -303,20 +273,7 @@ def cmd_synth_all(args):
         run_dir=run_dir,
         resume=resume,
     )
-    if args.broker:
-        from .dist import DistScheduler
-
-        engine = DistScheduler(
-            engine_config, broker=args.broker, priority=args.priority
-        )
-    elif args.cache_server:
-        from .dist.scheduler import CacheOnlyScheduler
-
-        engine = CacheOnlyScheduler(
-            engine_config, broker=args.cache_server, priority=args.priority
-        )
-    else:
-        engine = JobScheduler(engine_config)
+    engine = JobScheduler(engine_config)
     try:
         if args.duv_prune:
             # the paper's step 1 (DUV-level PL pruning, SS V-B1): cover
@@ -372,9 +329,6 @@ def cmd_synth_all(args):
         print("error: %s" % exc)
         return 1
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
         if args.metrics:
             with open(args.metrics, "w", encoding="utf-8") as handle:
                 handle.write(get_registry().to_prometheus())
@@ -417,138 +371,6 @@ def cmd_synth_all(args):
     return 1 if failed else 0
 
 
-def cmd_broker(args):
-    import asyncio
-    import signal as signal_mod
-
-    from .dist import Broker, BrokerConfig
-    from .obs import start_metrics_server
-
-    config = BrokerConfig(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        max_queue=args.max_queue,
-        high_water=args.high_water,
-        pipeline_depth=args.pipeline_depth,
-        heartbeat_seconds=args.heartbeat,
-        node_poison_limit=args.node_poison_limit,
-        job_poison_limit=args.job_poison_limit,
-    )
-    broker = Broker(config)
-
-    async def _main():
-        await broker.start()
-        print(
-            "broker listening on %s:%d%s"
-            % (
-                config.host,
-                broker.port,
-                " (shared cache: %s)" % config.cache_dir
-                if config.cache_dir
-                else "",
-            ),
-            flush=True,
-        )
-        server = None
-        if args.metrics_port is not None:
-            # the fleet registry merges the broker's own counters with
-            # every worker's pushed snapshot, so one scrape endpoint
-            # covers the whole campaign
-            server = start_metrics_server(
-                args.metrics_port, registry=broker.fleet
-            )
-            print(
-                "serving fleet metrics on http://127.0.0.1:%d/metrics"
-                % server.server_address[1],
-                flush=True,
-            )
-        stop = asyncio.Event()
-        loop = asyncio.get_event_loop()
-        for signum in (signal_mod.SIGTERM, signal_mod.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await stop.wait()
-        print("broker draining (inflight jobs, write-behind cache)...")
-        await broker.stop()
-        if server is not None:
-            server.shutdown()
-        counts = broker.stats_counts
-        print(
-            "broker stopped: %d job(s) completed, %d cache put(s) flushed"
-            % (counts["completed"], counts["cache_puts"])
-        )
-
-    asyncio.run(_main())
-    return 0
-
-
-def cmd_worker(args):
-    from .dist.scheduler import parse_broker_address
-    from .dist.worker import run_worker
-    from .faults import FaultPlan
-
-    try:
-        host, port = parse_broker_address(args.broker)
-    except ValueError as exc:
-        print("error: %s" % exc)
-        return 2
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as exc:
-            print("error loading fault plan: %s" % exc)
-            return 2
-        if fault_plan.state_dir is None:
-            import tempfile
-
-            fault_plan = fault_plan.with_state_dir(
-                tempfile.mkdtemp(prefix="repro-fault-state-")
-            )
-        print(
-            "fault plan armed on this node: %s (%d spec(s))"
-            % (args.fault_plan, len(fault_plan.specs))
-        )
-    server = None
-    if args.metrics_port is not None:
-        from .obs import start_metrics_server
-
-        # the node's own registry: solver counters, cache hits, batch
-        # wait -- the same snapshot it pushes to the broker's fleet view
-        server = start_metrics_server(args.metrics_port)
-        print(
-            "serving node metrics on http://127.0.0.1:%d/metrics"
-            % server.server_address[1],
-            flush=True,
-        )
-    print(
-        "worker connecting to %s:%d (slots=%d, node=%s)"
-        % (host, port, args.slots, args.node_id or "pid-default"),
-        flush=True,
-    )
-    try:
-        run_worker(
-            host,
-            port,
-            slots=args.slots,
-            mode=args.mode,
-            fault_plan=fault_plan,
-            node_id=args.node_id,
-            heartbeat_seconds=args.heartbeat,
-        )
-    except (ConnectionError, OSError) as exc:
-        print("worker connection failed: %s" % exc)
-        return 1
-    finally:
-        if server is not None:
-            server.shutdown()
-    print("worker drained; exiting")
-    return 0
-
-
 def cmd_cache_info(args):
     import json
     import os
@@ -585,14 +407,10 @@ def cmd_cache_info(args):
             ):
                 print("  %-14s %d" % (reason + ":", count))
         return 1 if report["quarantined"] else 0
+    stats = ProofCache(args.dir).stats()
     if args.json:
-        # the JSON view adds per-node provenance rows (entries tagged by
-        # the worker node that produced them); the text view keeps the
-        # cheap stat()-only walk
-        stats = ProofCache(args.dir).stats(per_node=True)
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    stats = ProofCache(args.dir).stats()
     import datetime
 
     def _when(ts):
@@ -752,26 +570,7 @@ def cmd_profile(args):
             if not profile.reconciles_total_time(float(stats["total_time"])):
                 print("trace FAILED checker-time reconciliation")
                 return 1
-        if profile.is_distributed:
-            unattributed = profile.unattributed_check_seconds()
-            if unattributed > 1e-4:
-                print(
-                    "trace FAILED fleet attribution: %.6fs of checker "
-                    "time carries no node_id" % unattributed
-                )
-                return 1
     return 0
-
-
-def cmd_top(args):
-    from .dist.top import run_top
-
-    return run_top(
-        args.broker,
-        interval=args.interval,
-        once=args.once,
-        as_json=args.json,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -866,87 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="wall-clock budget per DRAT certificate check "
                         "(default 10.0)")
-    p.add_argument("--broker", default=None, metavar="HOST:PORT",
-                   help="dispatch jobs through a campaign broker (see "
-                        "'repro broker' / 'repro worker'); verdicts are "
-                        "byte-identical to a local --jobs N run")
-    p.add_argument("--priority", type=int, default=0, metavar="N",
-                   help="broker queue priority for this campaign "
-                        "(higher first; default 0)")
-    p.add_argument("--cache-server", default=None, metavar="HOST:PORT",
-                   help="keep dispatch local but use the broker's shared "
-                        "proof cache (read-through gets, write-behind puts)")
     p.set_defaults(func=cmd_synth_all)
-
-    p = sub.add_parser(
-        "broker",
-        help="run the distributed campaign broker (TCP/JSON-lines)",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=7340,
-                   help="bind port (default 7340; 0 = ephemeral)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="serve a shared proof cache from DIR (read-through "
-                        "gets, write-behind puts)")
-    p.add_argument("--max-queue", type=int, default=100000, metavar="N",
-                   help="shed submits that would push the queue past N")
-    p.add_argument("--high-water", type=int, default=80000, metavar="N",
-                   help="park submits arriving while the queue is >= N")
-    p.add_argument("--pipeline-depth", type=int, default=2, metavar="N",
-                   help="per-node inflight bound = slots * N (default 2)")
-    p.add_argument("--heartbeat", type=float, default=5.0, metavar="SECONDS",
-                   help="worker heartbeat interval (default 5.0); nodes "
-                        "silent for 3 intervals are evicted")
-    p.add_argument("--node-poison-limit", type=int, default=2, metavar="N",
-                   help="node failures before the node is quarantined")
-    p.add_argument("--job-poison-limit", type=int, default=2, metavar="N",
-                   help="node-failure implications before a job is "
-                        "quarantined as a failed report")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="N",
-                   help="serve fleet-merged Prometheus metrics on "
-                        "127.0.0.1:N/metrics (0 = ephemeral; broker "
-                        "counters plus every worker's pushed snapshot)")
-    p.set_defaults(func=cmd_broker)
-
-    p = sub.add_parser(
-        "worker",
-        help="run one worker node against a campaign broker",
-    )
-    p.add_argument("--broker", default="127.0.0.1:7340", metavar="HOST:PORT",
-                   help="broker address (default 127.0.0.1:7340)")
-    p.add_argument("--slots", type=int, default=1, metavar="N",
-                   help="concurrent jobs this node executes (default 1)")
-    p.add_argument("--mode", choices=("process", "inline"), default="process",
-                   help="execution mode: 'process' pool (default; SIGALRM "
-                        "deadlines work) or 'inline' threads (tests)")
-    p.add_argument("--node-id", default=None, metavar="ID",
-                   help="stable node identity (default pid-<PID>); the "
-                        "broker tracks quarantine by this id")
-    p.add_argument("--heartbeat", type=float, default=2.0, metavar="SECONDS",
-                   help="heartbeat interval (default 2.0)")
-    p.add_argument("--fault-plan", default=None, metavar="FILE",
-                   help="arm a JSON fault-injection plan on this node "
-                        "(chaos is never shipped over the wire)")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="N",
-                   help="serve this node's Prometheus metrics on "
-                        "127.0.0.1:N/metrics (0 = ephemeral)")
-    p.set_defaults(func=cmd_worker)
-
-    p = sub.add_parser(
-        "top",
-        help="live fleet dashboard over a running broker",
-    )
-    p.add_argument("--broker", default="127.0.0.1:7340", metavar="HOST:PORT",
-                   help="broker address (default 127.0.0.1:7340)")
-    p.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
-                   help="refresh interval in streaming mode (default 2.0)")
-    p.add_argument("--once", action="store_true",
-                   help="print a single sample and exit")
-    p.add_argument("--json", action="store_true",
-                   help="with --once: emit the raw fleet sample plus "
-                        "derived rates/ETA as JSON (for scripting and CI)")
-    p.set_defaults(func=cmd_top)
 
     p = sub.add_parser(
         "cache-info",

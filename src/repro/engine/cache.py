@@ -276,13 +276,9 @@ class ProofCache:
         payload: Any,
         results: list,
         final: bool = True,
-        node_id: Optional[str] = None,
     ) -> bool:
         """Store a verdict entry; non-final entries are refused (the
-        UNDETERMINED rule).  ``node_id`` attributes the entry to the
-        worker node that computed it (distributed runs); local entries
-        omit the key entirely so their bytes are unchanged.  Returns
-        True when an entry was written."""
+        UNDETERMINED rule).  Returns True when an entry was written."""
         from .. import faults
 
         if not final:
@@ -296,9 +292,6 @@ class ProofCache:
             "payload": payload,
             "results": results,
         }
-        if node_id:
-            entry["node"] = node_id
-        # checksum last: it must cover the node attribution too
         entry["checksum"] = entry_checksum(entry)
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -338,20 +331,12 @@ class ProofCache:
             )
         return count
 
-    def stats(self, per_node: bool = False) -> Dict[str, Any]:
-        """One-pass store summary: entry/byte counts, quarantine totals.
-
-        This is the broker's cache observability surface (served over the
-        wire and by ``repro cache-info``).  The default pass reads only
-        directory metadata -- entries are counted and sized, never
-        parsed.  With ``per_node=True`` (``cache-info --json``) each
-        entry is additionally parsed to aggregate a ``by_node`` table
-        (entry and property counts per contributing worker node, with
-        untagged local entries under ``"local"``) -- an opt-in because
-        it costs a JSON parse per entry.
+    def stats(self) -> Dict[str, Any]:
+        """One-pass store summary for ``repro cache-info``: entry/byte
+        counts, quarantine totals.  Reads only directory metadata --
+        entries are counted and sized, never parsed.
         """
         entries = entry_bytes = 0
-        by_node: Dict[str, Dict[str, int]] = {}
         quarantined = quarantined_bytes = 0
         oldest = newest = None
         try:
@@ -384,22 +369,7 @@ class ProofCache:
                     oldest = info.st_mtime
                 if newest is None or info.st_mtime > newest:
                     newest = info.st_mtime
-                if per_node:
-                    try:
-                        with open(path, "r", encoding="utf-8") as handle:
-                            entry = json.load(handle)
-                    except (OSError, ValueError):
-                        continue
-                    if not isinstance(entry, dict):
-                        continue
-                    node = entry.get("node")
-                    node = node if isinstance(node, str) and node else "local"
-                    bucket = by_node.setdefault(
-                        node, {"entries": 0, "properties": 0}
-                    )
-                    bucket["entries"] += 1
-                    bucket["properties"] += len(entry.get("results") or [])
-        stats = {
+        return {
             "cache_dir": self.cache_dir,
             "format": CACHE_FORMAT_VERSION,
             "entries": entries,
@@ -409,6 +379,3 @@ class ProofCache:
             "oldest_entry": round(oldest, 6) if oldest is not None else None,
             "newest_entry": round(newest, 6) if newest is not None else None,
         }
-        if per_node:
-            stats["by_node"] = {k: by_node[k] for k in sorted(by_node)}
-        return stats

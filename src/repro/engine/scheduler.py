@@ -192,7 +192,6 @@ class WorkerReport:
     error: Optional[str] = None  # set only when no attempt produced a value
     quarantined: bool = False  # job repeatedly killed its worker
     spans: List = field(default_factory=list)  # collected (kind, fields) events
-    node_id: Optional[str] = None  # worker node that executed it (dist runs)
     # ---- verdict certification (repro.cert, DESIGN SS5j) ----
     cert_failures: int = 0  # certificates that failed verification
     cert_degraded: bool = False  # conservative re-solve was performed
@@ -291,8 +290,8 @@ def _deadline(seconds: Optional[float]):
     if (
         not seconds
         or not hasattr(signal, "SIGALRM")
-        # signal handlers can only be installed from the main thread; the
-        # distributed worker's inline (threaded) mode runs without deadlines
+        # signal handlers can only be installed from the main thread; a job
+        # run from any other thread runs without a deadline
         or threading.current_thread() is not threading.main_thread()
     ):
         yield
@@ -689,7 +688,7 @@ class JobScheduler:
         own_log = telemetry is None
         log = telemetry if telemetry is not None else TelemetryLog(cfg.trace_path)
         manifest = RunManifest(workers=cfg.workers)
-        cache = self._make_cache()
+        cache = ProofCache(cfg.cache_dir) if cfg.cache_dir else None
         checkpoint = RunCheckpoint(cfg.run_dir) if cfg.run_dir else None
         resumed = checkpoint.open(resume=cfg.resume) if checkpoint else {}
         results_by_id: Dict[str, Any] = {}
@@ -825,12 +824,6 @@ class JobScheduler:
         _ENGINE_RUN_SECONDS.observe(manifest.wall_seconds)
 
     # ------------------------------------------------------------ internals
-    def _make_cache(self):
-        """Build this run's proof cache (hook: the distributed scheduler
-        substitutes a broker-backed remote cache here)."""
-        cfg = self.config
-        return ProofCache(cfg.cache_dir) if cfg.cache_dir else None
-
     def _replay_hit(self, job, key, entry, stats, manifest, log, results_by_id):
         from ..mc.outcomes import CheckResult
 
@@ -1083,9 +1076,6 @@ class JobScheduler:
         manifest.retries += max(0, len(report.attempts) - 1)
         manifest.timeouts += sum(1 for a in report.attempts if a.timed_out)
         manifest.rss_aborts += sum(1 for a in report.attempts if a.rss_exceeded)
-        # node attribution, present only on distributed reports -- local
-        # runs keep their event shapes (and traces) byte-stable
-        node_fields = {"node": report.node_id} if report.node_id else {}
         for record in report.attempts:
             log.event(
                 "job_attempt",
@@ -1097,7 +1087,6 @@ class JobScheduler:
                 timed_out=record.timed_out,
                 rss_exceeded=record.rss_exceeded,
                 error=record.error,
-                **node_fields,
             )
         if report.error is not None:
             manifest.jobs_failed += 1
@@ -1106,10 +1095,7 @@ class JobScheduler:
                 log.event(
                     "job_quarantined", job=report.job_id, error=report.error
                 )
-            log.event(
-                "job_failed", job=report.job_id, error=report.error,
-                **node_fields,
-            )
+            log.event("job_failed", job=report.job_id, error=report.error)
             failures.append("%s: %s" % (report.job_id, report.error))
             results_by_id[job.job_id] = None
             if checkpoint is not None:
@@ -1136,7 +1122,6 @@ class JobScheduler:
                     job=report.job_id,
                     failures=report.cert_failures,
                     divergences=report.cert_divergences,
-                    **node_fields,
                 )
             manifest.cert_divergences.extend(report.cert_divergences)
             manifest.cert_uncaught += report.cert_uncaught
@@ -1146,10 +1131,7 @@ class JobScheduler:
                     "job_cert_uncaught",
                     job=report.job_id,
                     uncaught=report.cert_uncaught,
-                    **node_fields,
                 )
-        if report.node_id:
-            manifest.note_node(report.node_id, report.results)
         histogram: Dict[str, int] = {}
         for result in report.results:
             histogram[result.outcome] = histogram.get(result.outcome, 0) + 1
@@ -1160,7 +1142,6 @@ class JobScheduler:
             verdicts=histogram,
             retries=max(0, len(report.attempts) - 1),
             seconds=round(sum(a.seconds for a in report.attempts), 6),
-            **node_fields,
         )
         if checkpoint is not None:
             from .serialize import check_results_to_dicts
@@ -1190,7 +1171,6 @@ class JobScheduler:
                     job.encode_value(report.value),
                     check_results_to_dicts(report.results),
                     final=True,
-                    node_id=report.node_id,
                 )
                 manifest.cache_stores += 1
                 log.event("cache_store", job=job.job_id, key=key)

@@ -9,13 +9,15 @@ are deterministic, so a spec names exactly one elaborated netlist and one
 context family; the parent additionally pins the netlist's canonical
 fingerprint into the spec so the proof cache can detect any divergence.
 
-Two concrete job types are defined:
+Three concrete job types are defined:
 
 * :class:`SynthesisJob` -- one RTL2MuPATH ``synthesize(iuv)`` run;
 * :class:`SynthLCJob` -- one SynthLC classification run for a
-  (transponder, transmitter, assumption, operand) tuple.
+  (transponder, transmitter, assumption, operand) tuple;
+* :class:`ReachJob` -- one named-signal reachability check on a
+  fuzz-generator design.
 
-Both follow the scheduler's job protocol: ``job_id``, ``execute()``,
+All follow the scheduler's job protocol: ``job_id``, ``execute()``,
 ``escalated(attempt, factor)``, ``cache_key()``, ``encode_value()`` /
 ``decode_value()``, and ``value_is_final()``.
 """
@@ -35,14 +37,12 @@ __all__ = [
     "SynthesisJob",
     "SynthLCJob",
     "ReachJob",
-    "PerfJob",
     "infer_design_spec",
     "infer_provider_spec",
     "synthesis_jobs_for",
     "synthlc_jobs_for",
     "reach_jobs_for_design",
     "reach_jobs_for_corpus",
-    "perf_jobs_for",
 ]
 
 # bump when job semantics or cached payload encodings change: old proof
@@ -486,15 +486,15 @@ class ReachJob:
     The workload the contract-synthesis direction needs: a stream of
     small, independent verification queries over generated designs.  The
     design travels as its reproducer JSON (the exact artifact
-    ``repro fuzz`` shrinks to), so any node can rebuild it
+    ``repro fuzz`` shrinks to), so any worker can rebuild it
     deterministically; the verdict is BMC-first (a horizon-bounded
     witness search) with a k-induction proof attempt when no witness is
     found -- the same ladder the fuzz oracle's kinduction family uses.
 
     Unlike :class:`SynthesisJob`, reach jobs never share a proof context
     between properties: every execute builds fresh solver state, so the
-    verdict stream is independent of how a scheduler or broker groups
-    the jobs (the distributed parity suite leans on exactly this).
+    verdict stream is independent of how the scheduler groups the jobs
+    (the serial-vs-pool parity tests lean on exactly this).
     """
 
     design_json: str  # canonical JSON of a fuzz DesignSpec dict
@@ -624,7 +624,7 @@ def reach_jobs_for_corpus(corpus_dir: str, horizon: int = 4, k: int = 2,
 
     The committed fuzz corpus becomes a ready-made multi-design
     verification campaign: ~16 designs x ~3 probes of independent jobs,
-    grouped per design -- the shape the distributed runner shards.
+    grouped per design -- the shape same-design batching dispatches.
     """
     import glob
     import os
@@ -700,155 +700,3 @@ def synthlc_jobs_for(tool, work_items) -> List[SynthLCJob]:
             )
         )
     return jobs
-
-
-_PERF_DESIGNS = ("core", "cva6-mul", "fixed")
-
-
-def _built_perf_design(name: str, xlen: int):
-    from ..designs import build_core, build_cva6_mul, build_fixed_core
-    from ..designs.core import CoreConfig
-
-    if name == "core":
-        return build_core(CoreConfig(xlen=xlen))
-    if name == "cva6-mul":
-        return build_cva6_mul(xlen=xlen)
-    if name == "fixed":
-        return build_fixed_core(xlen=xlen)
-    raise ValueError("unknown perf design %r (want one of %s)"
-                     % (name, ", ".join(_PERF_DESIGNS)))
-
-
-@dataclass(frozen=True)
-class PerfJob:
-    """One sharded perf-oracle campaign: fuzzed sequences through the
-    μPATH-derived cycle predictor and the RTL simulator differentially.
-
-    The job is self-contained -- the worker rebuilds the design by name,
-    re-collects the instruction μPATH summaries, compiles the
-    performance model, and runs its seed shard -- so prediction
-    campaigns distribute over the broker exactly like reach jobs.  The
-    value is the campaign's JSON summary; per-sequence verdicts fold
-    into property stats as agree/mismatch outcomes.
-    """
-
-    design: str  # "core" | "cva6-mul" | "fixed"
-    xlen: int = 4
-    seed: int = 0
-    budget_seconds: float = 20.0
-    max_sequences: Optional[int] = None
-    min_len: int = 1
-    max_len: int = 8
-    shrink: bool = True
-    out_dir: str = "perf-out"
-
-    @property
-    def job_id(self) -> str:
-        return "perf:%s:x%d:seed%d" % (self.design, self.xlen, self.seed)
-
-    def group_key(self) -> str:
-        """One group per (design, xlen): a worker compiles the model
-        once and drains every seed shard against it."""
-        return "perf:%s:x%d" % (self.design, self.xlen)
-
-    def execute(self):
-        from ..faults import injection_point
-        from ..mc.outcomes import CheckResult
-        from ..perf import (
-            PerfCampaignConfig,
-            collect_upath_summaries,
-            compile_model,
-            run_perf_campaign,
-        )
-
-        injection_point("job.execute", job=self.job_id)
-        design = _built_perf_design(self.design, self.xlen)
-        summaries = collect_upath_summaries(
-            design, ["ADD", "MUL", "DIV", "DIVU", "LW", "SW"]
-        )
-        from ..designs.harness import STRAIGHT_LINE_POOL
-
-        model = compile_model(design, summaries, names=STRAIGHT_LINE_POOL)
-        result = run_perf_campaign(
-            design,
-            model,
-            PerfCampaignConfig(
-                seed=self.seed,
-                budget_seconds=self.budget_seconds,
-                max_sequences=self.max_sequences,
-                min_len=self.min_len,
-                max_len=self.max_len,
-                shrink=self.shrink,
-                out_dir=self.out_dir,
-            ),
-        )
-        results = [
-            CheckResult(
-                query_name="%s:agreement" % self.job_id,
-                outcome="agree" if result.ok else "mismatch",
-                engine="perf",
-                time_seconds=result.elapsed,
-                detail="%d/%d sequences agree"
-                % (result.agreements, result.sequences),
-            )
-        ]
-        for mismatch in result.mismatches:
-            results.append(
-                CheckResult(
-                    query_name="%s:slot%s" % (self.job_id, mismatch.divergent_slot),
-                    outcome=mismatch.classification,
-                    engine="perf",
-                    detail=mismatch.brief(),
-                )
-            )
-        return result.to_dict(), results
-
-    def escalated(self, attempt: int, factor: int) -> "PerfJob":
-        return self  # campaigns are budget-bound; nothing to escalate
-
-    def cache_key(self) -> Optional[str]:
-        # campaigns are wall-clock-budgeted, so their sequence counts are
-        # machine-dependent: only fixed-size shards are replayable
-        if self.max_sequences is None:
-            return None
-        return content_key(
-            schema=SCHEMA_VERSION,
-            tool="perf",
-            design=self.design,
-            xlen=self.xlen,
-            seed=self.seed,
-            max_sequences=self.max_sequences,
-            min_len=self.min_len,
-            max_len=self.max_len,
-        )
-
-    @staticmethod
-    def encode_value(value):
-        return value
-
-    @staticmethod
-    def decode_value(payload):
-        return payload
-
-    @staticmethod
-    def value_is_final(value) -> bool:
-        # a budget-truncated shard must not satisfy future full shards
-        return bool(value.get("sequences"))
-
-
-def perf_jobs_for(design: str, xlen: int, seed: int, shards: int,
-                  sequences_per_shard: int, out_dir: str = "perf-out",
-                  shrink: bool = True) -> List["PerfJob"]:
-    """Fixed-size perf campaign shards for broker dispatch."""
-    return [
-        PerfJob(
-            design=design,
-            xlen=xlen,
-            seed=seed + shard,
-            budget_seconds=3600.0,
-            max_sequences=sequences_per_shard,
-            shrink=shrink,
-            out_dir=out_dir,
-        )
-        for shard in range(shards)
-    ]

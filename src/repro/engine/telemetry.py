@@ -114,9 +114,6 @@ class RunManifest:
     wall_seconds: float = 0.0
     workers: int = 1
     interrupted: bool = False  # run stopped early by a clean Ctrl-C
-    # per-node accounting for distributed runs: node_id -> {jobs,
-    # properties, check_seconds}; empty for local runs
-    nodes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     # ---- verdict certification (repro.cert, DESIGN SS5j) ----
     cert_checked: int = 0  # certificates actually verified or refuted
     cert_failures: int = 0  # certificates that failed verification
@@ -144,18 +141,6 @@ class RunManifest:
             self.properties_evaluated += len(results)
         self.outcomes.update(r.outcome for r in results)
 
-    def note_node(self, node_id: str, results) -> None:
-        """Attribute one worker report to the node that produced it."""
-        bucket = self.nodes.setdefault(
-            node_id, {"jobs": 0, "properties": 0, "check_seconds": 0.0}
-        )
-        bucket["jobs"] += 1
-        bucket["properties"] += len(results)
-        spent = sum(
-            getattr(r, "time_seconds", 0.0) or 0.0 for r in results
-        )
-        bucket["check_seconds"] = round(bucket["check_seconds"] + spent, 6)
-
     def to_dict(self) -> Dict[str, Any]:
         payload = {
             "jobs_total": self.jobs_total,
@@ -182,7 +167,6 @@ class RunManifest:
             "wall_seconds": round(self.wall_seconds, 6),
             "workers": self.workers,
             "interrupted": self.interrupted,
-            "nodes": {k: dict(v) for k, v in sorted(self.nodes.items())},
         }
         # certification accounting appears only when the run certified
         # anything, so uncertified manifests keep their pre-cert shape

@@ -26,7 +26,6 @@ pipelines wrap each phase in named spans; and
 the run trace.
 """
 
-from .fleet import FleetRegistry
 from .metrics import (
     Counter,
     Gauge,
@@ -41,10 +40,8 @@ from .tracer import (
     NULL_SPAN,
     Span,
     SpanCollector,
-    TraceContext,
     Tracer,
     activate,
-    brand_spans,
     current_span,
     current_tracer,
     deactivate,
@@ -80,7 +77,6 @@ def note_property(outcome: str, seconds: float) -> None:
 __all__ = [
     "note_property",
     "Counter",
-    "FleetRegistry",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -92,10 +88,8 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "SpanCollector",
-    "TraceContext",
     "Tracer",
     "activate",
-    "brand_spans",
     "current_span",
     "current_tracer",
     "deactivate",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -275,22 +275,6 @@ class MetricsRegistry:
             for name, metric in sorted(self._metrics.items())
         }
 
-    def fleet_snapshot(self) -> Dict[str, Any]:
-        """Typed JSON-ready dump -- :meth:`snapshot` plus each metric's
-        kind and help text, so a receiver that never registered the
-        instruments (the broker's fleet registry) can still render them
-        in the right exposition family."""
-        with self._lock:
-            metrics = list(self._metrics.items())
-        return {
-            name: {
-                "kind": metric.kind,
-                "help": metric.help,
-                "data": metric.snapshot(),
-            }
-            for name, metric in sorted(metrics)
-        }
-
     def reset(self) -> None:
         """Drop every registered metric (test isolation helper)."""
         with self._lock:
@@ -305,14 +289,15 @@ def get_registry() -> MetricsRegistry:
     return REGISTRY
 
 
-def start_metrics_server(port: int, registry: Optional[MetricsRegistry] = None):
-    """Serve ``/metrics`` (text exposition) and ``/metrics.json`` (snapshot)
-    on localhost from a daemon thread; returns the HTTP server object
-    (``server.shutdown()`` stops it, ``server.server_address[1]`` is the
-    bound port -- pass ``port=0`` for an ephemeral one)."""
+def start_metrics_server(port: int):
+    """Serve :data:`REGISTRY` as ``/metrics`` (text exposition) and
+    ``/metrics.json`` (snapshot) on localhost from a daemon thread;
+    returns the HTTP server object (``server.shutdown()`` stops it,
+    ``server.server_address[1]`` is the bound port -- pass ``port=0`` for
+    an ephemeral one)."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    reg = registry if registry is not None else REGISTRY
+    reg = REGISTRY
 
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):

@@ -220,47 +220,6 @@ class TraceProfile:
             total += self._subtree_properties(child)
         return int(total)
 
-    @property
-    def is_distributed(self) -> bool:
-        """True when this trace came from a broker-backed run."""
-        return any(
-            event.get("event") == "dist_submit" for event in self.events
-        )
-
-    def per_node(self) -> Dict[str, Dict[str, Any]]:
-        """Per-node aggregation of a merged fleet trace.
-
-        Worker-produced spans carry a ``node_id`` attr (stamped before
-        they ship back over the wire); everything else -- client-side
-        engine spans, local runs -- lands in the ``"local"`` bucket."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for record in self.spans:
-            node = record.attrs.get("node_id") or "local"
-            bucket = out.setdefault(
-                str(node),
-                {"spans": 0, "total": 0.0, "check_seconds": 0.0,
-                 "properties": 0},
-            )
-            bucket["spans"] += 1
-            bucket["total"] += record.duration
-            bucket["check_seconds"] += (
-                record.attrs.get("check_seconds", 0.0) or 0.0
-            )
-            bucket["properties"] += record.attrs.get("properties", 0) or 0
-        return out
-
-    def unattributed_check_seconds(self) -> float:
-        """Checker time on spans with no ``node_id`` in a distributed
-        trace -- nonzero means worker spans went missing on the wire
-        (local cache replay is separate: it has no check spans at all)."""
-        if not self.is_distributed:
-            return 0.0
-        return sum(
-            record.attrs.get("check_seconds", 0.0) or 0.0
-            for record in self.spans
-            if not record.attrs.get("node_id")
-        )
-
     def hotspots(self, top: int = 10) -> List[Tuple[SpanRecord, float]]:
         """Individual spans ranked by self time, hottest first."""
         ranked = [(record, self.self_seconds(record)) for record in self.spans]

@@ -42,10 +42,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 __all__ = [
     "Span",
     "Tracer",
-    "TraceContext",
     "SpanCollector",
     "replay_into",
-    "brand_spans",
     "NULL_SPAN",
     "activate",
     "deactivate",
@@ -204,48 +202,6 @@ class Tracer:
         self._emit("span_end", fields)
 
 
-class TraceContext:
-    """Portable reference to a live span, for cross-process propagation.
-
-    Carries the owning tracer's unique prefix (the trace id) and the
-    span id of the region the remote work should hang under.  The wire
-    form is a plain JSON dict, so the context can ride inside any frame
-    of :mod:`repro.dist.protocol` without the broker understanding it.
-    """
-
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: str, span_id: str):
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def to_wire(self) -> Dict[str, str]:
-        return {"trace_id": self.trace_id, "span": self.span_id}
-
-    @classmethod
-    def from_wire(cls, wire: Any) -> Optional["TraceContext"]:
-        if not isinstance(wire, dict):
-            return None
-        span_id = wire.get("span")
-        if not isinstance(span_id, str) or not span_id:
-            return None
-        return cls(str(wire.get("trace_id") or ""), span_id)
-
-    @classmethod
-    def capture(cls) -> Optional["TraceContext"]:
-        """The active tracer's current span as a context, or None."""
-        tracer = current_tracer()
-        if tracer is None:
-            return None
-        live = tracer.current_span
-        if live is None:
-            return None
-        return cls(tracer.prefix, live.span_id)
-
-    def __repr__(self):
-        return "TraceContext(%s, span=%s)" % (self.trace_id, self.span_id)
-
-
 class SpanCollector:
     """In-memory sink for worker-side tracing.
 
@@ -275,36 +231,6 @@ def replay_into(records, sink: Callable, reparent: Optional[str] = None) -> None
         ):
             fields = dict(fields, parent=reparent)
         sink(kind, **fields)
-
-
-def brand_spans(records, attrs: Optional[Dict[str, Any]] = None,
-                reparent: Optional[str] = None) -> None:
-    """Stamp collected span events with node/job identity, in place.
-
-    ``attrs`` entries are merged (without clobbering) into every
-    ``span_begin``/``span_end`` attribute dict, so a merged fleet trace
-    can attribute each span to the worker node that produced it.  When
-    ``reparent`` is given, root spans (``parent`` is None) are re-rooted
-    under it -- the worker-side half of cross-node propagation: the
-    records arrive at the client already parented under the campaign's
-    run span, and the client-side :func:`replay_into` re-rooting becomes
-    a no-op for them.
-    """
-    for kind, fields in records:
-        if kind not in ("span_begin", "span_end"):
-            continue
-        if attrs:
-            span_attrs = fields.get("attrs")
-            if not isinstance(span_attrs, dict):
-                span_attrs = fields["attrs"] = {}
-            for key, value in attrs.items():
-                span_attrs.setdefault(key, value)
-        if (
-            reparent is not None
-            and kind == "span_begin"
-            and fields.get("parent") is None
-        ):
-            fields["parent"] = reparent
 
 
 # ------------------------------------------------------- active-tracer stack

@@ -105,31 +105,6 @@ def render_profile(profile: TraceProfile, top: int = 10) -> str:
             + render_table(["unit", "count", "total s", "properties"], rows)
         )
 
-    # ---- per-node breakdown (distributed traces only)
-    by_node = profile.per_node()
-    if profile.is_distributed or set(by_node) - {"local"}:
-        rows = []
-        manifest_nodes = (manifest or {}).get("nodes") or {}
-        for node, bucket in sorted(by_node.items()):
-            rows.append(
-                [
-                    node,
-                    int(bucket["spans"]),
-                    _fmt_seconds(bucket["total"]),
-                    int(bucket["properties"]),
-                    _fmt_seconds(bucket["check_seconds"]),
-                    manifest_nodes.get(node, {}).get("jobs", "-"),
-                ]
-            )
-        sections.append(
-            "per-node (fleet trace):\n"
-            + render_table(
-                ["node", "spans", "total s", "properties", "check s",
-                 "manifest jobs"],
-                rows,
-            )
-        )
-
     # ---- hotspots
     hotspots = profile.hotspots(top=top)
     if hotspots:
@@ -158,13 +133,6 @@ def render_profile(profile: TraceProfile, top: int = 10) -> str:
             profile.accounted_seconds(),
         )
     ]
-    if profile.is_distributed:
-        unattributed = profile.unattributed_check_seconds()
-        lines.append(
-            "fleet attribution: %.6fs of checker time without a node_id"
-            " -> %s"
-            % (unattributed, "ok" if unattributed <= 1e-4 else "MISMATCH")
-        )
     stats = profile.stats
     if stats and isinstance(stats.get("total_time"), (int, float)):
         total_time = float(stats["total_time"])

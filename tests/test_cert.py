@@ -16,9 +16,12 @@ Four layers, mirroring the trust chain:
   through the real :class:`JobScheduler`; a reach job, which has no
   conservative recipe, surfaces its failure without a second solve.
 
-Plus the backward-compat pin: a cache entry written before this PR
-(committed fixture, no ``certificate`` keys anywhere) still loads as a
-valid hit with ``certificate=None`` and an unchanged format version.
+Plus the backward-compat pins: cache entries written before
+certificates existed, and by the retired multi-node workers (a ``node``
+key inside the checksum), still load as valid hits with
+``certificate=None`` and an unchanged format version; and a certificate
+payload edited under a re-sealed checksum is quarantined as
+``certificate_mismatch``.
 """
 
 from __future__ import annotations
@@ -267,24 +270,37 @@ class TestCertifyParity:
 
 # ------------------------------------------------------ cache backward compat
 class TestCacheBackwardCompat:
-    FIXTURE = os.path.join(FIXTURES, "cache_entry_pre_cert.json")
-
-    def test_pre_cert_fixture_still_hits(self, tmp_path):
-        """An entry written before certificates existed stays a valid hit."""
-        with open(self.FIXTURE, "r", encoding="utf-8") as handle:
+    @pytest.mark.parametrize(
+        "fixture_name",
+        [
+            "cache_entry_pre_cert.json",
+            # written by a retired multi-node worker: an extra "node"
+            # key that the entry checksum covers
+            "cache_entry_fleet_node.json",
+        ],
+        ids=["pre_cert", "fleet_node"],
+    )
+    def test_pre_cert_fixture_still_hits(self, tmp_path, fixture_name):
+        """Entries from older writers stay valid hits without a format bump."""
+        fixture_path = os.path.join(FIXTURES, fixture_name)
+        with open(fixture_path, "r", encoding="utf-8") as handle:
             fixture = json.load(handle)
         # the pin itself: the on-disk format was NOT bumped for
-        # certificates, so the fixture's version must still be current
+        # certificates or for the retired node provenance, so the
+        # fixture's version must still be current
         assert fixture["format"] == CACHE_FORMAT_VERSION
         assert "certificate" not in json.dumps(fixture)
         cache = ProofCache(str(tmp_path))
         dest = cache._path(fixture["key"])
         os.makedirs(os.path.dirname(dest), exist_ok=True)
-        shutil.copyfile(self.FIXTURE, dest)
+        shutil.copyfile(fixture_path, dest)
         entry = cache.get(fixture["key"])
-        assert entry is not None, "pre-certificate entry must stay a hit"
+        assert entry is not None, "older writer's entry must stay a hit"
         results = [CheckResult.from_dict(r) for r in entry["results"]]
         assert all(r.certificate is None for r in results)
+        report = cache.verify_store()
+        assert report["checked"] == report["ok"] == 1
+        assert report["quarantined"] == 0
 
     def test_certified_and_uncertified_jobs_share_cache_keys(self):
         job = ReachJob(design_json="{}", probe="p", design_label="d")
@@ -313,6 +329,53 @@ class TestCacheBackwardCompat:
         assert report["quarantined_by_reason"] == {"certificate_failed": 1}
         assert cache.get("badkey") is None
         assert cache.get("goodkey") is not None
+
+    def test_tampered_certificate_payload_is_a_mismatch(self, tmp_path):
+        """Intact bytes, edited payload: only the certificate digest can
+        tell, so ``get`` and ``verify_store`` must both check it."""
+        from repro.engine import cache as cache_mod
+        from repro.engine.cache import entry_checksum
+
+        payload = {"legs": {"proof": {"entries": [["i", [1, -2]]], "final": []}}}
+        cert = {
+            "kind": "drat",
+            "status": "verified",
+            "verified": True,
+            "digest": payload_digest(payload),
+            "payload": payload,
+        }
+        cache = ProofCache(str(tmp_path / "cache"))
+        cache.put(
+            "tamperkey", "j1", {"v": 1},
+            [CheckResult("q", UNREACHABLE, "bmc", certificate=cert).to_dict()],
+        )
+        assert cache.get("tamperkey") is not None
+        path = cache._path("tamperkey")
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["results"][0]["certificate"]["payload"]["legs"]["proof"][
+            "final"
+        ] = [7]
+        # re-seal the entry so its byte checksum passes
+        entry["checksum"] = entry_checksum(entry)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        tampered = str(tmp_path / "tampered.json")
+        shutil.copyfile(path, tampered)
+
+        mismatches = cache_mod._QUARANTINED.value(reason="certificate_mismatch")
+        assert cache.get("tamperkey") is None
+        assert cache_mod._QUARANTINED.value(
+            reason="certificate_mismatch"
+        ) == mismatches + 1
+        assert not os.path.exists(path)
+        assert cache.quarantined() == 1
+
+        shutil.copyfile(tampered, path)
+        report = cache.verify_store()
+        assert report["checked"] == 1 and report["ok"] == 0
+        assert report["quarantined_by_reason"] == {"certificate_mismatch": 1}
+        assert cache.get("tamperkey") is None
 
 
 # --------------------------------------------------------- engine degrade rung
@@ -478,87 +541,6 @@ class TestEndToEndCertifiedCampaign:
         ).run(jobs)
         payload = outcome.manifest.to_dict()
         assert not any(k.startswith("cert") for k in payload)
-
-
-# ------------------------------------------------------------- wire protocol
-class TestWireCertificates:
-    class _Job:
-        job_id = "wire:j1"
-
-    def _report(self, cert):
-        from repro.engine.scheduler import WorkerReport
-
-        result = CheckResult("q", UNREACHABLE, "bmc", certificate=cert)
-        return WorkerReport(job_id="wire:j1", value=None, results=[result])
-
-    def _cert(self, entries=1):
-        payload = {
-            "legs": {
-                "proof": {
-                    "entries": [["i", [i + 1, -(i + 2)]] for i in range(entries)],
-                    "final": [],
-                }
-            }
-        }
-        return {
-            "kind": "drat",
-            "status": "verified",
-            "verified": True,
-            "digest": payload_digest(payload),
-            "payload": payload,
-        }
-
-    def test_round_trip_preserves_certificates(self):
-        from repro.dist import protocol
-
-        wire = protocol.report_to_wire(self._report(self._cert()), self._Job())
-        back = protocol.report_from_wire(
-            json.loads(json.dumps(wire)), self._Job()
-        )
-        assert back.results[0].certificate == self._cert()
-        assert back.cert_failures == 0
-
-    def test_oversized_certificate_degrades_to_digest_only(self, monkeypatch):
-        from repro.dist import protocol
-
-        cert = self._cert(entries=300)
-        report = self._report(cert)
-        monkeypatch.setattr(
-            protocol, "MAX_FRAME_BYTES", protocol._FRAME_MARGIN + 2000
-        )
-        wire = protocol.report_to_wire(report, self._Job())
-        degraded = wire["results"][0]["certificate"]
-        assert degraded["payload"] is None
-        assert degraded["payload_dropped"] is True
-        assert degraded["digest"] == cert["digest"]
-        assert verify_certificate_digest(degraded)
-        # the worker's in-memory bundle is untouched
-        assert report.results[0].certificate["payload"] is not None
-        # ...and the degraded frame actually fits
-        protocol.encode_frame({"type": "result", "report": wire})
-
-    def test_arrival_spot_check_demotes_corrupt_bundle(self):
-        from repro.dist import protocol
-
-        wire = protocol.report_to_wire(self._report(self._cert()), self._Job())
-        tampered = json.loads(json.dumps(wire))
-        tampered["results"][0]["certificate"]["payload"]["legs"]["proof"][
-            "final"
-        ] = [7]
-        back = protocol.report_from_wire(tampered, self._Job())
-        cert = back.results[0].certificate
-        assert cert["verified"] is False
-        assert cert["detail"] == "wire digest mismatch"
-        assert certificate_failed(back.results[0])
-        assert back.cert_uncaught == 1
-
-    def test_pre_cert_wire_report_decodes(self):
-        from repro.dist import protocol
-
-        wire = protocol.report_to_wire(self._report(None), self._Job())
-        assert "cert_failures" not in wire  # zero accounting stays off-wire
-        back = protocol.report_from_wire(wire, self._Job())
-        assert back.cert_failures == 0 and back.cert_uncaught == 0
 
 
 # -------------------------------------------------------------------- policy

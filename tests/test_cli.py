@@ -40,14 +40,28 @@ class TestParser:
             parser.parse_args(["upath", "NOPE"])
 
     @pytest.mark.parametrize(
-        "flag", ["--no-coi", "--no-preprocess", "--no-clause-sharing"]
+        "flag",
+        [
+            # one CDCL path
+            "--no-coi", "--no-preprocess", "--no-clause-sharing",
+            # one local scheduler
+            "--broker", "--priority", "--cache-server",
+        ],
     )
-    def test_removed_solver_flags_rejected(self, flag, capsys):
-        """One CDCL path: these switches are gone, not silently ignored."""
+    def test_removed_flags_rejected(self, flag, capsys):
+        """Retired switches are gone, not silently ignored."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["synth-all", flag])
         assert exc.value.code == 2
         assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["broker", "worker", "top"])
+    def test_removed_commands_rejected(self, command, capsys):
+        """The multi-node fleet's commands are gone with it."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice: '%s'" % command in capsys.readouterr().err
 
     def test_command_required(self):
         parser = build_parser()

@@ -9,13 +9,18 @@ Covers the four scenarios the engine must get right:
 * UNDETERMINED outcomes trigger the retry/escalation ladder and are never
   cached as final.
 
-Plus unit coverage for the content hashing, JSON round-trips, and the
-PropertyStats satellite fixes.
+Plus a two-process pool against the serial reference for SynthLC labels
+and the fuzz-corpus reach campaign, the clean-interrupt checkpoint (a
+Ctrl-C mid-fold leaves a resumable run dir), the ``repro cache-info``
+CLI, and unit coverage for the content hashing, JSON round-trips, and
+the PropertyStats satellite fixes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -35,10 +40,12 @@ from repro.engine import (
     netlist_fingerprint,
     synthesis_jobs_for,
 )
+from repro.engine.cache import CACHE_FORMAT_VERSION
 from repro.engine.serialize import (
     mupath_result_from_dict,
     mupath_result_to_dict,
 )
+from repro.engine.specs import reach_jobs_for_corpus
 from repro.mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from repro.mc.stats import PropertyStats
 
@@ -50,6 +57,8 @@ TINY_FAMILY = ContextFamilyConfig(
     include_deep=False,
 )
 INSTRS = ("ADD", "DIV", "LW")
+CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "fuzz_corpus")
 
 
 def make_tool(design=None, config=None):
@@ -89,6 +98,24 @@ class TestParallelIdentical:
         results = tool.synthesize_all(INSTRS, engine=engine)
         for name in INSTRS:
             assert results[name] == serial_results[name], name
+
+    def test_reach_corpus_jobs2_matches_jobs1(self):
+        jobs = reach_jobs_for_corpus(CORPUS_DIR, horizon=4, k=2)
+        assert len({job.group_key() for job in jobs}) == 16
+        runs = {}
+        for workers in (1, 2):
+            stats = PropertyStats(label="jobs%d" % workers)
+            outcome = JobScheduler(EngineConfig(jobs=workers)).run(
+                jobs, stats=stats
+            )
+            assert outcome.manifest.reconciles(stats)
+            assert outcome.manifest.jobs_executed == len(jobs)
+            runs[workers] = outcome, stats
+        (serial, serial_stats), (pooled, pooled_stats) = runs[1], runs[2]
+        for job in jobs:
+            assert pooled[job.job_id] == serial[job.job_id], job.job_id
+        assert pooled_stats.count == serial_stats.count
+        assert pooled_stats.outcome_histogram == serial_stats.outcome_histogram
 
 
 # ------------------------------------------------------------------ warm cache
@@ -257,6 +284,49 @@ class SleepyJob:
 
 
 @dataclass(frozen=True)
+class EchoJob:
+    """A trivial job with one UNREACHABLE verdict, for scheduler-policy
+    tests."""
+
+    name: str
+    group: str = "echo"
+
+    @property
+    def job_id(self):
+        return "echo:%s" % self.name
+
+    def group_key(self):
+        return "grp:%s" % self.group
+
+    def execute(self):
+        result = CheckResult(
+            query_name="q_%s" % self.name,
+            outcome=UNREACHABLE,
+            engine="echo",
+            time_seconds=0.001,
+        )
+        return "value:%s" % self.name, [result]
+
+    def escalated(self, attempt, factor):
+        return self
+
+    def cache_key(self):
+        return hashlib.sha256(self.job_id.encode("utf-8")).hexdigest()
+
+    @staticmethod
+    def encode_value(value):
+        return value
+
+    @staticmethod
+    def decode_value(payload):
+        return payload
+
+    @staticmethod
+    def value_is_final(value):
+        return True
+
+
+@dataclass(frozen=True)
 class CrashyJob:
     job_id: str = "fake:crashy"
 
@@ -353,20 +423,26 @@ class TestRetryEscalation:
 
 
 # ------------------------------------------------------------------- SynthLC
+@pytest.fixture(scope="module")
+def synthlc_serial(serial):
+    """DIV-as-transmitter SynthLC labels from the serial (no engine) path."""
+    _, mup = serial
+    design = build_core()
+    provider = CoreContextProvider(
+        xlen=design.config.xlen,
+        config=replace(TINY_FAMILY, instrumented=True),
+    )
+    work = {"DIV": mup["DIV"]}
+    ref_tool = SynthLC(design, provider)
+    ref = ref_tool.classify(work, transmitters=["DIV"])
+    return design, provider, work, ref_tool, ref
+
+
 class TestSynthLCEngine:
     def test_engine_classification_matches_serial_and_caches(
-        self, serial, tmp_path
+        self, synthlc_serial, tmp_path
     ):
-        _, mup = serial
-        design = build_core()
-        provider = CoreContextProvider(
-            xlen=design.config.xlen,
-            config=replace(TINY_FAMILY, instrumented=True),
-        )
-        work = {"DIV": mup["DIV"]}
-
-        ref_tool = SynthLC(design, provider)
-        ref = ref_tool.classify(work, transmitters=["DIV"])
+        design, provider, work, ref_tool, ref = synthlc_serial
 
         cache_dir = str(tmp_path / "cache")
         eng_tool = SynthLC(design, provider)
@@ -389,6 +465,113 @@ class TestSynthLCEngine:
         assert warm_engine.last_manifest.jobs_executed == 0
         assert warm.tags_by_decision == ref.tags_by_decision
         assert warm.transmitters == ref.transmitters
+
+    def test_two_process_pool_matches_serial(self, synthlc_serial):
+        design, provider, work, ref_tool, ref = synthlc_serial
+        tool = SynthLC(design, provider)
+        engine = JobScheduler(EngineConfig(jobs=2))
+        out = tool.classify(work, transmitters=["DIV"], engine=engine)
+        manifest = engine.last_manifest
+        # more than one job, so the run really went through the pool
+        assert manifest.workers == 2 and manifest.jobs_executed >= 2
+        assert out.tags_by_decision == ref.tags_by_decision
+        assert out.transmitters == ref.transmitters
+        assert [s.render() for s in out.signatures] == [
+            s.render() for s in ref.signatures
+        ]
+        assert tool.stats.count == ref_tool.stats.count
+        assert tool.stats.outcome_histogram == ref_tool.stats.outcome_histogram
+        assert manifest.reconciles(tool.stats)
+
+
+# ------------------------------------------------------- interrupt checkpoint
+class InterruptingStats(PropertyStats):
+    """Simulates Ctrl-C landing mid-fold, after ``after`` results."""
+
+    def __init__(self, after):
+        super().__init__(label="interrupting")
+        self.after = after
+
+    def record(self, result):
+        super().record(result)
+        if self.count >= self.after:
+            raise KeyboardInterrupt()
+
+
+class TestGracefulInterrupt:
+    def test_interrupt_syncs_checkpoint_and_resume_completes(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        jobs = [EchoJob(name="k%d" % i, group="g%d" % i) for i in range(3)]
+        engine = JobScheduler(EngineConfig(jobs=1, run_dir=run_dir))
+        with pytest.raises(KeyboardInterrupt):
+            engine.run(jobs, stats=InterruptingStats(after=2))
+        manifest = engine.last_manifest
+        assert manifest.interrupted is True
+        assert manifest.to_dict()["interrupted"] is True
+        # the interrupted run dir is NOT torn: --resume replays the
+        # completed prefix and executes only the remainder
+        stats = PropertyStats(label="resumed")
+        resumed = JobScheduler(
+            EngineConfig(jobs=1, run_dir=run_dir, resume=True)
+        )
+        outcome = resumed.run(jobs, stats=stats)
+        assert outcome.manifest.interrupted is False
+        assert outcome.manifest.jobs_resumed >= 1
+        assert (
+            outcome.manifest.jobs_resumed + outcome.manifest.jobs_executed
+            == len(jobs)
+        )
+        for job in jobs:
+            assert outcome[job.job_id] == "value:" + job.name
+        assert outcome.manifest.reconciles(stats)
+
+
+# ----------------------------------------------------------- cache-info CLI
+class TestCacheInfoCLI:
+    def test_stats_and_cli_output(self, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        store = ProofCache(cache_dir)
+        result = CheckResult(
+            query_name="q", outcome=UNREACHABLE, engine="t"
+        ).to_dict()
+        store.put("ab" * 32, "job:a", "v", [result], final=True)
+        store.put("cd" * 32, "job:b", "w", [result], final=True)
+        stats = store.stats()
+        assert stats["entries"] == 2
+        assert stats["quarantined"] == 0
+        assert stats["format"] == CACHE_FORMAT_VERSION
+        assert stats["entry_bytes"] > 0
+        assert stats["oldest_entry"] is not None
+        assert stats["newest_entry"] >= stats["oldest_entry"]
+
+        from repro import cli
+
+        assert cli.main(["cache-info", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "proof cache" in out and "entries" in out
+        assert cli.main(["cache-info", cache_dir, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["entries"] == 2
+        assert payload["cache_dir"] == cache_dir
+        assert cli.main(["cache-info", str(tmp_path / "missing")]) == 2
+        capsys.readouterr()
+
+    def test_stats_counts_quarantined_entries(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        store = ProofCache(cache_dir)
+        result = CheckResult(
+            query_name="q", outcome=UNREACHABLE, engine="t"
+        ).to_dict()
+        store.put("ab" * 32, "job:a", "v", [result], final=True)
+        # corrupt the entry on disk; the next read quarantines it
+        path = store._path("ab" * 32)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        assert store.get("ab" * 32) is None
+        stats = store.stats()
+        assert stats["entries"] == 0
+        assert stats["quarantined"] == 1
+        assert stats["quarantined_bytes"] > 0
 
 
 # --------------------------------------------------------- hashing/serializing

@@ -31,6 +31,7 @@ from repro.obs import (
     SpanCollector,
     TraceProfile,
     Tracer,
+    get_registry,
     start_metrics_server,
 )
 from repro.obs.tracer import NULL_SPAN
@@ -243,9 +244,12 @@ class TestMetrics:
         assert snap["h"]["count"] == 1
 
     def test_http_endpoint_serves_both_formats(self):
-        reg = MetricsRegistry()
-        reg.counter("served_total", "requests").inc(7)
-        server = start_metrics_server(0, registry=reg)
+        # the endpoint serves the process registry, which other tests
+        # feed too: assert on a counter only this test touches
+        served = get_registry().counter("repro_test_served_total", "requests")
+        served.inc(7)
+        expected = served.value()
+        server = start_metrics_server(0)
         try:
             port = server.server_address[1]
             with urllib.request.urlopen(
@@ -253,11 +257,12 @@ class TestMetrics:
             ) as resp:
                 assert resp.status == 200
                 body = resp.read().decode()
-            assert "served_total 7" in body
+            assert "repro_test_served_total %d" % expected in body
             with urllib.request.urlopen(
                 "http://127.0.0.1:%d/metrics.json" % port
             ) as resp:
-                assert json.loads(resp.read())["served_total"] == 7
+                payload = json.loads(resp.read())
+            assert payload["repro_test_served_total"] == expected
         finally:
             server.shutdown()
 

@@ -291,21 +291,6 @@ class TestCampaign:
 
 
 class TestEngineIntegration:
-    def test_perf_job_executes_and_roundtrips(self):
-        from repro.dist.protocol import decode_job, encode_job
-        from repro.engine.specs import PerfJob
-
-        job = PerfJob(design="core", xlen=XLEN, seed=5, budget_seconds=30.0,
-                      max_sequences=15, shrink=False)
-        assert decode_job(encode_job(job)) == job
-        value, results = job.execute()
-        assert value["sequences"] == 15
-        assert results[0].outcome == "agree"
-        assert results[0].engine == "perf"
-        assert PerfJob.value_is_final(value)
-        assert job.cache_key()  # fixed-size shards are cacheable
-        assert PerfJob(design="core").cache_key() is None  # budgeted are not
-
     def test_timing_variability_matches_synthlc_labels(self):
         from repro.report import timing_variability_rows
 
