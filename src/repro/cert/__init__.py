@@ -35,7 +35,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..obs import span as _span
 from ..obs.metrics import REGISTRY
@@ -58,6 +58,16 @@ __all__ = [
 
 MODES = ("off", "spot", "full")
 
+# max proof entries a single DRAT leg may have and still be checked
+PROOF_LIMIT = 200_000
+# wall-clock seconds budget per DRAT check
+TIME_BUDGET = 10.0
+# max canonical-JSON bytes of payload retained inside a bundle; larger
+# payloads are checked, then dropped to digest-only
+PAYLOAD_LIMIT = 2_000_000
+# spot mode checks the proofs of 1 in SPOT_MODULUS query names
+SPOT_MODULUS = 4
+
 _CHECKS = REGISTRY.counter(
     "repro_cert_checks_total", "certificate checks, by kind and status"
 )
@@ -72,25 +82,17 @@ _UNCAUGHT = REGISTRY.counter(
 
 @dataclass(frozen=True)
 class CertifyPolicy:
-    """How aggressively to check certificates (``--certify`` knobs).
+    """How aggressively to check certificates (the ``--certify`` mode).
 
     ``off`` disables proof logging entirely (zero overhead); ``spot``
-    logs everything but only *checks* a deterministic 1-in-``spot_modulus``
+    logs everything but only *checks* a deterministic 1-in-``SPOT_MODULUS``
     sample of certificates (witness replays are cheap and always run);
     ``full`` checks every certificate, subject to the per-check proof
-    size and time budgets -- a budgeted skip is reported as ``skipped``,
-    never as a failure.
+    size and time budgets (``PROOF_LIMIT``, ``TIME_BUDGET``) -- a
+    budgeted skip is reported as ``budget``, never as a failure.
     """
 
     mode: str = "off"
-    # max proof entries a single DRAT leg may have and still be checked
-    proof_limit: int = 200_000
-    # wall-clock seconds budget per DRAT check
-    time_budget: float = 10.0
-    # max canonical-JSON bytes of payload retained inside the bundle;
-    # larger payloads are checked, then dropped to digest-only
-    payload_limit: int = 2_000_000
-    spot_modulus: int = 4
 
     @property
     def enabled(self) -> bool:
@@ -103,23 +105,13 @@ class CertifyPolicy:
         if self.mode != "spot":
             return False
         digest = hashlib.sha256(name.encode("utf-8")).digest()
-        return digest[0] % max(1, self.spot_modulus) == 0
+        return digest[0] % SPOT_MODULUS == 0
 
     @classmethod
-    def from_mode(
-        cls,
-        mode: str,
-        proof_limit: Optional[int] = None,
-        time_budget: Optional[float] = None,
-    ) -> "CertifyPolicy":
+    def from_mode(cls, mode: str) -> "CertifyPolicy":
         if mode not in MODES:
             raise ValueError(f"unknown certify mode: {mode!r}")
-        kwargs = {"mode": mode}
-        if proof_limit is not None:
-            kwargs["proof_limit"] = proof_limit
-        if time_budget is not None:
-            kwargs["time_budget"] = time_budget
-        return cls(**kwargs)
+        return cls(mode=mode)
 
 
 # ----------------------------------------------------------------- bundles
@@ -139,14 +131,13 @@ def make_certificate(
     payload,
     status: str,
     detail: str = "",
-    policy: Optional[CertifyPolicy] = None,
 ) -> dict:
     """Assemble a certificate bundle around a checked (or skipped) payload.
 
     ``status`` is one of ``verified`` / ``failed`` / ``skipped`` /
     ``budget`` / ``overflow``; ``verified`` is the derived tri-state the
     rest of the system branches on (True / False / None-for-unchecked).
-    The payload is retained only under the policy's size limit -- a
+    The payload is retained only under ``PAYLOAD_LIMIT`` bytes -- a
     dropped payload keeps its digest, so cache read-through checks can
     still prove the bytes they *do* see are the bytes that were checked.
     """
@@ -161,8 +152,7 @@ def make_certificate(
     }
     if detail:
         cert["detail"] = detail
-    limit = policy.payload_limit if policy is not None else 2_000_000
-    if len(data) <= limit:
+    if len(data) <= PAYLOAD_LIMIT:
         cert["payload"] = payload
     else:
         cert["payload"] = None
@@ -273,17 +263,17 @@ def drat_certificate(
     if overflow:
         return make_certificate(
             "drat", payload, "overflow",
-            detail="proof log overflowed the retention cap", policy=policy,
+            detail="proof log overflowed the retention cap",
         )
     status = "verified"
     detail = ""
     started = time.perf_counter()
     with _span("cert.check", kind="drat", query=name) as sp:
         for label, (entries, final) in legs.items():
-            if len(entries) > policy.proof_limit:
+            if len(entries) > PROOF_LIMIT:
                 status, detail = "budget", f"{label}: {len(entries)} entries"
                 break
-            remaining = policy.time_budget - (time.perf_counter() - started)
+            remaining = TIME_BUDGET - (time.perf_counter() - started)
             outcome = drat.check_proof(
                 entries, final, max_seconds=max(0.1, remaining)
             )
@@ -295,7 +285,7 @@ def drat_certificate(
                 break
         sp.set("status", status)
     _CHECK_SECONDS.observe(time.perf_counter() - started)
-    return make_certificate("drat", payload, status, detail=detail, policy=policy)
+    return make_certificate("drat", payload, status, detail=detail)
 
 
 # ---------------------------------------------------------- witness bundles
@@ -304,7 +294,6 @@ def witness_certificate(
     registers: Dict[str, int],
     inputs: Sequence[Dict[str, int]],
     evaluate,
-    policy: CertifyPolicy,
     name: str = "",
 ) -> dict:
     """Build and replay-check a witness certificate for a REACHABLE verdict.
@@ -333,17 +322,10 @@ def witness_certificate(
         status = "verified" if ok else "failed"
         sp.set("status", status)
     _CHECK_SECONDS.observe(time.perf_counter() - started)
-    return make_certificate(
-        "witness", payload, status, detail=detail, policy=policy
-    )
+    return make_certificate("witness", payload, status, detail=detail)
 
 
-def cover_witness_certificate(
-    name: str,
-    payload: dict,
-    replay,
-    policy: CertifyPolicy,
-) -> dict:
+def cover_witness_certificate(name: str, payload: dict, replay) -> dict:
     """Bundle a replay check of an enumerative cover witness.
 
     The synthesis phase's REACHABLE verdicts come from scanning simulated
@@ -368,9 +350,7 @@ def cover_witness_certificate(
         status = "verified" if ok else "failed"
         sp.set("status", status)
     _CHECK_SECONDS.observe(time.perf_counter() - started)
-    return make_certificate(
-        "cover-witness", payload, status, detail=detail, policy=policy
-    )
+    return make_certificate("cover-witness", payload, status, detail=detail)
 
 
 def replay_witness(netlist, payload: dict, evaluate) -> bool:

@@ -22,8 +22,9 @@ Commands:
     run-manifest summary that reconciles with the SS VII-B3 property
     accounting;
   * ``--timeout SECONDS`` / ``--max-attempts N`` -- per-job wall-clock
-    deadline and the retry-with-escalated-conflict-budget ladder for
-    UNDETERMINED outcomes;
+    deadline and the attempts per job: an attempt that times out, raises
+    or crosses ``--max-rss-mb`` is retried; results, UNDETERMINED ones
+    included, are final;
   * ``--run-dir DIR`` / ``--resume DIR`` -- checkpoint completed job
     reports (fsynced JSONL) and resume an interrupted run: ``--resume``
     replays the checkpoint and executes only the unfinished jobs,
@@ -45,14 +46,19 @@ Commands:
     candidate PLs) before synthesis, accounted in its own stats block;
   * ``--no-incremental`` -- rebuild fresh solvers per induction proof
     instead of reusing one growing proof context per design (the legacy
-    reference path; verdicts are identical, only slower).
+    reference path; verdicts are identical, only slower);
+  * ``--certify off|spot|full`` -- verdict certification
+    (:mod:`repro.cert`): failed certificates quarantine the result and
+    re-solve it on the conservative path.
 
   A clean Ctrl-C drains in-flight results into the checkpoint (with
   ``--run-dir``) and exits 130 with the resume command printed; the
   run directory is never left torn.
 
 * ``cache-info DIR`` -- summarize a proof-cache directory (entry and
-  quarantine counts, sizes, age range); ``--json`` for machine output.
+  quarantine counts, sizes, age range); ``--json`` for machine output,
+  ``--verify`` to re-check every entry's checksum and certificate digest
+  (exit 1 when any entry is quarantined).
 
 * ``fuzz`` -- run a differential fuzz campaign: generate seeded random
   sequential designs, cross-check every engine (simulator vs reference
@@ -256,8 +262,6 @@ def cmd_synth_all(args):
         config=Rtl2MuPathConfig(
             incremental=not args.no_incremental,
             certify=args.certify,
-            certify_proof_limit=args.certify_proof_limit,
-            certify_time_budget=args.certify_time_budget,
         ),
     )
     engine_config = EngineConfig(
@@ -619,7 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None,
                    help="per-job wall-clock deadline in seconds")
     p.add_argument("--max-attempts", type=int, default=3,
-                   help="attempts per job (retries escalate conflict budget)")
+                   help="attempts per job: an attempt that times out, "
+                        "raises or crosses --max-rss-mb is retried on the "
+                        "same recipe (default 3)")
     p.add_argument("--keep-going", action="store_true",
                    help="report failed jobs and continue instead of aborting")
     p.add_argument("--run-dir", default=None, metavar="DIR",
@@ -656,15 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "run); 'full' checks every certificate; failures "
                         "quarantine the result and re-solve it on the "
                         "conservative path")
-    p.add_argument("--certify-proof-limit", type=int, default=200000,
-                   metavar="N",
-                   help="max DRAT proof entries per leg a single check "
-                        "will attempt (larger proofs are skipped as "
-                        "'budget', never failed; default 200000)")
-    p.add_argument("--certify-time-budget", type=float, default=10.0,
-                   metavar="SECONDS",
-                   help="wall-clock budget per DRAT certificate check "
-                        "(default 10.0)")
     p.set_defaults(func=cmd_synth_all)
 
     p = sub.add_parser(

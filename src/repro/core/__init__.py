@@ -7,7 +7,6 @@ from .rtl2mupath import MuPathResult, Rtl2MuPath, Rtl2MuPathConfig, UPathSummary
 from .synthlc import (
     LeakageSignature,
     SynthLC,
-    SynthLCConfig,
     SynthLCResult,
     TransmitterTag,
     instrument_design,
@@ -46,7 +45,6 @@ __all__ = [
     "UPathSummary",
     "LeakageSignature",
     "SynthLC",
-    "SynthLCConfig",
     "SynthLCResult",
     "TransmitterTag",
     "instrument_design",

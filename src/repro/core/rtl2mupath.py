@@ -18,8 +18,8 @@ verification (IUV):
 5. **Happens-before edges** -- candidate edges are PL pairs connected via
    pure combinational logic (static netlist analysis); each is proven per
    reachable set with an ``a ##1 b`` cover.
-6. **Cycle-accurate uPATHs** -- optionally, revisit cycle counts per PL
-   (for SDO's data-oblivious variants) and fully concrete uPATHs.
+6. **Cycle-accurate uPATHs** -- revisit cycle counts per PL (for SDO's
+   data-oblivious variants) and fully concrete uPATHs.
 
 Engine note: cover evaluation over an enumerated context family reduces to
 scanning the recorded traces.  The pipeline therefore builds one
@@ -63,31 +63,26 @@ from .pl import DesignMetadata
 __all__ = ["Rtl2MuPathConfig", "UPathSummary", "MuPathResult", "Rtl2MuPath", "VisitIndex"]
 
 
+# cap on the candidate Reachable PL Sets step 4 enumerates per IUV
+MAX_CANDIDATE_SETS = 4096
+# SAT conflict budget of each DUV-level k-induction proof (step 1)
+INDUCTION_CONFLICT_BUDGET = 400000
+
+
 @dataclass
 class Rtl2MuPathConfig:
-    max_candidate_sets: int = 4096
-    collect_run_lengths: bool = True  # SS V-B6 configuration (i), for SDO
-    max_run_length: int = 80
     undetermined_as: str = UNREACHABLE  # SS VII-B4 interpretation
-    prove_invalid_pls_by_induction: bool = True
     induction_k: int = 1
-    induction_conflict_budget: int = 400000
     incremental: bool = True  # shared growing proof context per design
-    # verdict certification (repro.cert): "off" | "spot" | "full".  These
-    # knobs are excluded from proof-cache keys -- certification changes
+    # verdict certification (repro.cert): "off" | "spot" | "full".  The
+    # mode is excluded from proof-cache keys -- certification changes
     # how much a verdict is *checked*, never what the verdict is
     certify: str = "off"
-    certify_proof_limit: int = 200_000
-    certify_time_budget: float = 10.0
 
     def certify_policy(self):
         from ..cert import CertifyPolicy
 
-        return CertifyPolicy.from_mode(
-            self.certify,
-            proof_limit=self.certify_proof_limit,
-            time_budget=self.certify_time_budget,
-        )
+        return CertifyPolicy.from_mode(self.certify)
 
 
 @dataclass
@@ -229,7 +224,7 @@ class _CoverCertifier:
             replayed = self._replayed(db, idx, iuv_pc)
             return replayed.visits == witness.visits and bool(pred(replayed))
 
-        return cover_witness_certificate(name, payload, replay, policy)
+        return cover_witness_certificate(name, payload, replay)
 
 
 class Rtl2MuPath:
@@ -319,10 +314,9 @@ class Rtl2MuPath:
                 self._duv_tracedbs = tracedbs
 
             with obs.span("phase.cover.duv_pls"):
-                scanned = list(self.metadata.pls.values())
-                if not self.config.prove_invalid_pls_by_induction:
-                    scanned += self.metadata.candidate_pls.values()
-                occupied = self._occupied_slots(tracedbs, scanned)
+                occupied = self._occupied_slots(
+                    tracedbs, self.metadata.pls.values()
+                )
                 for pl_name, pl in self.metadata.pls.items():
                     started = time.perf_counter()
                     hit = any(slot.occ_signal in occupied for slot in pl.slots)
@@ -343,35 +337,26 @@ class Rtl2MuPath:
             with obs.span("phase.induction"), paused_gc():
                 for pl_name, pl in self.metadata.candidate_pls.items():
                     started = time.perf_counter()
-                    if self.config.prove_invalid_pls_by_induction:
-                        result = prove_unreachable_kinduction(
-                            self.netlist,
-                            pl.occupied(),
-                            k=self.config.induction_k,
-                            conflict_budget=self.config.induction_conflict_budget,
-                            pool=self._pool(),
-                            certify=self.config.certify_policy(),
-                        )
-                        self._record(
-                            "duvpl_reach_%s" % pl_name,
-                            result.outcome,
-                            started,
-                            detail=result.detail,
-                            engine="k-induction",
-                            depth=result.depth,
-                            solver=result.solver,
-                            certificate=result.certificate,
-                        )
-                        if result.outcome == REACHABLE:
-                            reachable.add(pl_name)
-                    else:
-                        hit = any(
-                            slot.occ_signal in occupied for slot in pl.slots
-                        )
-                        outcome = self._cover_outcome(hit, False)
-                        self._record("duvpl_reach_%s" % pl_name, outcome, started)
-                        if hit:
-                            reachable.add(pl_name)
+                    result = prove_unreachable_kinduction(
+                        self.netlist,
+                        pl.occupied(),
+                        k=self.config.induction_k,
+                        conflict_budget=INDUCTION_CONFLICT_BUDGET,
+                        pool=self._pool(),
+                        certify=self.config.certify_policy(),
+                    )
+                    self._record(
+                        "duvpl_reach_%s" % pl_name,
+                        result.outcome,
+                        started,
+                        detail=result.detail,
+                        engine="k-induction",
+                        depth=result.depth,
+                        solver=result.solver,
+                        certificate=result.certificate,
+                    )
+                    if result.outcome == REACHABLE:
+                        reachable.add(pl_name)
             self._duv_pls = frozenset(reachable)
             return self._duv_pls
 
@@ -574,28 +559,28 @@ class Rtl2MuPath:
                         revisit[pl] = "nonconsecutive"
                     else:
                         revisit[pl] = "none"
-                    if cfg.collect_run_lengths:
-                        # run length -> first path with a run that long
-                        length_w: Dict[int, CycleAccuratePath] = {}
-                        for p, r in runs:
-                            for length in r:
-                                length_w.setdefault(length, p)
-                        for length in sorted(length_w):
-                            started = time.perf_counter()
-                            pred_l = lambda p, pl=pl, n=length: (
-                                n in p.run_lengths(pl)
-                            )
-                            name = "runlen_%s_%s_%d" % (iuv_name, pl, length)
-                            self._record(
-                                name,
-                                REACHABLE,
-                                started,
-                                certificate=certifier.certify(
-                                    name, length_w[length], pred_l
-                                ),
-                            )
-                        run_lengths[pl] = frozenset(length_w)
-                        global_run_lengths.setdefault(pl, set()).update(length_w)
+                    # SS V-B6 configuration (i), for SDO: run length ->
+                    # first path with a run that long
+                    length_w: Dict[int, CycleAccuratePath] = {}
+                    for p, r in runs:
+                        for length in r:
+                            length_w.setdefault(length, p)
+                    for length in sorted(length_w):
+                        started = time.perf_counter()
+                        pred_l = lambda p, pl=pl, n=length: (
+                            n in p.run_lengths(pl)
+                        )
+                        name = "runlen_%s_%s_%d" % (iuv_name, pl, length)
+                        self._record(
+                            name,
+                            REACHABLE,
+                            started,
+                            certificate=certifier.certify(
+                                name, length_w[length], pred_l
+                            ),
+                        )
+                    run_lengths[pl] = frozenset(length_w)
+                    global_run_lengths.setdefault(pl, set()).update(length_w)
 
                 # happens-before edge -> first path taking it
                 edge_w: Dict[Tuple[str, str], CycleAccuratePath] = {}
@@ -701,7 +686,7 @@ class Rtl2MuPath:
         exclusive: Set[FrozenSet[str]],
     ) -> List[FrozenSet[str]]:
         """DFS over the power set, pruning dominates/exclusive violations."""
-        cap = self.config.max_candidate_sets
+        cap = MAX_CANDIDATE_SETS
         dominators: Dict[str, List[str]] = {}
         for pl0, pl1 in dominates:
             dominators.setdefault(pl1, []).append(pl0)

@@ -18,18 +18,20 @@ Pipeline:
 4. Decision sources with at least two transmitter-operand-dependent
    decisions yield leakage signatures (footnote 3's two-decision rule).
 
-Beyond the paper's flow, :class:`SynthLC` optionally runs a *differential
+Beyond the paper's flow, :class:`SynthLC` runs a *differential
 cross-check*: it replays the taint contexts grouped by everything except
 T's swept operand and asks whether P's decision actually varies, labelling
 taint-only tags as possible IFT false positives (the paper's SS VII-B1
-analysis, which there required manual inspection).
+analysis, which there required manual inspection).  An UNDETERMINED taint
+cover (a truncated family) tags nothing: it reads as UNREACHABLE, the
+default SS VII-B4 interpretation of the synthesis pipeline.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -46,13 +48,13 @@ from .rtl2mupath import MuPathResult
 __all__ = [
     "TransmitterTag",
     "LeakageSignature",
-    "SynthLCConfig",
     "SynthLCResult",
     "SynthLC",
     "instrument_design",
 ]
 
 ASSUMPTIONS = ("intrinsic", "dynamic_older", "dynamic_younger", "static")
+OPERANDS = ("rs1", "rs2")
 
 _TYPE_MARK = {
     "intrinsic": "N",
@@ -103,14 +105,6 @@ class LeakageSignature:
             for dst in self.destinations
         )
         return "dst %s(%s) -> %s" % (self.name, args, dsts)
-
-
-@dataclass
-class SynthLCConfig:
-    operands: Tuple[str, ...] = ("rs1", "rs2")
-    assumptions: Tuple[str, ...] = ASSUMPTIONS
-    differential_check: bool = True
-    undetermined_as: str = UNREACHABLE  # SS VII-B4
 
 
 @dataclass
@@ -256,14 +250,12 @@ class SynthLC:
         self,
         design,
         provider,  # taint-context provider (instrumented=True families)
-        config: Optional[SynthLCConfig] = None,
         stats: Optional[PropertyStats] = None,
         extra_persistent: Iterable[str] = (),
     ):
         self.design = design
         self.metadata: DesignMetadata = design.metadata
         self.provider = provider
-        self.config = config or SynthLCConfig()
         self.stats = stats if stats is not None else PropertyStats(label="synthlc")
         self.extra_persistent = tuple(extra_persistent)
         with obs.span("phase.ift"):
@@ -346,7 +338,6 @@ class SynthLC:
         decision_list) tuple is one unit of schedulable work; the list is
         the engine's job granularity and the serial path's loop nest.
         """
-        cfg = self.config
         items = []
         for p_name in candidates:
             decision_list = mupath_results[p_name].decisions.decisions()
@@ -354,10 +345,10 @@ class SynthLC:
                 continue
             for t_name in transmitter_list:
                 spec = isa.BY_NAME.get(t_name)
-                for assumption in cfg.assumptions:
+                for assumption in ASSUMPTIONS:
                     if assumption == "intrinsic" and t_name != p_name:
                         continue
-                    for operand in cfg.operands:
+                    for operand in OPERANDS:
                         if spec is not None:
                             if operand == "rs1" and not spec.reads_rs1:
                                 continue
@@ -431,15 +422,12 @@ class SynthLC:
                         outcome,
                         started,
                     )
-                    if outcome == UNDETERMINED:
-                        outcome = self.config.undetermined_as
+                    # an UNDETERMINED cover reads as UNREACHABLE (SS VII-B4)
                     if outcome != REACHABLE:
                         continue
-                    false_positive = False
-                    if self.config.differential_check:
-                        false_positive = not self._differential_varies(
-                            db, tindex, decision, assumption
-                        )
+                    false_positive = not self._differential_varies(
+                        db, tindex, decision, assumption
+                    )
                     tag = TransmitterTag(
                         transmitter=t_name,
                         ttype=assumption,

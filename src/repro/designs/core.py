@@ -490,9 +490,6 @@ def build_core(config: Optional[CoreConfig] = None) -> CoreDesign:
     # The head pointer advances as an entry moves FIN -> CMT, so the next
     # finished entry can enter CMT the following cycle: one commit per cycle
     # throughput.  At most one entry is in CMT (or EXC) at a time.
-    def _entry_in(state_code):
-        return [(scb_state[e].q.eq(state_code), e) for e in range(NSCB)]
-
     cmt_is = {}
     for name, regs in (("pc", scb_pc), ("rd", scb_rd), ("res", scb_res)):
         cmt_is[name] = m.onehot_select(

@@ -347,45 +347,33 @@ def run_program(
 
     retire: Dict[int, int] = {}
     trace = None
-    ptr = 0
-    last_accept = -1
-    cycles = None
     if record_trace:
         from ..sim import Trace
 
         trace = Trace(sim.observable_names)
-        for t in range(max_cycles):
-            inputs = {}
-            if ptr < len(program):
-                inputs = {"in_valid": 1, "in_instr": program[ptr]}
-            obs = sim.step(inputs)
-            trace.append(obs, {})
-            if ptr < len(program) and obs["fetch_ready"]:
-                ptr += 1
-                last_accept = t
-            if obs["commit_fire"]:
-                retire.setdefault(obs["commit_pc"], t)
-            if ptr >= len(program) and t > last_accept and obs["pipe_quiesce"]:
-                cycles = t
-                break
-    else:
-        i_ready = sim.observable_index("fetch_ready")
-        i_quiesce = sim.observable_index("pipe_quiesce")
-        i_fire = sim.observable_index("commit_fire")
-        i_pc = sim.observable_index("commit_pc")
-        for t in range(max_cycles):
-            inputs = None
-            if ptr < len(program):
-                inputs = {"in_valid": 1, "in_instr": program[ptr]}
-            obs = sim.step_tuple(inputs)
-            if ptr < len(program) and obs[i_ready]:
-                ptr += 1
-                last_accept = t
-            if obs[i_fire]:
-                retire.setdefault(obs[i_pc], t)
-            if ptr >= len(program) and t > last_accept and obs[i_quiesce]:
-                cycles = t
-                break
+    names = sim.observable_names
+    i_ready = sim.observable_index("fetch_ready")
+    i_quiesce = sim.observable_index("pipe_quiesce")
+    i_fire = sim.observable_index("commit_fire")
+    i_pc = sim.observable_index("commit_pc")
+    ptr = 0
+    last_accept = -1
+    cycles = None
+    for t in range(max_cycles):
+        inputs = None
+        if ptr < len(program):
+            inputs = {"in_valid": 1, "in_instr": program[ptr]}
+        obs = sim.step_tuple(inputs)
+        if trace is not None:
+            trace.append(dict(zip(names, obs)))
+        if ptr < len(program) and obs[i_ready]:
+            ptr += 1
+            last_accept = t
+        if obs[i_fire]:
+            retire.setdefault(obs[i_pc], t)
+        if ptr >= len(program) and t > last_accept and obs[i_quiesce]:
+            cycles = t
+            break
     if cycles is None:
         raise RuntimeError(
             "program did not quiesce within %d cycles" % max_cycles
@@ -492,7 +480,6 @@ class ContextFamilyConfig:
     iuv_values: Optional[Tuple[int, ...]] = None  # default: default_value_set
     neighbor_values: Optional[Tuple[int, ...]] = None  # default: small_value_set
     neighbors: Tuple[str, ...] = ("ADD", "MUL", "DIV", "LW", "SW", "BEQ", "JALR", "ECALL")
-    include_solo: bool = True
     include_preceding: bool = True
     include_following: bool = True
     include_deep: bool = True  # 3/4-instruction shapes: drain & SCB-full stalls
@@ -604,12 +591,11 @@ class CoreContextProvider:
                         cases.append((program, v1, v2, w1, w2, "%s-%s" % (tag, nb)))
             return cases
 
-        if cfg.include_solo:
-            cases = [
-                ((iuv_word,), v1, v2, 0, 0, "solo")
-                for v1, v2 in itertools.product(iuv_vals, iuv_vals)
-            ]
-            groups.append(build_group(0, cases, "solo"))
+        cases = [
+            ((iuv_word,), v1, v2, 0, 0, "solo")
+            for v1, v2 in itertools.product(iuv_vals, iuv_vals)
+        ]
+        groups.append(build_group(0, cases, "solo"))
         if cfg.include_preceding:
             cases = neighbor_cases(lambda nb_word: (nb_word, iuv_word), "after")
             groups.append(build_group(1, cases, "preceded"))

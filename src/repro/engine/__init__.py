@@ -12,11 +12,12 @@ This package is the reproduction's systematic answer:
 
 * :mod:`repro.engine.specs` -- declarative, picklable job specifications
   that rebuild the design / context provider inside worker processes
-  (reactive context drivers are closures and cannot cross a process
-  boundary, so jobs ship *recipes*, not objects);
+  (a netlist is a large shared-structure DAG and a context family is
+  thousands of contexts that a few config fields regenerate, so jobs
+  ship *recipes*, not objects);
 * :mod:`repro.engine.scheduler` -- a job executor fanning work across a
-  ``ProcessPoolExecutor`` with per-job wall-clock deadlines and automatic
-  retry-with-escalated-conflict-budget for UNDETERMINED outcomes;
+  ``ProcessPoolExecutor`` with per-job wall-clock deadlines and a retry
+  of every attempt that times out, raises or crosses the RSS ceiling;
 * :mod:`repro.engine.cache` -- a persistent on-disk proof cache keyed by
   a canonical content hash of (elaborated netlist, context-family config,
   property template, engine config); UNDETERMINED verdicts are never

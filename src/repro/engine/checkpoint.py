@@ -11,8 +11,8 @@ the cache answers "is this verdict known forever?", the checkpoint
 answers "what had this run already finished when it died?".
 
 Durability is fsync-based and periodic: every record is written and
-flushed immediately, and the file is fsynced every ``fsync_every``
-records or ``fsync_seconds`` seconds (whichever first) plus at close,
+flushed immediately, and the file is fsynced every ``FSYNC_EVERY``
+records or ``FSYNC_SECONDS`` seconds (whichever first) plus at close,
 so a SIGKILL loses at most the tail written since the last sync.  A
 hard kill can leave a truncated final line; :meth:`RunCheckpoint.open`
 therefore rewrites the file from its parseable records before
@@ -35,18 +35,17 @@ from typing import Any, Dict, List, Optional
 __all__ = ["RunCheckpoint", "CHECKPOINT_FORMAT_VERSION"]
 
 CHECKPOINT_FORMAT_VERSION = 1
+FSYNC_EVERY = 8  # records between fsyncs ...
+FSYNC_SECONDS = 1.0  # ... or seconds, whichever comes first
 
 
 class RunCheckpoint:
     """Append-only ``checkpoint.jsonl`` writer/loader for one run dir."""
 
-    def __init__(self, run_dir: str, fsync_every: int = 8,
-                 fsync_seconds: float = 1.0):
+    def __init__(self, run_dir: str):
         self.run_dir = run_dir
         self.path = os.path.join(run_dir, "checkpoint.jsonl")
         self._handle = None
-        self._fsync_every = max(1, fsync_every)
-        self._fsync_seconds = fsync_seconds
         self._since_sync = 0
         self._last_sync = time.monotonic()
         self.records_written = 0
@@ -142,8 +141,8 @@ class RunCheckpoint:
         self.records_written += 1
         self._since_sync += 1
         if (
-            self._since_sync >= self._fsync_every
-            or time.monotonic() - self._last_sync >= self._fsync_seconds
+            self._since_sync >= FSYNC_EVERY
+            or time.monotonic() - self._last_sync >= FSYNC_SECONDS
         ):
             self.sync()
 

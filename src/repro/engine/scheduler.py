@@ -10,18 +10,17 @@ across a ``ProcessPoolExecutor``, with:
   entries containing UNDETERMINED -- those are not stored);
 * **per-job wall-clock deadlines**: a SIGALRM-based deadline inside the
   worker aborts a stuck attempt instead of hanging the run;
-* **retry with escalated conflict budget**: attempts whose results
-  contain UNDETERMINED verdicts are retried with
-  ``job.escalated(attempt, factor)`` (for synthesis jobs this multiplies
-  the SAT conflict budget), degrading gracefully to the best attempt when
-  the budget ladder is exhausted -- the SS VII-B4 soundness/completeness
-  trade is then applied by the pipeline, exactly as for a serial run;
+* **retry of failed attempts**: an attempt that times out, raises or
+  crosses the RSS ceiling is re-run on the same recipe, up to
+  ``max_attempts`` attempts.  An attempt that returns results is final,
+  whatever its verdicts: UNDETERMINED is interpreted by the pipeline's
+  ``undetermined_as`` (SS VII-B4), never retried;
 * **crash-resilient dispatch**: a worker death (OOM-kill, segfault,
   SIGKILL, injected chaos) breaks the process pool; the scheduler
   catches it, rebuilds the pool with exponential backoff and seeded
   jitter, and re-dispatches the lost jobs.  Every job lost to a break
   gains a *poison* count; once a job has been implicated
-  ``poison_limit`` times it runs in an isolation probe (a dedicated
+  ``POISON_LIMIT`` times it runs in an isolation probe (a dedicated
   single-worker pool) that pinpoints repeat killers -- a probe death is
   definitive and the job is quarantined as a failed report (the
   UNDETERMINED-style graceful degradation of SS VII-B4) instead of
@@ -42,16 +41,14 @@ across a ``ProcessPoolExecutor``, with:
   (SS VII-B3);
 * **same-design batching**: jobs sharing a ``group_key()`` are
   dispatched to one worker as a serial batch (split only to keep every
-  worker busy), so the worker's memoized design build and its shared
-  incremental induction pool drain a whole property group on one
-  growing proof context.
+  worker busy), so the worker's memoized design, provider and SynthLC
+  builds serve the whole group.
 
 Job protocol (duck-typed; see :mod:`repro.engine.specs`):
 
 * ``job_id`` -- unique string;
 * ``execute() -> (value, results)`` -- run, returning the job value and
   its list of :class:`~repro.mc.outcomes.CheckResult`;
-* ``escalated(attempt, factor) -> job`` -- the retry recipe;
 * ``cache_key() -> str | None`` -- content hash, or None to bypass;
 * ``encode_value(value) / decode_value(payload)`` -- JSON round-trip;
 * ``value_is_final(value) -> bool`` -- veto caching (e.g. truncated
@@ -136,23 +133,27 @@ class MemoryBudgetExceeded(Exception):
     """A job attempt exceeded the per-worker RSS soft ceiling."""
 
 
+# pool-break implications before a job runs in an isolation probe
+POISON_LIMIT = 2
+# cap on the exponential pool-rebuild backoff, before jitter
+BACKOFF_MAX_SECONDS = 5.0
+# seeds the backoff jitter
+BACKOFF_SEED = 0
+
+
 @dataclass
 class EngineConfig:
     """Scheduler knobs (the CLI's ``--jobs/--cache-dir/--trace`` map here)."""
 
     jobs: Optional[int] = None  # worker processes; None -> os.cpu_count()
     timeout_seconds: Optional[float] = None  # per-attempt deadline
-    max_attempts: int = 3
-    escalation_factor: int = 4  # conflict-budget multiplier per retry
+    max_attempts: int = 3  # attempts per job; only failed attempts retry
     cache_dir: Optional[str] = None
     trace_path: Optional[str] = None
     keep_going: bool = False  # map failed jobs to None instead of raising
     # ---- fault tolerance (see module docs) ----
     max_rss_mb: Optional[float] = None  # per-worker RSS soft ceiling
     backoff_seconds: float = 0.1  # base delay between pool rebuilds
-    backoff_max_seconds: float = 5.0  # exponential backoff cap (pre-jitter)
-    poison_limit: int = 2  # pool-break implications before isolation probe
-    seed: int = 0  # seeds the backoff jitter
     fault_plan: Optional["faults.FaultPlan"] = None  # chaos injection
     run_dir: Optional[str] = None  # enables checkpoint.jsonl
     resume: bool = False  # replay the run_dir's prior checkpoint
@@ -319,10 +320,8 @@ def _run_job_group(entries, **kwargs) -> List["WorkerReport"]:
     """Execute a batch of same-group jobs serially inside one worker.
 
     Jobs sharing a ``group_key()`` (same design) are dispatched as one
-    unit so the worker's memoized builders and its shared incremental
-    induction pool (:func:`repro.engine.specs._worker_induction_pool`)
-    serve the whole batch: the worker holds one growing proof context
-    and drains the property group against it.
+    unit so the worker's memoized design, provider and SynthLC builds
+    serve the whole batch.
     """
     return [
         _run_job_with_retries(job, job_seq=seq, **kwargs)
@@ -363,13 +362,12 @@ def _run_job_with_retries(
     job,
     max_attempts: int,
     timeout_seconds: Optional[float],
-    escalation_factor: int,
     collect_spans: bool = False,
     fault_plan=None,
     job_seq: Optional[int] = None,
     max_rss_mb: Optional[float] = None,
 ) -> WorkerReport:
-    """Execute one job with the deadline + escalation policy.
+    """Execute one job under the deadline and failed-attempt retries.
 
     Module-level so worker processes can unpickle it by reference.
 
@@ -398,7 +396,7 @@ def _run_job_with_retries(
     try:
         faults.injection_point("worker.job_start", job=job.job_id)
         _attempt_loop(
-            job, report, max_attempts, timeout_seconds, escalation_factor,
+            job, report, max_attempts, timeout_seconds,
             max_rss_mb=max_rss_mb, collector=collector,
         )
     finally:
@@ -414,8 +412,8 @@ def _scrub_span_accounting(collector, start: int, end: Optional[int] = None):
     """Demote per-property accounting attrs on span records in [start:end).
 
     An attempt whose results never reach the job's ``PropertyStats`` --
-    it timed out, crashed and was retried, or was superseded by an
-    escalated retry -- must not leave ``properties``/``check_seconds``
+    it timed out, crashed and was retried, or was superseded by the
+    conservative re-solve -- must not leave ``properties``/``check_seconds``
     attributes in the trace: the profile reconciliation identity sums
     those attrs across all spans and equates them with the stats
     accumulator's ``total_time``.  The values stay visible under
@@ -442,15 +440,11 @@ def _attempt_loop(
     report: WorkerReport,
     max_attempts: int,
     timeout_seconds: Optional[float],
-    escalation_factor: int,
     max_rss_mb: Optional[float] = None,
     collector=None,
 ) -> None:
-    best: Optional[Tuple[Any, List]] = None
-    best_range: Optional[Tuple[int, int]] = None
     last_error = None
     for attempt in range(max(1, max_attempts)):
-        active = job if attempt == 0 else job.escalated(attempt, escalation_factor)
         started = time.perf_counter()
         rss_trip: List[float] = []
         mark = len(collector.records) if collector is not None else 0
@@ -460,7 +454,7 @@ def _attempt_loop(
             )
             with obs.span("job.attempt", job=job.job_id, attempt=attempt):
                 with _rss_guard(max_rss_mb, rss_trip), _deadline(timeout_seconds):
-                    value, results = active.execute()
+                    value, results = job.execute()
         except JobTimeout:
             report.attempts.append(
                 AttemptRecord(
@@ -516,26 +510,18 @@ def _attempt_loop(
                 undetermined=undetermined,
             )
         )
-        if best_range is not None:
-            # the escalated retry supersedes the earlier result: only one
-            # attempt's CheckResults reach the stats, so only one may keep
-            # its accounting attrs
-            _scrub_span_accounting(collector, best_range[0], best_range[1])
-        best = (value, results)
-        best_range = (mark, len(collector.records) if collector is not None else 0)
-        if undetermined == 0:
-            break
-        # UNDETERMINED outcomes present: retry with an escalated budget
-        # (unless this was the last rung -- then degrade gracefully and
-        # let the pipeline's undetermined_as interpretation apply)
-    if best is None:
-        report.error = last_error or "job produced no result"
+        # results are final, UNDETERMINED included: a re-run on the same
+        # recipe reproduces them, and the pipeline's undetermined_as
+        # interprets them (SS VII-B4) exactly as in a serial run
+        attempt_range = (
+            mark, len(collector.records) if collector is not None else 0
+        )
+        report.value, report.results = _certify_degrade(
+            job, report, (value, results), attempt_range, collector,
+            timeout_seconds=timeout_seconds, max_rss_mb=max_rss_mb,
+        )
         return
-    best = _certify_degrade(
-        job, report, best, best_range, collector,
-        timeout_seconds=timeout_seconds, max_rss_mb=max_rss_mb,
-    )
-    report.value, report.results = best
+    report.error = last_error or "job produced no result"
 
 
 def _dump_cert_artifacts(job_id: str, results) -> None:
@@ -578,9 +564,9 @@ def _certify_degrade(
     job, report, best, best_range, collector,
     timeout_seconds=None, max_rss_mb=None,
 ):
-    """The certification rung of the retry ladder (DESIGN SS5j).
+    """The certification degrade rung (DESIGN SS5j).
 
-    When the winning attempt's results carry *failed* certificates, the
+    When the attempt's results carry *failed* certificates, the
     verdicts cannot be trusted as-is -- but a campaign must not abort on
     them either.  The job re-solves once on its conservative recipe
     (``job.conservative()``: fresh non-incremental contexts), under the
@@ -891,7 +877,6 @@ class JobScheduler:
         return dict(
             max_attempts=cfg.max_attempts,
             timeout_seconds=cfg.timeout_seconds,
-            escalation_factor=cfg.escalation_factor,
             collect_spans=log.enabled,
             fault_plan=cfg.fault_plan,
             max_rss_mb=cfg.max_rss_mb,
@@ -912,12 +897,11 @@ class JobScheduler:
 
     def _execute_inline(self, pending, log, manifest):
         """Serial in-process dispatch, with simulated-death resilience."""
-        cfg = self.config
         kwargs = self._worker_kwargs(log)
-        rng = random.Random(cfg.seed)
+        rng = random.Random(BACKOFF_SEED)
         poison: Dict[str, int] = {}
         # same-group jobs run consecutively, so the in-process memoized
-        # builders and induction pool serve each group back-to-back
+        # builders serve each group back-to-back
         queue = [
             entry for batch in _group_batches(pending, 1) for entry in batch
         ]
@@ -934,7 +918,7 @@ class JobScheduler:
                     simulated=True,
                     error=str(exc),
                 )
-                if count > cfg.poison_limit:
+                if count > POISON_LIMIT:
                     yield job, key, self._quarantined_report(job, count)
                     continue
                 manifest.pool_rebuilds += 1
@@ -945,15 +929,14 @@ class JobScheduler:
 
     def _execute_pool(self, pending, workers, log, manifest):
         """Pool dispatch surviving worker deaths (see module docs)."""
-        cfg = self.config
         kwargs = self._worker_kwargs(log)
-        rng = random.Random(cfg.seed)
+        rng = random.Random(BACKOFF_SEED)
         poison: Dict[str, int] = {}
         remaining = list(pending)
         while remaining:
             suspects = [
                 entry for entry in remaining
-                if poison.get(entry[1].job_id, 0) >= cfg.poison_limit
+                if poison.get(entry[1].job_id, 0) >= POISON_LIMIT
             ]
             if suspects:
                 # isolation probe: a repeatedly implicated job runs alone
@@ -1054,7 +1037,7 @@ class JobScheduler:
             return 0.0
         delay = min(
             cfg.backoff_seconds * (2 ** max(0, rebuilds - 1)),
-            cfg.backoff_max_seconds,
+            BACKOFF_MAX_SECONDS,
         )
         delay *= 0.5 + rng.random()  # jitter in [0.5x, 1.5x), seeded
         log.event(

@@ -18,8 +18,8 @@ Three concrete job types are defined:
   fuzz-generator design.
 
 All follow the scheduler's job protocol: ``job_id``, ``execute()``,
-``escalated(attempt, factor)``, ``cache_key()``, ``encode_value()`` /
-``decode_value()``, and ``value_is_final()``.
+``cache_key()``, ``encode_value()`` / ``decode_value()``, and
+``value_is_final()``.
 """
 
 from __future__ import annotations
@@ -63,18 +63,14 @@ def _unparams(params: Params) -> Dict[str, Any]:
 
 
 def _cacheable_config(params: Params) -> Dict[str, Any]:
-    """Config dict for cache keys, minus the certification knobs.
+    """Config dict for cache keys, minus the certification mode.
 
     Certification changes how much a verdict is *checked*, never what
     the verdict is, so ``--certify`` must not fork the proof cache: a
     certified run and an uncertified run of the same job share one
     entry (and pre-certification entries keep matching).
     """
-    return {
-        key: value
-        for key, value in params
-        if not key.startswith("certify")
-    }
+    return {key: value for key, value in params if key != "certify"}
 
 
 # --------------------------------------------------------------- design spec
@@ -186,32 +182,7 @@ def infer_provider_spec(provider) -> ProviderSpec:
     )
 
 
-def _provider_family_params(spec: ProviderSpec) -> Dict[str, Any]:
-    """The provider params with nested config tuples expanded to dicts."""
-    out = {}
-    for key, value in spec.params:
-        if key == "config":
-            out[key] = {k: v for k, v in value}
-        else:
-            out[key] = value
-    return out
-
-
 # ------------------------------------------------------------ synthesis jobs
-@lru_cache(maxsize=None)
-def _worker_induction_pool(design_spec: DesignSpec):
-    """Per-worker shared :class:`~repro.mc.incremental.InductionPool`.
-
-    Memoized alongside :func:`_built_design`, so every job the scheduler
-    batches onto this worker for the same design recipe proves against
-    the same growing contexts (the netlist object identity the pool keys
-    on is itself stable through the design memoization).
-    """
-    from ..mc.incremental import InductionPool
-
-    return InductionPool()
-
-
 @dataclass(frozen=True)
 class SynthesisJob:
     """One RTL2MuPATH ``synthesize(iuv)`` run, rebuildable in a worker."""
@@ -229,8 +200,8 @@ class SynthesisJob:
 
     def group_key(self) -> str:
         """Same-design jobs share a group: one worker drains a whole
-        group, so its memoized design/provider builds and its shared
-        incremental induction pool are reused across the group."""
+        group, so its memoized design and provider builds are reused
+        across the group."""
         return "synth:%s" % self.netlist_hash
 
     def execute(self):
@@ -244,37 +215,19 @@ class SynthesisJob:
         stats = PropertyStats(label=self.job_id)
         config = Rtl2MuPathConfig(**_unparams(self.config_params))
         tool = Rtl2MuPath(design, provider, config=config, stats=stats)
-        if config.incremental:
-            # one pool per design recipe per worker process: jobs batched
-            # onto this worker extend the same proof contexts
-            tool._induction_pool = _worker_induction_pool(self.design_spec)
         if self.duv_pls is not None:
             tool._duv_pls = frozenset(self.duv_pls)
         result = tool.synthesize(self.iuv)
         return result, stats.results
 
-    def escalated(self, attempt: int, factor: int) -> "SynthesisJob":
-        """Retry recipe: multiply the SAT conflict budget (SS VII-B4 knob)."""
-        params = _unparams(self.config_params)
-        params["induction_conflict_budget"] = max(
-            1, int(params.get("induction_conflict_budget", 1) or 1)
-        ) * (factor ** attempt)
-        return SynthesisJob(
-            iuv=self.iuv,
-            design_spec=self.design_spec,
-            provider_spec=self.provider_spec,
-            config_params=tuple(sorted(params.items())),
-            netlist_hash=self.netlist_hash,
-            duv_pls=self.duv_pls,
-        )
-
     def conservative(self) -> "SynthesisJob":
         """The certification-failure fallback recipe (DESIGN SS5j).
 
-        Re-solves on the fresh-solver reference path: no incremental
-        proof context, so no learned clause or retired activation group
-        from an earlier property can touch the verdict.  Certification
-        itself stays on, so the re-solve is re-checked.
+        The same job on the fresh-solver reference path
+        (``incremental=False``).  ``synthesize()`` runs no solver -- its
+        verdicts are enumerative covers -- so the re-run re-derives every
+        cover on a fresh tool.  Certification stays on, so the re-run is
+        re-checked.
         """
         params = _unparams(self.config_params)
         params["incremental"] = False
@@ -357,7 +310,6 @@ class SynthLCJob:
     decisions: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (src, sorted dst)
     design_spec: DesignSpec
     provider_spec: ProviderSpec
-    config_params: Params  # SynthLCConfig
     netlist_hash: str
     extra_persistent: Tuple[str, ...] = ()
 
@@ -377,15 +329,13 @@ class SynthLCJob:
 
     def execute(self):
         from ..core.decisions import Decision
+        from ..core.synthlc import ASSUMPTIONS
         from ..faults import injection_point
         from ..mc.stats import PropertyStats
 
         injection_point("job.execute", job=self.job_id)
         tool = _built_synthlc(
-            self.design_spec,
-            self.provider_spec,
-            self.config_params,
-            self.extra_persistent,
+            self.design_spec, self.provider_spec, self.extra_persistent
         )
         stats = PropertyStats(label=self.job_id)
         tool.stats = stats
@@ -393,7 +343,7 @@ class SynthLCJob:
             Decision(src=src, dst=frozenset(dst)) for src, dst in self.decisions
         ]
         tags_by_decision: Dict = {}
-        found_types: Dict = {a: set() for a in tool.config.assumptions}
+        found_types: Dict = {a: set() for a in ASSUMPTIONS}
         tool._classify_one(
             self.transponder,
             self.transmitter,
@@ -422,12 +372,6 @@ class SynthLCJob:
                 )
         return value, stats.results
 
-    def escalated(self, attempt: int, factor: int) -> "SynthLCJob":
-        # the enumerative taint covers carry no conflict budget; a retry
-        # re-executes the identical job (UNDETERMINED here means the
-        # context family was truncated, which retrying cannot fix)
-        return self
-
     def cache_key(self) -> str:
         return content_key(
             schema=SCHEMA_VERSION,
@@ -435,7 +379,6 @@ class SynthLCJob:
             template="decision-taint-v1",  # the SS V-C1 cover suite
             netlist=self.netlist_hash,
             provider=self.provider_spec.describe(),
-            config=_unparams(self.config_params),
             transponder=self.transponder,
             transmitter=self.transmitter,
             assumption=self.assumption,
@@ -559,13 +502,6 @@ class ReachJob:
             result = proof
         return (result.outcome, result.detail), results
 
-    def escalated(self, attempt: int, factor: int) -> "ReachJob":
-        from dataclasses import replace
-
-        return replace(
-            self, conflict_budget=self.conflict_budget * (factor ** attempt)
-        )
-
     def cache_key(self) -> str:
         import hashlib
 
@@ -647,19 +583,14 @@ def reach_jobs_for_corpus(corpus_dir: str, horizon: int = 4, k: int = 2,
 def _built_synthlc(
     design_spec: DesignSpec,
     provider_spec: ProviderSpec,
-    config_params: Params,
     extra_persistent: Tuple[str, ...],
 ):
     """Memoized per-worker SynthLC tool (IFT instrumentation is costly)."""
-    from ..core.synthlc import SynthLC, SynthLCConfig
+    from ..core.synthlc import SynthLC
 
-    params = _unparams(config_params)
-    params["assumptions"] = tuple(params["assumptions"])
-    params["operands"] = tuple(params["operands"])
     return SynthLC(
         design_spec.build(),
         provider_spec.build(),
-        config=SynthLCConfig(**params),
         extra_persistent=extra_persistent,
     )
 
@@ -679,7 +610,6 @@ def synthlc_jobs_for(tool, work_items) -> List[SynthLCJob]:
     # function of (netlist, metadata), both fixed by the design spec.
     # COI-aware (observable slice only), like the synthesis jobs.
     netlist_hash = observable_fingerprint(tool.design.netlist)
-    config_params = _params(tool.config)
     extra = tuple(sorted(tool.extra_persistent))
     jobs = []
     for p_name, t_name, assumption, operand, decision_list in work_items:
@@ -694,7 +624,6 @@ def synthlc_jobs_for(tool, work_items) -> List[SynthLCJob]:
                 ),
                 design_spec=design_spec,
                 provider_spec=provider_spec,
-                config_params=config_params,
                 netlist_hash=netlist_hash,
                 extra_persistent=extra,
             )

@@ -24,12 +24,16 @@ from typing import Any, Dict, Optional
 
 __all__ = ["TelemetryLog", "RunManifest"]
 
+# a TelemetryLog flushes every FLUSH_EVERY events or FLUSH_SECONDS seconds
+FLUSH_EVERY = 128
+FLUSH_SECONDS = 1.0
+
 
 class TelemetryLog:
     """Buffered JSONL event writer; a ``path`` of None disables output.
 
     Events are buffered in memory and written in batches -- a flush
-    happens every ``flush_every`` events or ``flush_seconds`` seconds,
+    happens every ``FLUSH_EVERY`` events or ``FLUSH_SECONDS`` seconds,
     whichever comes first, instead of the write+fsync-per-line pattern
     that dominated trace-enabled runs.  ``close()`` (and ``__exit__``)
     always flushes, and the scheduler flushes in a ``finally`` so a
@@ -40,13 +44,10 @@ class TelemetryLog:
     worker-side events with the timestamps recorded in the worker.
     """
 
-    def __init__(self, path: Optional[str], flush_every: int = 128,
-                 flush_seconds: float = 1.0):
+    def __init__(self, path: Optional[str]):
         self.path = path
         self._handle = open(path, "a", encoding="utf-8") if path else None
         self._buffer: list = []
-        self._flush_every = max(1, flush_every)
-        self._flush_seconds = flush_seconds
         self._last_flush = time.monotonic()
 
     @property
@@ -62,8 +63,8 @@ class TelemetryLog:
         record.update(fields)
         self._buffer.append(json.dumps(record, sort_keys=True))
         if (
-            len(self._buffer) >= self._flush_every
-            or time.monotonic() - self._last_flush >= self._flush_seconds
+            len(self._buffer) >= FLUSH_EVERY
+            or time.monotonic() - self._last_flush >= FLUSH_SECONDS
         ):
             self.flush()
 

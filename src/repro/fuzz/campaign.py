@@ -45,6 +45,8 @@ REPRODUCER_VERSION = 1
 # design seeds stream deterministically from the campaign seed; a large
 # odd multiplier keeps neighbouring campaigns from sharing design seeds
 _SEED_STRIDE = 1000003
+# wall-clock cap on shrinking one disagreement (within the campaign budget)
+SHRINK_BUDGET_SECONDS = 20.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class CampaignConfig:
     out_dir: str = "fuzz-out"
     max_designs: Optional[int] = None
     shrink: bool = True
-    shrink_budget_seconds: float = 20.0
     profile: GenProfile = field(default_factory=GenProfile)
     oracle: OracleConfig = field(default_factory=OracleConfig)
 
@@ -195,9 +196,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 remaining = max(0.0, deadline - time.monotonic())
                 shrunk = shrink_spec(
                     spec, predicate,
-                    deadline_seconds=min(config.shrink_budget_seconds,
-                                         remaining)
-                    if remaining else config.shrink_budget_seconds,
+                    deadline_seconds=min(SHRINK_BUDGET_SECONDS, remaining)
+                    if remaining else SHRINK_BUDGET_SECONDS,
                 )
             path = write_reproducer(
                 config.out_dir, shrunk, disagreement=first,

@@ -74,20 +74,30 @@ __all__ = [
 
 CHECK_KINDS = ("ref", "blast", "engines", "kinduction")
 
+# Sizes of one oracle pass, fit for tens-of-cells designs.
+# enumerate every input sequence when there are at most this many ...
+MAX_CONTEXTS = 4096
+# ... and otherwise sample this many
+SAMPLED_CONTEXTS = 64
+# sequences the simulator replays against the reference model
+SIM_SEQUENCES = 24
+# sequences the bit-blaster replays against the simulator
+BLAST_SEQUENCES = 3
+# contexts of the portfolio engine's truncated family
+TRUNCATED_CONTEXTS = 16
+# k of the k-induction family (capped by the horizon)
+KINDUCTION_K = 3
+# SAT conflict budget of the BMC and k-induction checks
+CONFLICT_BUDGET = 200000
+# mixed into each design's seed for the sampling RNG
+RNG_SEED = 0
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tuning for one oracle pass; defaults fit tens-of-cells designs."""
+    """One oracle pass: its unrolling horizon and check families."""
 
     horizon: int = 4
-    max_contexts: int = 4096
-    sim_sequences: int = 24
-    blast_sequences: int = 3
-    truncated_contexts: int = 16
-    kinduction_k: int = 3
-    conflict_budget: int = 200000
-    sampled_contexts: int = 64
-    rng_seed: int = 0
     check_kinds: Tuple[str, ...] = CHECK_KINDS
 
     def only(self, *kinds: str) -> "OracleConfig":
@@ -174,7 +184,7 @@ def _input_sequences(design: GeneratedDesign, config: OracleConfig,
         for combo in itertools.product(*(i.alphabet for i in live))
     ]
     total = len(per_cycle) ** config.horizon
-    if total <= config.max_contexts:
+    if total <= MAX_CONTEXTS:
         sequences = [
             list(seq)
             for seq in itertools.product(per_cycle, repeat=config.horizon)
@@ -182,7 +192,7 @@ def _input_sequences(design: GeneratedDesign, config: OracleConfig,
         return sequences, True
     sequences = [
         [rng.choice(per_cycle) for _ in range(config.horizon)]
-        for _ in range(config.sampled_contexts)
+        for _ in range(SAMPLED_CONTEXTS)
     ]
     return sequences, False
 
@@ -235,12 +245,12 @@ def _alphabet_drive(design: GeneratedDesign) -> Callable:
 
 # ----------------------------------------------------------------- checks
 
-def _check_ref_vs_sim(design, sequences, config, rng, report):
+def _check_ref_vs_sim(design, sequences, rng, report):
     sim = Simulator(design.netlist)
     ref = design.ref()
     picks = list(range(len(sequences)))
-    if len(picks) > config.sim_sequences:
-        sampled = rng.sample(picks[1:-1], config.sim_sequences - 2)
+    if len(picks) > SIM_SEQUENCES:
+        sampled = rng.sample(picks[1:-1], SIM_SEQUENCES - 2)
         picks = [picks[0]] + sampled + [picks[-1]]
     for si in picks:
         seq = sequences[si]
@@ -266,10 +276,10 @@ def _check_ref_vs_sim(design, sequences, config, rng, report):
                 return
 
 
-def _check_sim_vs_blast(design, sequences, config, rng, report):
+def _check_sim_vs_blast(design, sequences, report):
     netlist = design.netlist
     sim = Simulator(netlist)
-    picks = sequences[: config.blast_sequences]
+    picks = sequences[:BLAST_SEQUENCES]
     for si, seq in enumerate(picks):
         solver = SatSolver()
         builder = BitBuilder(solver)
@@ -341,10 +351,9 @@ def _check_engines(design, sequences, complete, config, report):
         horizon=config.horizon,
         context=SymbolicContextSpec(drive=_alphabet_drive(design)),
         complete_horizon=complete,
-        conflict_budget=config.conflict_budget,
+        conflict_budget=CONFLICT_BUDGET,
     )
-    truncated = TraceDB(netlist, contexts[: config.truncated_contexts],
-                        complete=False)
+    truncated = TraceDB(netlist, contexts[:TRUNCATED_CONTEXTS], complete=False)
     portfolio = PortfolioEngine(truncated, bmc=bmc)
 
     full_alphabets = all(
@@ -372,8 +381,8 @@ def _check_engines(design, sequences, complete, config, report):
             if probe not in kind_cache:
                 kind_cache[probe] = prove_unreachable_kinduction(
                     netlist, sig(probe),
-                    k=min(config.kinduction_k, config.horizon),
-                    conflict_budget=config.conflict_budget,
+                    k=min(KINDUCTION_K, config.horizon),
+                    conflict_budget=CONFLICT_BUDGET,
                 )
             kres = kind_cache[probe]
             report.count_verdict("kinduction", kres.outcome)
@@ -409,17 +418,17 @@ def check_design(design: GeneratedDesign,
         "repro_fuzz_disagreements_total", "oracle disagreements found")
     report = OracleReport(design=design.spec.name)
     started = time.perf_counter()
-    rng = random.Random(config.rng_seed ^ design.spec.seed)
+    rng = random.Random(RNG_SEED ^ design.spec.seed)
     with obs.span("fuzz.oracle", design=design.spec.name) as sp:
         sequences, complete = _input_sequences(design, config, rng)
         report.complete = complete
         before = len(report.disagreements)
         if "ref" in config.check_kinds:
             with obs.span("fuzz.oracle.ref"):
-                _check_ref_vs_sim(design, sequences, config, rng, report)
+                _check_ref_vs_sim(design, sequences, rng, report)
         if "blast" in config.check_kinds:
             with obs.span("fuzz.oracle.blast"):
-                _check_sim_vs_blast(design, sequences, config, rng, report)
+                _check_sim_vs_blast(design, sequences, report)
         if "engines" in config.check_kinds or "kinduction" in config.check_kinds:
             with obs.span("fuzz.oracle.engines"):
                 _check_engines(design, sequences, complete, config, report)

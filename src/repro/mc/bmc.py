@@ -239,7 +239,6 @@ class BmcContext:
             decoded["registers"],
             decoded["inputs"],
             _holds,
-            self.certify,
             name=query.name,
         )
 

@@ -268,7 +268,6 @@ class IncrementalInductionContext:
                         decoded["registers"],
                         decoded["inputs"],
                         _fires,
-                        self.certify,
                         name=query_name,
                     )
                 return _finish(

@@ -162,7 +162,6 @@ def prove_unreachable_kinduction(
                     decoded["registers"],
                     decoded["inputs"],
                     _fires,
-                    policy,
                     name=query_name,
                 )
             return _finish(

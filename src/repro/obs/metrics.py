@@ -251,12 +251,6 @@ class MetricsRegistry:
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         return self._get(Histogram, name, help_text, buckets=buckets)
 
-    def get(self, name: str):
-        """The registered metric named ``name``, or None (read-only lookup
-        that never creates, unlike counter/gauge/histogram)."""
-        with self._lock:
-            return self._metrics.get(name)
-
     def to_prometheus(self) -> str:
         """Prometheus text exposition format, version 0.0.4."""
         lines: List[str] = []

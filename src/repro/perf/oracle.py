@@ -59,6 +59,8 @@ __all__ = [
 
 PERF_REPRODUCER_VERSION = 1
 _SEED_STRIDE = 1000003  # same independent-stream stride as repro.fuzz
+SHRINK_BUDGET_SECONDS = 20.0  # wall-clock cap on shrinking one mismatch
+MAX_MISMATCHES = 10  # stop collecting (not classifying) past this
 
 CLASS_MODEL_BUG = "model-bug"
 CLASS_MISSED_UPATH = "missed-upath"
@@ -403,11 +405,7 @@ class PerfCampaignConfig:
     budget_seconds: float = 30.0
     out_dir: str = "perf-out"
     max_sequences: Optional[int] = None
-    min_len: int = 1
-    max_len: int = 8
     shrink: bool = True
-    shrink_budget_seconds: float = 20.0
-    max_mismatches: int = 10  # stop collecting (not classifying) past this
 
 
 @dataclass
@@ -495,11 +493,7 @@ def run_perf_campaign(
             seq_seed = config.seed * _SEED_STRIDE + index
             index += 1
             program, arf_init = sample_sequence(
-                seq_seed,
-                min_len=config.min_len,
-                max_len=config.max_len,
-                xlen=model.xlen,
-                nregs=model.nregs,
+                seq_seed, xlen=model.xlen, nregs=model.nregs
             )
             seq_started = time.monotonic()
             with obs.span("perf.sequence", seed=seq_seed, length=len(program)):
@@ -526,12 +520,12 @@ def run_perf_campaign(
             result.by_class[mismatch.classification] = (
                 result.by_class.get(mismatch.classification, 0) + 1
             )
-            if len(result.mismatches) >= config.max_mismatches:
+            if len(result.mismatches) >= MAX_MISMATCHES:
                 continue
             if config.shrink:
                 mismatch = shrink_mismatch(
                     design, sim, model, mismatch,
-                    deadline_seconds=config.shrink_budget_seconds,
+                    deadline_seconds=SHRINK_BUDGET_SECONDS,
                 )
             result.mismatches.append(mismatch)
             result.reproducers.append(

@@ -32,7 +32,7 @@ def witness_to_vcd(
     names = list(signals) if signals is not None else sorted(result.witness[0])
     trace = Trace(names)
     for obs in result.witness:
-        trace.append({name: obs.get(name, 0) for name in names}, {})
+        trace.append({name: obs.get(name, 0) for name in names})
     return trace_to_vcd(trace, design=design)
 
 

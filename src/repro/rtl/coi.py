@@ -62,11 +62,6 @@ class CoiSlice:
     kept_registers: int
     dropped_registers: int
 
-    @property
-    def cell_reduction(self) -> float:
-        total = self.kept_cells + self.dropped_cells
-        return self.dropped_cells / total if total else 0.0
-
 
 def coi_cone(netlist: Netlist, targets: Iterable[str]) -> FrozenSet[int]:
     """Uids of every node in the sequential cone of the named ``targets``.

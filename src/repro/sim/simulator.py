@@ -31,16 +31,14 @@ __all__ = ["Simulator", "Trace", "compile_netlist", "compiled", "simulation_key"
 
 
 class Trace:
-    """A recorded execution: per-cycle named-signal values and states."""
+    """A recorded execution: per-cycle named-signal values."""
 
     def __init__(self, signal_names):
         self.signal_names = list(signal_names)
         self.cycles: List[Dict[str, int]] = []
-        self.states: List[Dict[str, int]] = []
 
-    def append(self, observation, state):
+    def append(self, observation):
         self.cycles.append(observation)
-        self.states.append(state)
 
     def __len__(self):
         return len(self.cycles)
@@ -317,13 +315,11 @@ class Simulator:
             self.state = next_state
         return obs
 
-    def run(self, input_seq: Sequence[Dict[str, int]], record_states=False) -> Trace:
+    def run(self, input_seq: Sequence[Dict[str, int]]) -> Trace:
         """Run from the current state over ``input_seq``; returns a Trace."""
         trace = Trace(self.observable_names)
         for inputs in input_seq:
-            state_snapshot = self.state_dict() if record_states else {}
-            observation = self.step(inputs)
-            trace.append(observation, state_snapshot)
+            trace.append(self.step(inputs))
         return trace
 
     def state_dict(self):

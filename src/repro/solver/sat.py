@@ -672,13 +672,6 @@ class SatSolver:
         return self._lit_val[var << 1] == 1
 
     # ------------------------------------------------------------- internals
-    def _value(self, lit: int) -> int:
-        """Truth value of a DIMACS literal (boundary/debug helper)."""
-        return self._lit_val[(lit << 1) if lit > 0 else ((-lit) << 1) | 1]
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _enqueue(self, enc: int, reason) -> bool:
         lit_val = self._lit_val
         value = lit_val[enc]
@@ -958,9 +951,6 @@ class SatSolver:
         elif self._lit_val[var << 1] == 0:
             heapq.heappush(self._order_heap, (-self._activity[var], var))
 
-    def _decay_activities(self):
-        self._var_inc /= self._var_decay
-
     def _reduce_learned(self):
         """Drop the less useful half of learned clauses (longest first).
 
@@ -1045,10 +1035,6 @@ class SatSolver:
         proof_lits = self._proof_lits
         proof_lits.extend(lits)
         proof_lits.append(0)
-
-    @property
-    def proof_enabled(self) -> bool:
-        return self._proof_tags is not None
 
     def proof_length(self) -> int:
         return len(self._proof_tags) if self._proof_tags is not None else 0

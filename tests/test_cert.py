@@ -404,9 +404,6 @@ class CertFailingJob:
     def execute(self):
         return ("trusted" if self.trusted else "fast"), [self._result()]
 
-    def escalated(self, attempt, factor):
-        return self
-
     def conservative(self):
         return replace(self, trusted=True)
 

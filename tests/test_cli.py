@@ -46,6 +46,8 @@ class TestParser:
             "--no-coi", "--no-preprocess", "--no-clause-sharing",
             # one local scheduler
             "--broker", "--priority", "--cache-server",
+            # certification budgets are constants
+            "--certify-proof-limit", "--certify-time-budget",
         ],
     )
     def test_removed_flags_rejected(self, flag, capsys):

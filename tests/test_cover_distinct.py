@@ -46,7 +46,13 @@ from repro.designs.variants import build_cva6_mul, build_cva6_op
 from repro.engine import EngineConfig, JobScheduler
 from repro.fuzz import CampaignConfig, build_design, sample_spec
 from repro.fuzz.campaign import load_reproducer
-from repro.fuzz.oracle import OracleConfig, _input_sequences, _queries
+from repro.fuzz.oracle import (
+    RNG_SEED,
+    TRUNCATED_CONTEXTS,
+    OracleConfig,
+    _input_sequences,
+    _queries,
+)
 from repro.mc.enumerative import Context, EnumerativeEngine, TraceDB
 from repro.mc.incremental import InductionPool
 from repro.mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
@@ -196,19 +202,18 @@ def reference_synthesize(tool, iuv_name):
                 else "nonconsecutive" if nonconsec
                 else "none"
             )
-            if cfg.collect_run_lengths:
-                lengths = set()
-                for p in set_paths:
-                    lengths.update(p.run_lengths(pl))
-                for length in sorted(lengths):
-                    cover(
-                        "runlen_%s_%s_%d" % (iuv_name, pl, length),
-                        lambda p, pl=pl, n=length: n in p.run_lengths(pl),
-                        set_paths,
-                        outcome_of=lambda w: REACHABLE,
-                    )
-                run_lengths[pl] = frozenset(lengths)
-                global_run_lengths.setdefault(pl, set()).update(lengths)
+            lengths = set()
+            for p in set_paths:
+                lengths.update(p.run_lengths(pl))
+            for length in sorted(lengths):
+                cover(
+                    "runlen_%s_%s_%d" % (iuv_name, pl, length),
+                    lambda p, pl=pl, n=length: n in p.run_lengths(pl),
+                    set_paths,
+                    outcome_of=lambda w: REACHABLE,
+                )
+            run_lengths[pl] = frozenset(lengths)
+            global_run_lengths.setdefault(pl, set()).update(lengths)
         hb_edges = set()
         for pl0 in sorted(pl_set):
             for pl1 in sorted(pl_set):
@@ -353,13 +358,12 @@ def reference_check(engine, query):
 
 def oracle_tracedbs(design):
     """The full and truncated families the fuzz oracle checks ``design`` on."""
-    config = OracleConfig()
-    rng = random.Random(config.rng_seed ^ design.spec.seed)
-    sequences, complete = _input_sequences(design, config, rng)
+    rng = random.Random(RNG_SEED ^ design.spec.seed)
+    sequences, complete = _input_sequences(design, OracleConfig(), rng)
     contexts = [Context.make({}, seq, label="seq%d" % i) for i, seq in enumerate(sequences)]
     return (
         TraceDB(design.netlist, contexts, complete=complete),
-        TraceDB(design.netlist, contexts[: config.truncated_contexts], complete=False),
+        TraceDB(design.netlist, contexts[:TRUNCATED_CONTEXTS], complete=False),
     )
 
 

@@ -6,8 +6,8 @@ Covers the four scenarios the engine must get right:
 * a warm proof cache re-checks zero properties, and the telemetry trace
   proves it (cache_hit events, no job_start events);
 * the cache auto-invalidates when the netlist or the tool config changes;
-* UNDETERMINED outcomes trigger the retry/escalation ladder and are never
-  cached as final.
+* UNDETERMINED outcomes are final (never retried) and never cached;
+  only failed attempts retry.
 
 Plus a two-process pool against the serial reference for SynthLC labels
 and the fuzz-corpus reach campaign, the clean-interrupt checkpoint (a
@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
@@ -57,6 +57,13 @@ TINY_FAMILY = ContextFamilyConfig(
     include_deep=False,
 )
 INSTRS = ("ADD", "DIV", "LW")
+# a non-default value for every Rtl2MuPathConfig field
+CONFIG_CHANGES = {
+    "undetermined_as": REACHABLE,
+    "induction_k": 8,
+    "incremental": False,
+    "certify": "full",
+}
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "fuzz_corpus")
 
@@ -185,12 +192,29 @@ class TestProofCache:
         tool.synthesize_all(["ADD"], engine=engine)
 
         retuned = make_tool(
-            config=Rtl2MuPathConfig(induction_conflict_budget=12345)
+            config=Rtl2MuPathConfig(undetermined_as=REACHABLE)
         )
         engine2 = JobScheduler(EngineConfig(jobs=1, cache_dir=cache_dir))
         retuned.synthesize_all(["ADD"], engine=engine2)
         assert engine2.last_manifest.cache_hits == 0
         assert engine2.last_manifest.cache_misses == 1
+
+    @pytest.mark.parametrize("field", sorted(CONFIG_CHANGES))
+    def test_cache_key_tracks_every_config_field_but_certify(self, serial, field):
+        # a new config field must be added to CONFIG_CHANGES
+        assert set(CONFIG_CHANGES) == {f.name for f in fields(Rtl2MuPathConfig)}
+        tool, _ = serial
+        value = CONFIG_CHANGES[field]
+        assert getattr(tool.config, field) != value
+        changed = make_tool(
+            design=tool.design,
+            config=replace(tool.config, **{field: value}),
+        )
+        (before,) = synthesis_jobs_for(tool, ["ADD"])
+        (after,) = synthesis_jobs_for(changed, ["ADD"])
+        # certification changes how much a verdict is checked, never what
+        # it is; every other field can change a verdict
+        assert (after.cache_key() == before.cache_key()) == (field == "certify")
 
     def test_job_cache_keys_differ_per_iuv(self, serial):
         tool, _ = serial
@@ -215,29 +239,6 @@ class TestProofCache:
 
 # --------------------------------------------------------------- fake-job rigs
 @dataclass(frozen=True)
-class EscalatingJob:
-    """Returns UNDETERMINED until ``determined_at``; records its budget."""
-
-    job_id: str = "fake:escalate"
-    attempt: int = 0
-    budget: int = 100
-    determined_at: int = 99
-
-    def execute(self):
-        outcome = (
-            REACHABLE if self.attempt >= self.determined_at else UNDETERMINED
-        )
-        value = {"attempt": self.attempt, "budget": self.budget}
-        return value, [CheckResult("q", outcome, "fake")]
-
-    def escalated(self, attempt, factor):
-        return replace(self, attempt=attempt, budget=self.budget * factor ** attempt)
-
-    def cache_key(self):
-        return None
-
-
-@dataclass(frozen=True)
 class CacheableJob:
     """Constant-outcome job with a fixed cache key."""
 
@@ -247,9 +248,6 @@ class CacheableJob:
 
     def execute(self):
         return "value:" + self.outcome, [CheckResult("q", self.outcome, "fake")]
-
-    def escalated(self, attempt, factor):
-        return self
 
     def cache_key(self):
         return self.key
@@ -275,9 +273,6 @@ class SleepyJob:
     def execute(self):
         time.sleep(self.seconds)
         return "done", []
-
-    def escalated(self, attempt, factor):
-        return self
 
     def cache_key(self):
         return None
@@ -307,9 +302,6 @@ class EchoJob:
         )
         return "value:%s" % self.name, [result]
 
-    def escalated(self, attempt, factor):
-        return self
-
     def cache_key(self):
         return hashlib.sha256(self.job_id.encode("utf-8")).hexdigest()
 
@@ -333,40 +325,34 @@ class CrashyJob:
     def execute(self):
         raise RuntimeError("boom")
 
-    def escalated(self, attempt, factor):
-        return self
-
     def cache_key(self):
         return None
 
 
-# -------------------------------------------------------------- retry ladder
+# ------------------------------------------------------------- retry policy
 class TestRetryEscalation:
-    def test_undetermined_escalates_until_determined(self):
+    """Only a failed attempt retries; an attempt's results are final."""
+
+    def test_undetermined_is_final(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        job = CacheableJob(job_id="u", key="44" * 32, outcome=UNDETERMINED)
         engine = JobScheduler(
-            EngineConfig(jobs=1, max_attempts=4, escalation_factor=4)
+            EngineConfig(jobs=1, cache_dir=cache_dir, max_attempts=3)
         )
         stats = PropertyStats(label="t")
-        outcome = engine.run([EscalatingJob(determined_at=2)], stats=stats)
-        value = outcome["fake:escalate"]
-        # determined on the third attempt with a 4**2-escalated budget
-        assert value == {"attempt": 2, "budget": 1600}
+        outcome = engine.run([job], stats=stats)
         manifest = outcome.manifest
-        assert manifest.attempts == 3
-        assert manifest.retries == 2
-        # only the winning attempt's verdicts fold into the stats
-        assert stats.count == 1
-        assert stats.outcome_histogram == {REACHABLE: 1}
+        # one attempt, kept as is: no retry can change an UNDETERMINED
+        assert outcome["u"] == "value:" + UNDETERMINED
+        assert manifest.attempts == 1
+        assert manifest.retries == 0
+        assert manifest.jobs_executed == 1 and manifest.jobs_failed == 0
+        assert stats.outcome_histogram == {UNDETERMINED: 1}
         assert manifest.reconciles(stats)
-
-    def test_exhausted_ladder_degrades_to_best_attempt(self):
-        engine = JobScheduler(EngineConfig(jobs=1, max_attempts=3))
-        outcome = engine.run([EscalatingJob(determined_at=99)])
-        # all attempts UNDETERMINED: keep the last result, do not fail
-        assert outcome["fake:escalate"]["attempt"] == 2
-        assert outcome.manifest.attempts == 3
-        assert outcome.manifest.jobs_executed == 1
-        assert outcome.manifest.jobs_failed == 0
+        # and never cached
+        assert manifest.cache_stores == 0
+        assert manifest.cache_skipped_nonfinal == 1
+        assert ProofCache(cache_dir).entries() == 0
 
     def test_undetermined_never_cached(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -465,6 +451,46 @@ class TestSynthLCEngine:
         assert warm_engine.last_manifest.jobs_executed == 0
         assert warm.tags_by_decision == ref.tags_by_decision
         assert warm.transmitters == ref.transmitters
+
+    def test_truncated_family_runs_each_job_once(self, synthlc_serial, monkeypatch):
+        """A truncated taint family yields UNDETERMINED covers; each job
+        still runs once, and the labels are the serial path's."""
+        from repro.engine import specs
+
+        design, _provider, work, _ref_tool, _ref = synthlc_serial
+        provider = CoreContextProvider(
+            xlen=design.config.xlen,
+            config=replace(TINY_FAMILY, instrumented=True, max_contexts=3),
+        )
+        serial_tool = SynthLC(design, provider)
+        serial = serial_tool.classify(work, transmitters=["DIV"])
+        assert serial_tool.stats.outcome_histogram.get(UNDETERMINED)
+
+        executed = []
+        original = specs.SynthLCJob.execute
+
+        def counting(job):
+            executed.append(job.job_id)
+            return original(job)
+
+        monkeypatch.setattr(specs.SynthLCJob, "execute", counting)
+        tool = SynthLC(design, provider)
+        engine = JobScheduler(EngineConfig(jobs=1))
+        out = tool.classify(work, transmitters=["DIV"], engine=engine)
+        manifest = engine.last_manifest
+        assert sorted(executed) == sorted(set(executed))
+        assert len(executed) == manifest.jobs_executed > 0
+        assert manifest.attempts == manifest.jobs_executed
+        assert manifest.retries == 0
+        assert out.tags_by_decision == serial.tags_by_decision
+        assert out.transmitters == serial.transmitters
+        assert [s.render() for s in out.signatures] == [
+            s.render() for s in serial.signatures
+        ]
+        assert sorted(
+            (r.query_name, r.outcome) for r in tool.stats.results
+        ) == sorted((r.query_name, r.outcome) for r in serial_tool.stats.results)
+        assert manifest.reconciles(tool.stats)
 
     def test_two_process_pool_matches_serial(self, synthlc_serial):
         design, provider, work, ref_tool, ref = synthlc_serial

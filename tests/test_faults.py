@@ -53,7 +53,7 @@ from repro.faults import (
     InjectedFault,
     injection_point,
 )
-from repro.mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
+from repro.mc.outcomes import REACHABLE, UNREACHABLE, CheckResult
 from repro.mc.stats import PropertyStats
 from repro.obs import TraceProfile, note_property
 
@@ -96,9 +96,6 @@ class FakeJob:
             CheckResult("q:" + self.job_id, self.outcome, "fake",
                         time_seconds=0.01)
         ]
-
-    def escalated(self, attempt, factor):
-        return self
 
     def cache_key(self):
         return self.key
@@ -330,18 +327,6 @@ class TestRetryTraceReconciliation:
         ]
         assert len(discarded) == 1
         assert discarded[0].attrs["discarded_properties"] == 1
-
-    def test_superseded_escalation_attempt_is_discarded(self, tmp_path):
-        # both attempts succeed (UNDETERMINED triggers the escalation
-        # ladder) but only the last attempt's results enter the stats
-        profile, stats = self._traced_run(
-            tmp_path, None, NotingJob(outcome=UNDETERMINED), max_attempts=2
-        )
-        assert profile.reconciles_total_time(stats.total_time)
-        assert sum(
-            record.attrs.get("discarded_properties", 0)
-            for record in profile.spans
-        ) == 1
 
 
 # -------------------------------------------------------------- worker kills
@@ -745,9 +730,6 @@ class DriverJob:
             CheckResult("q:" + self.job_id, REACHABLE, "fake",
                         time_seconds=0.01)
         ]
-
-    def escalated(self, attempt, factor):
-        return self
 
     def cache_key(self):
         return self.key

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import repro.fuzz.campaign as campaign_module
 import repro.sim.simulator as simulator_mod
 from repro.fuzz import (
     GenProfile,
@@ -158,10 +159,11 @@ class TestCampaign:
         assert not (tmp_path / "out").exists()
 
     def test_campaign_shrinks_and_persists_disagreements(
-            self, tmp_path, broken_simulator):
+            self, tmp_path, broken_simulator, monkeypatch):
+        monkeypatch.setattr(campaign_module, "SHRINK_BUDGET_SECONDS", 10.0)
         out = tmp_path / "out"
         config = CampaignConfig(seed=0, budget_seconds=60.0, max_designs=2,
-                                out_dir=str(out), shrink_budget_seconds=10.0)
+                                out_dir=str(out))
         result = run_campaign(config)
         assert not result.ok
         assert result.reproducers

@@ -24,6 +24,7 @@ from repro import cli, obs
 from repro.core import Rtl2MuPath
 from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core
 from repro.engine import EngineConfig, JobScheduler
+from repro.engine import telemetry as telemetry_module
 from repro.engine.telemetry import TelemetryLog
 from repro.mc.outcomes import REACHABLE, UNREACHABLE, CheckResult
 from repro.obs import (
@@ -341,9 +342,11 @@ class TestCheckResultEffortFields:
 
 # ------------------------------------------------------- telemetry buffering
 class TestTelemetryBuffering:
-    def test_events_buffer_until_threshold(self, tmp_path):
+    def test_events_buffer_until_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "FLUSH_EVERY", 10)
+        monkeypatch.setattr(telemetry_module, "FLUSH_SECONDS", 3600.0)
         path = tmp_path / "t.jsonl"
-        log = TelemetryLog(str(path), flush_every=10, flush_seconds=3600.0)
+        log = TelemetryLog(str(path))
         for i in range(9):
             log.event("tick", i=i)
         assert path.read_text() == ""  # still buffered

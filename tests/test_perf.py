@@ -290,7 +290,7 @@ class TestCampaign:
             assert len(program) <= 8
 
 
-class TestEngineIntegration:
+class TestTimingVariability:
     def test_timing_variability_matches_synthlc_labels(self):
         from repro.report import timing_variability_rows
 

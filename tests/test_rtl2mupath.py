@@ -6,7 +6,8 @@ from repro.designs import isa, slot_pc
 from repro.mc import REACHABLE, UNREACHABLE, TraceDB, EnumerativeEngine
 from repro.props import Eventually, Query, Sequence, VisitedCover
 from repro.core.mhb import UhbGraph
-from repro.core.rtl2mupath import Rtl2MuPath, Rtl2MuPathConfig
+import repro.core.rtl2mupath as rtl2mupath_module
+from repro.core.rtl2mupath import Rtl2MuPath
 
 
 class TestAddSynthesis:
@@ -191,9 +192,8 @@ class TestConfig:
         outcomes = {r.outcome for r in tool.stats.results}
         assert "undetermined" in outcomes
 
-    def test_candidate_cap(self, core_design, core_provider):
-        tool = Rtl2MuPath(
-            core_design, core_provider, config=Rtl2MuPathConfig(max_candidate_sets=4)
-        )
+    def test_candidate_cap(self, core_design, core_provider, monkeypatch):
+        monkeypatch.setattr(rtl2mupath_module, "MAX_CANDIDATE_SETS", 4)
+        tool = Rtl2MuPath(core_design, core_provider)
         result = tool.synthesize("ADD")
         assert result.candidate_sets_considered <= 4 + len(result.upaths)

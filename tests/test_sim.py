@@ -86,9 +86,9 @@ def test_random_expression_matches_reference(seed, a, b):
 class TestTraceAndVcd:
     def _make_trace(self):
         trace = Trace(["sig", "bus"])
-        trace.append({"sig": 0, "bus": 3}, {})
-        trace.append({"sig": 1, "bus": 3}, {})
-        trace.append({"sig": 1, "bus": 7}, {})
+        trace.append({"sig": 0, "bus": 3})
+        trace.append({"sig": 1, "bus": 3})
+        trace.append({"sig": 1, "bus": 7})
         return trace
 
     def test_trace_access(self):

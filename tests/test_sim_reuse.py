@@ -13,7 +13,6 @@ import pytest
 import repro.mc.enumerative as enumerative
 import repro.sim.simulator as simulator_module
 from repro.core import Rtl2MuPath
-from repro.core.rtl2mupath import Rtl2MuPathConfig
 from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core, isa
 from repro.designs.cache import CacheContextProvider, cache_driver_factory
 from repro.designs.core import CoreConfig
@@ -191,12 +190,10 @@ class TestCompileMemo:
 
 
 # ----------------------------------------------------------- DUV-PL covers
-@pytest.mark.parametrize("induction", [True, False])
-def test_duv_column_scan_matches_a_per_bit_scan(induction):
+def test_duv_column_scan_matches_a_per_bit_scan():
     tool = Rtl2MuPath(
         build_core(CoreConfig(xlen=XLEN)),
         CoreContextProvider(xlen=XLEN, config=FAMILY),
-        config=Rtl2MuPathConfig(prove_invalid_pls_by_induction=induction),
     )
     reachable = tool.duv_pl_reachability(IUVS)
     pls = {**tool.metadata.pls, **tool.metadata.candidate_pls}

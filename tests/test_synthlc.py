@@ -8,7 +8,7 @@ assertions; they mirror the paper's headline CVA6 findings (SS VII-A1).
 import pytest
 
 from repro.designs import ContextFamilyConfig, CoreContextProvider
-from repro.core.synthlc import SynthLC, SynthLCConfig, instrument_design
+from repro.core.synthlc import SynthLC, instrument_design
 
 TAINT_FAMILY = ContextFamilyConfig(
     horizon=44,
