@@ -23,10 +23,13 @@ verdict carry an independently checkable *certificate*:
 
 Certificates travel inside :class:`~repro.mc.outcomes.CheckResult`
 bundles, through the worker reports and the format-v2 proof cache
-(digest-verified on read-through).  A certification
-*failure* never aborts a campaign: the scheduler quarantines the result
-and re-solves the job on the conservative path (fresh non-incremental
-contexts) when the job has one -- see DESIGN SS5j.
+(digest-verified on read-through).  The ``--certify`` mode is ``off``
+(no proof logging) or ``full`` (every certificate is checked); the
+engines take it as one ``certify`` flag (:func:`certify_flag`).  A
+certification *failure* never aborts a campaign: the scheduler reports
+it, dumps the failing bundle and keeps the result out of the proof
+cache.  Nothing re-solves it -- every engine path is deterministic, so
+a second solve would retrace the first (DESIGN SS5j).
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..obs import span as _span
 from ..obs.metrics import REGISTRY
 
 __all__ = [
-    "CertifyPolicy",
     "MODES",
+    "certify_flag",
     "canonical_payload_bytes",
     "payload_digest",
     "make_certificate",
@@ -56,7 +58,7 @@ __all__ = [
     "replay_witness",
 ]
 
-MODES = ("off", "spot", "full")
+MODES = ("off", "full")
 
 # max proof entries a single DRAT leg may have and still be checked
 PROOF_LIMIT = 200_000
@@ -65,8 +67,6 @@ TIME_BUDGET = 10.0
 # max canonical-JSON bytes of payload retained inside a bundle; larger
 # payloads are checked, then dropped to digest-only
 PAYLOAD_LIMIT = 2_000_000
-# spot mode checks the proofs of 1 in SPOT_MODULUS query names
-SPOT_MODULUS = 4
 
 _CHECKS = REGISTRY.counter(
     "repro_cert_checks_total", "certificate checks, by kind and status"
@@ -80,38 +80,18 @@ _UNCAUGHT = REGISTRY.counter(
 )
 
 
-@dataclass(frozen=True)
-class CertifyPolicy:
-    """How aggressively to check certificates (the ``--certify`` mode).
+def certify_flag(mode: str) -> bool:
+    """The engines' ``certify`` flag for a ``--certify`` mode.
 
-    ``off`` disables proof logging entirely (zero overhead); ``spot``
-    logs everything but only *checks* a deterministic 1-in-``SPOT_MODULUS``
-    sample of certificates (witness replays are cheap and always run);
-    ``full`` checks every certificate, subject to the per-check proof
-    size and time budgets (``PROOF_LIMIT``, ``TIME_BUDGET``) -- a
-    budgeted skip is reported as ``budget``, never as a failure.
+    ``off`` disables proof logging entirely (zero overhead); ``full``
+    logs every proof and checks every certificate, subject to the
+    per-check proof size and time budgets (``PROOF_LIMIT``,
+    ``TIME_BUDGET``) -- a budgeted skip is reported as ``budget``, never
+    as a failure.  Any other mode raises :class:`ValueError`.
     """
-
-    mode: str = "off"
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    def should_check_proof(self, name: str) -> bool:
-        """Whether to run the (expensive) DRAT check for ``name``."""
-        if self.mode == "full":
-            return True
-        if self.mode != "spot":
-            return False
-        digest = hashlib.sha256(name.encode("utf-8")).digest()
-        return digest[0] % SPOT_MODULUS == 0
-
-    @classmethod
-    def from_mode(cls, mode: str) -> "CertifyPolicy":
-        if mode not in MODES:
-            raise ValueError(f"unknown certify mode: {mode!r}")
-        return cls(mode=mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown certify mode: {mode!r}")
+    return mode == "full"
 
 
 # ----------------------------------------------------------------- bundles
@@ -202,11 +182,10 @@ def note_uncaught(count: int) -> None:
 # ------------------------------------------------------------- DRAT bundles
 def drat_certificate(
     legs: Dict[str, Tuple[Sequence, Sequence[int]]],
-    policy: CertifyPolicy,
     name: str = "",
     overflow: bool = False,
 ) -> dict:
-    """Build (and per policy, check) a DRAT certificate over proof legs.
+    """Build and check a DRAT certificate over proof legs.
 
     ``legs`` maps a leg label (``base`` / ``step`` for k-induction,
     ``proof`` for plain BMC exhaustion) to ``(entries, final)`` where
@@ -214,42 +193,8 @@ def drat_certificate(
     terminal lemma (empty tuple = empty clause).  All legs must verify
     for the certificate to verify; a budget/overflow skip on any leg
     demotes the whole bundle to unchecked rather than failed.
-
-    For a query the policy will *not* check (spot-unsampled), a leg's
-    ``entries`` may be a bare int (the solver's ``proof_length()``)
-    instead of the materialized log -- the engines use this to skip the
-    snapshot copy of a shared incremental log entirely.
     """
     from . import drat
-
-    if not policy.should_check_proof(name):
-        # Nothing will be checked, so don't pay for materializing +
-        # canonicalizing + digesting a payload nobody will ever look at
-        # (that cost alone blows the spot-mode overhead budget).  The
-        # bundle is digest-only from birth; its digest pins the proof
-        # *shape* (per-leg entry counts + final lemma), which is all an
-        # unchecked bundle can vouch for.
-        shape = {
-            label: {
-                "entries": entries if isinstance(entries, int)
-                else len(entries),
-                "final": list(final),
-            }
-            for label, (entries, final) in legs.items()
-        }
-        status = "overflow" if overflow else "skipped"
-        cert = {
-            "kind": "drat",
-            "status": status,
-            "verified": None,
-            "digest": payload_digest({"shape": shape}),
-            "payload": None,
-            "payload_dropped": True,
-        }
-        if overflow:
-            cert["detail"] = "proof log overflowed the retention cap"
-        _CHECKS.inc(kind="drat", status=status)
-        return cert
 
     payload = {
         "legs": {
@@ -302,8 +247,7 @@ def witness_certificate(
     decoded per-cycle input words, and ``evaluate`` a callable mapping
     the replayed :class:`~repro.props.views.ConcreteTraceView` to a bool
     (the cover/property, interpreted concretely).  Witness replays are
-    cheap -- depth-many simulator steps -- so every REACHABLE verdict is
-    replay-confirmed in both ``spot`` and ``full`` modes.
+    cheap -- depth-many simulator steps.
     """
     payload = {
         "depth": len(inputs),
@@ -333,9 +277,8 @@ def cover_witness_certificate(name: str, payload: dict, replay) -> dict:
     concrete context.  ``replay`` re-simulates that context on a fresh
     simulator and re-evaluates the cover predicate on the replayed path
     (see :class:`repro.core.rtl2mupath._CoverCertifier`); this function
-    wraps the outcome in a standard certificate bundle so the scheduler's
-    quarantine/degrade machinery treats cover verdicts and solver
-    verdicts uniformly.
+    wraps the outcome in a standard certificate bundle so the scheduler
+    accounts cover verdicts and solver verdicts uniformly.
     """
     started = time.perf_counter()
     with _span("cert.check", kind="cover-witness", query=name) as sp:

@@ -39,17 +39,17 @@ Commands:
   * ``--fault-plan FILE`` -- arm a deterministic fault-injection plan
     (see :mod:`repro.faults`) for chaos testing;
   * ``--metrics FILE`` -- dump the process metrics registry (Prometheus
-    text exposition) at run end; ``--metrics-port N`` serves the same
-    registry live on ``127.0.0.1:N/metrics`` for the run's duration;
+    text exposition) at run end;
   * ``--duv-prune`` -- run the paper's step 1 (DUV-level PL
     reachability: cover scans plus unbounded k-induction proofs for
     candidate PLs) before synthesis, accounted in its own stats block;
   * ``--no-incremental`` -- rebuild fresh solvers per induction proof
     instead of reusing one growing proof context per design (the legacy
     reference path; verdicts are identical, only slower);
-  * ``--certify off|spot|full`` -- verdict certification
-    (:mod:`repro.cert`): failed certificates quarantine the result and
-    re-solve it on the conservative path.
+  * ``--certify off|full`` -- verdict certification
+    (:mod:`repro.cert`): ``full`` checks every certificate; a failed
+    one is reported (``cert_failures`` / ``cert_uncaught`` in the
+    manifest), its result is never cached, and the run exits 1.
 
   A clean Ctrl-C drains in-flight results into the checkpoint (with
   ``--run-dir``) and exits 130 with the resume command printed; the
@@ -118,6 +118,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .cert import MODES
 from .core import Rtl2MuPath, Rtl2MuPathConfig, UhbGraph, check_sc_safe
 from .designs import ContextFamilyConfig, CoreContextProvider, build_core, isa
 from .report import CLASS_REPRESENTATIVES, render_uspec_model, table2_report
@@ -206,7 +207,7 @@ def cmd_synth_all(args):
 
     from .engine import EngineConfig, EngineError, JobScheduler
     from .faults import FaultPlan
-    from .obs import get_registry, start_metrics_server
+    from .obs import get_registry
 
     run_dir = args.resume or args.run_dir
     resume = args.resume is not None
@@ -243,13 +244,6 @@ def cmd_synth_all(args):
             fault_plan = fault_plan.with_state_dir(state_dir)
         print("fault plan armed: %s (%d spec(s), state in %s)"
               % (args.fault_plan, len(fault_plan.specs), fault_plan.state_dir))
-    server = None
-    if args.metrics_port is not None:
-        server = start_metrics_server(args.metrics_port)
-        print(
-            "serving metrics on http://127.0.0.1:%d/metrics"
-            % server.server_address[1]
-        )
     if run_meta_path is not None:
         os.makedirs(run_dir, exist_ok=True)
         with open(run_meta_path, "w", encoding="utf-8") as handle:
@@ -336,8 +330,6 @@ def cmd_synth_all(args):
         if args.metrics:
             with open(args.metrics, "w", encoding="utf-8") as handle:
                 handle.write(get_registry().to_prometheus())
-        if server is not None:
-            server.shutdown()
     failed = []
     for name in names:
         result = results[name]
@@ -364,8 +356,7 @@ def cmd_synth_all(args):
         print("WARNING: telemetry manifest does not reconcile with stats")
         return 1
     if manifest.cert_uncaught:
-        # the campaign completed, but some verdict's certificate failed
-        # and the conservative re-solve could not vouch for it either --
+        # the campaign completed, but some verdict's certificate failed:
         # that verdict is untrusted, so the run must not exit clean
         print(
             "WARNING: %d uncaught certification failure(s) -- the affected "
@@ -644,9 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm a JSON fault-injection plan (chaos testing)")
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="dump Prometheus text-format metrics at run end")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="N",
-                   help="serve /metrics on 127.0.0.1:N during the run "
-                        "(0 = ephemeral port)")
     p.add_argument("--duv-prune", action="store_true",
                    help="run the DUV-level PL reachability phase (cover "
                         "scans + k-induction proofs for candidate PLs) "
@@ -655,13 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable incremental solving: rebuild a fresh "
                         "solver per induction proof (legacy reference "
                         "path; the verdicts must not change)")
-    p.add_argument("--certify", choices=("off", "spot", "full"),
-                   default="off",
-                   help="verdict certification (repro.cert): 'spot' logs "
-                        "proofs and checks a sample (witness replays always "
-                        "run); 'full' checks every certificate; failures "
-                        "quarantine the result and re-solve it on the "
-                        "conservative path")
+    p.add_argument("--certify", choices=MODES, default="off",
+                   help="verdict certification (repro.cert): 'full' checks "
+                        "every certificate; a failed one is reported, never "
+                        "cached, and makes the run exit 1")
     p.set_defaults(func=cmd_synth_all)
 
     p = sub.add_parser(

@@ -74,15 +74,17 @@ class Rtl2MuPathConfig:
     undetermined_as: str = UNREACHABLE  # SS VII-B4 interpretation
     induction_k: int = 1
     incremental: bool = True  # shared growing proof context per design
-    # verdict certification (repro.cert): "off" | "spot" | "full".  The
-    # mode is excluded from proof-cache keys -- certification changes
-    # how much a verdict is *checked*, never what the verdict is
+    # verdict certification (repro.cert): "off" | "full".  The mode is
+    # excluded from proof-cache keys -- certification changes whether a
+    # verdict is *checked*, never what the verdict is
     certify: str = "off"
 
-    def certify_policy(self):
-        from ..cert import CertifyPolicy
+    @property
+    def certified(self) -> bool:
+        """The engines' ``certify`` flag; raises on an unknown mode."""
+        from ..cert import certify_flag
 
-        return CertifyPolicy.from_mode(self.certify)
+        return certify_flag(self.certify)
 
 
 @dataclass
@@ -165,10 +167,10 @@ class _CoverCertifier:
     ``--certify full`` re-simulates only a handful of contexts per IUV.
     """
 
-    def __init__(self, netlist, pls, policy):
+    def __init__(self, netlist, pls, enabled: bool):
         self.netlist = netlist
         self.pls = pls
-        self.policy = policy
+        self.enabled = enabled
         # witness path -> (tracedb, context index, iuv pc); equal paths
         # share an entry -- any context reproducing those visits serves
         self._src: Dict[CycleAccuratePath, Tuple] = {}
@@ -198,14 +200,9 @@ class _CoverCertifier:
 
         ``witness`` is the first path satisfying the cover (None for
         UNREACHABLE/UNDETERMINED verdicts, which have no finite witness
-        to replay).  Spot mode samples covers by name like DRAT checks
-        -- unlike SAT-model witnesses, a cover replay costs a full
-        context re-simulation, so it is not unconditionally cheap.
+        to replay).
         """
-        policy = self.policy
-        if witness is None or not policy.enabled:
-            return None
-        if not policy.should_check_proof(name):
+        if witness is None or not self.enabled:
             return None
         src = self._src.get(witness)
         if src is None:
@@ -258,9 +255,7 @@ class Rtl2MuPath:
         if self._induction_pool is None:
             from ..mc.incremental import InductionPool
 
-            self._induction_pool = InductionPool(
-                certify=self.config.certify_policy()
-            )
+            self._induction_pool = InductionPool()
         return self._induction_pool
 
     # ------------------------------------------------------------ accounting
@@ -343,7 +338,7 @@ class Rtl2MuPath:
                         k=self.config.induction_k,
                         conflict_budget=INDUCTION_CONFLICT_BUDGET,
                         pool=self._pool(),
-                        certify=self.config.certify_policy(),
+                        certify=self.config.certified,
                     )
                     self._record(
                         "duvpl_reach_%s" % pl_name,
@@ -392,7 +387,7 @@ class Rtl2MuPath:
         with obs.span("phase.elaborate"):
             groups = self.provider.mupath_groups(iuv_name)
             certifier = _CoverCertifier(
-                self.netlist, self.metadata.pls, cfg.certify_policy()
+                self.netlist, self.metadata.pls, cfg.certified
             )
             indexes: List[VisitIndex] = []
             truncated = False

@@ -15,6 +15,13 @@ across a ``ProcessPoolExecutor``, with:
   ``max_attempts`` attempts.  An attempt that returns results is final,
   whatever its verdicts: UNDETERMINED is interpreted by the pipeline's
   ``undetermined_as`` (SS VII-B4), never retried;
+* **reported certificate failures**: an attempt whose results carry a
+  failed certificate (``--certify full``, DESIGN SS5j) is final too.
+  Its failing bundles are dumped to ``$REPRO_CERT_ARTIFACTS``, each
+  failure counts in the manifest's ``cert_failures`` and
+  ``cert_uncaught``, and the job is never cached.  Nothing re-solves
+  it: every engine path is deterministic, so a second execute would
+  retrace the first;
 * **crash-resilient dispatch**: a worker death (OOM-kill, segfault,
   SIGKILL, injected chaos) breaks the process pool; the scheduler
   catches it, rebuilds the pool with exponential backoff and seeded
@@ -78,6 +85,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults, obs
+from ..cert import failed_certificates
 from ..faults import InjectedWorkerDeath
 from ..mc.outcomes import UNDETERMINED
 from ..obs.metrics import REGISTRY
@@ -193,13 +201,8 @@ class WorkerReport:
     error: Optional[str] = None  # set only when no attempt produced a value
     quarantined: bool = False  # job repeatedly killed its worker
     spans: List = field(default_factory=list)  # collected (kind, fields) events
-    # ---- verdict certification (repro.cert, DESIGN SS5j) ----
-    cert_failures: int = 0  # certificates that failed verification
-    cert_degraded: bool = False  # conservative re-solve was performed
-    # per-query verdict drift between the quarantined attempt and its
-    # conservative re-solve: [{"query", "original", "conservative"}]
-    cert_divergences: List = field(default_factory=list)
-    cert_uncaught: int = 0  # failures surviving into the final results
+    # certificates that failed verification (repro.cert, DESIGN SS5j)
+    cert_failures: int = 0
 
 
 @dataclass
@@ -408,23 +411,20 @@ def _run_job_with_retries(
     return report
 
 
-def _scrub_span_accounting(collector, start: int, end: Optional[int] = None):
-    """Demote per-property accounting attrs on span records in [start:end).
+def _scrub_span_accounting(collector, start: int):
+    """Demote per-property accounting attrs on span records from ``start``.
 
     An attempt whose results never reach the job's ``PropertyStats`` --
-    it timed out, crashed and was retried, or was superseded by the
-    conservative re-solve -- must not leave ``properties``/``check_seconds``
-    attributes in the trace: the profile reconciliation identity sums
-    those attrs across all spans and equates them with the stats
-    accumulator's ``total_time``.  The values stay visible under
-    ``discarded_*`` names so traces still show what the doomed attempt
-    cost.
+    it timed out, crashed or crossed the RSS ceiling -- must not leave
+    ``properties``/``check_seconds`` attributes in the trace: the profile
+    reconciliation identity sums those attrs across all spans and
+    equates them with the stats accumulator's ``total_time``.  The
+    values stay visible under ``discarded_*`` names so traces still show
+    what the doomed attempt cost.
     """
     if collector is None:
         return
-    records = collector.records
-    stop = len(records) if end is None else end
-    for kind, fields in records[start:stop]:
+    for kind, fields in collector.records[start:]:
         if kind != "span_end":
             continue
         attrs = fields.get("attrs")
@@ -510,16 +510,15 @@ def _attempt_loop(
                 undetermined=undetermined,
             )
         )
-        # results are final, UNDETERMINED included: a re-run on the same
-        # recipe reproduces them, and the pipeline's undetermined_as
-        # interprets them (SS VII-B4) exactly as in a serial run
-        attempt_range = (
-            mark, len(collector.records) if collector is not None else 0
-        )
-        report.value, report.results = _certify_degrade(
-            job, report, (value, results), attempt_range, collector,
-            timeout_seconds=timeout_seconds, max_rss_mb=max_rss_mb,
-        )
+        # results are final, UNDETERMINED and failed certificates
+        # included: a re-run on the same recipe reproduces them.  The
+        # pipeline's undetermined_as interprets UNDETERMINED (SS VII-B4);
+        # a failed certificate's bundle is dumped here, and the fold
+        # counts it uncaught and keeps the job out of the cache
+        report.value, report.results = value, results
+        report.cert_failures = len(failed_certificates(results))
+        if report.cert_failures:
+            _dump_cert_artifacts(job.job_id, results)
         return
     report.error = last_error or "job produced no result"
 
@@ -558,96 +557,6 @@ def _dump_cert_artifacts(job_id: str, results) -> None:
             json.dump(bundle, handle, indent=2, sort_keys=True)
     except Exception:
         pass
-
-
-def _certify_degrade(
-    job, report, best, best_range, collector,
-    timeout_seconds=None, max_rss_mb=None,
-):
-    """The certification degrade rung (DESIGN SS5j).
-
-    When the attempt's results carry *failed* certificates, the
-    verdicts cannot be trusted as-is -- but a campaign must not abort on
-    them either.  The job re-solves once on its conservative recipe
-    (``job.conservative()``: fresh non-incremental contexts), under the
-    same deadline/RSS guards; the quarantined attempt's results are
-    superseded (and their span accounting scrubbed), and any verdict
-    drift between the two solves is recorded on the report for the
-    manifest.  Jobs without a conservative recipe (reach jobs already
-    solve on fresh solvers, so a second solve would retrace the same
-    deterministic path), or a conservative re-solve that itself fails,
-    keep the original results with ``cert_uncaught`` set -- surfaced,
-    never silently dropped.
-    """
-    from ..cert import certificate_failed, failed_certificates
-
-    value, results = best
-    failed = failed_certificates(results)
-    if not failed:
-        return best
-    report.cert_failures = len(failed)
-    _dump_cert_artifacts(job.job_id, results)
-    conservative = getattr(job, "conservative", None)
-    fallback = conservative() if callable(conservative) else None
-    if fallback is None:
-        report.cert_uncaught = len(failed)
-        return best
-    attempt = len(report.attempts)
-    started = time.perf_counter()
-    rss_trip: List[float] = []
-    mark = len(collector.records) if collector is not None else 0
-    try:
-        with obs.span(
-            "job.attempt", job=job.job_id, attempt=attempt, conservative=True
-        ):
-            with _rss_guard(max_rss_mb, rss_trip), _deadline(timeout_seconds):
-                new_value, new_results = fallback.execute()
-    except (Exception, KeyboardInterrupt) as exc:
-        if isinstance(exc, KeyboardInterrupt) and not rss_trip:
-            raise
-        report.attempts.append(
-            AttemptRecord(
-                attempt=attempt,
-                seconds=time.perf_counter() - started,
-                error="conservative re-solve failed: %s"
-                % (str(exc) or type(exc).__name__),
-            )
-        )
-        _scrub_span_accounting(collector, mark)
-        report.cert_uncaught = len(failed)
-        return best
-    report.attempts.append(
-        AttemptRecord(
-            attempt=attempt,
-            seconds=time.perf_counter() - started,
-            properties=len(new_results),
-            undetermined=sum(
-                1 for r in new_results if r.outcome == UNDETERMINED
-            ),
-        )
-    )
-    report.cert_degraded = True
-    # verdict drift between the quarantined solve and the trusted one
-    original = {r.query_name: r.outcome for r in results}
-    for r in new_results:
-        before = original.get(r.query_name)
-        if before is not None and before != r.outcome:
-            report.cert_divergences.append(
-                {
-                    "query": r.query_name,
-                    "original": before,
-                    "conservative": r.outcome,
-                }
-            )
-    # only one attempt's results reach the stats: scrub the superseded one
-    if best_range is not None:
-        _scrub_span_accounting(collector, best_range[0], best_range[1])
-    still_failed = sum(1 for r in new_results if certificate_failed(r))
-    report.cert_failures += still_failed
-    report.cert_uncaught = still_failed
-    if still_failed:
-        _dump_cert_artifacts(job.job_id + ".conservative", new_results)
-    return (new_value, new_results)
 
 
 class JobScheduler:
@@ -1097,24 +1006,15 @@ class JobScheduler:
 
         manifest.cert_checked += checked_certificates(report.results)
         if report.cert_failures:
+            # nothing re-solves a failed certificate: each one is uncaught
             manifest.cert_failures += report.cert_failures
-            if report.cert_degraded:
-                manifest.cert_degraded_jobs += 1
-                log.event(
-                    "job_cert_degraded",
-                    job=report.job_id,
-                    failures=report.cert_failures,
-                    divergences=report.cert_divergences,
-                )
-            manifest.cert_divergences.extend(report.cert_divergences)
-            manifest.cert_uncaught += report.cert_uncaught
-            note_uncaught(report.cert_uncaught)
-            if report.cert_uncaught:
-                log.event(
-                    "job_cert_uncaught",
-                    job=report.job_id,
-                    uncaught=report.cert_uncaught,
-                )
+            manifest.cert_uncaught += report.cert_failures
+            note_uncaught(report.cert_failures)
+            log.event(
+                "job_cert_uncaught",
+                job=report.job_id,
+                uncaught=report.cert_failures,
+            )
         histogram: Dict[str, int] = {}
         for result in report.results:
             histogram[result.outcome] = histogram.get(result.outcome, 0) + 1
@@ -1143,7 +1043,7 @@ class JobScheduler:
                 and job.value_is_final(report.value)
                 # a verdict whose certificate failed must never be
                 # replayed from the cache as if it were proven
-                and report.cert_uncaught == 0
+                and report.cert_failures == 0
             )
             if final:
                 from .serialize import check_results_to_dicts

@@ -20,7 +20,6 @@ __all__ = [
     "mupath_result_to_dict",
     "mupath_result_from_dict",
     "check_results_to_dicts",
-    "check_results_from_dicts",
 ]
 
 
@@ -123,6 +122,3 @@ def mupath_result_from_dict(payload: Dict[str, Any]) -> MuPathResult:
 def check_results_to_dicts(results: List[CheckResult]) -> List[Dict[str, Any]]:
     return [r.to_dict() for r in results]
 
-
-def check_results_from_dicts(payloads: List[Dict[str, Any]]) -> List[CheckResult]:
-    return [CheckResult.from_dict(d) for d in payloads]

@@ -65,7 +65,7 @@ def _unparams(params: Params) -> Dict[str, Any]:
 def _cacheable_config(params: Params) -> Dict[str, Any]:
     """Config dict for cache keys, minus the certification mode.
 
-    Certification changes how much a verdict is *checked*, never what
+    Certification changes whether a verdict is *checked*, never what
     the verdict is, so ``--certify`` must not fork the proof cache: a
     certified run and an uncertified run of the same job share one
     entry (and pre-certification entries keep matching).
@@ -219,26 +219,6 @@ class SynthesisJob:
             tool._duv_pls = frozenset(self.duv_pls)
         result = tool.synthesize(self.iuv)
         return result, stats.results
-
-    def conservative(self) -> "SynthesisJob":
-        """The certification-failure fallback recipe (DESIGN SS5j).
-
-        The same job on the fresh-solver reference path
-        (``incremental=False``).  ``synthesize()`` runs no solver -- its
-        verdicts are enumerative covers -- so the re-run re-derives every
-        cover on a fresh tool.  Certification stays on, so the re-run is
-        re-checked.
-        """
-        params = _unparams(self.config_params)
-        params["incremental"] = False
-        return SynthesisJob(
-            iuv=self.iuv,
-            design_spec=self.design_spec,
-            provider_spec=self.provider_spec,
-            config_params=tuple(sorted(params.items())),
-            netlist_hash=self.netlist_hash,
-            duv_pls=self.duv_pls,
-        )
 
     def cache_key(self) -> str:
         return content_key(
@@ -446,8 +426,8 @@ class ReachJob:
     horizon: int = 4
     k: int = 2
     conflict_budget: int = 200000
-    # deliberately NOT part of cache_key(): certification changes how
-    # much the verdict is checked, never what the verdict is
+    # "off" | "full"; deliberately NOT part of cache_key(): certification
+    # changes whether the verdict is checked, never what the verdict is
     certify: str = "off"
 
     @property
@@ -469,14 +449,14 @@ class ReachJob:
         from ..props import Eventually, Query, sig
 
         injection_point("job.execute", job=self.job_id)
-        from ..cert import CertifyPolicy
+        from ..cert import certify_flag
 
-        policy = CertifyPolicy.from_mode(self.certify)
+        certify = certify_flag(self.certify)
         design = _built_fuzz_design(self.design_json)
         netlist = design.netlist
         bmc = BmcContext(
             netlist, horizon=self.horizon, conflict_budget=self.conflict_budget,
-            certify=policy,
+            certify=certify,
         )
         result = bmc.check(
             Query("reach_%s" % self.probe, Eventually(sig(self.probe)))
@@ -490,7 +470,7 @@ class ReachJob:
                 sig(self.probe),
                 k=self.k,
                 conflict_budget=self.conflict_budget,
-                certify=policy,
+                certify=certify,
             )
             if proof.outcome == UNREACHABLE:
                 # the induction proof decides the query; the bounded

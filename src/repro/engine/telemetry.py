@@ -118,11 +118,9 @@ class RunManifest:
     # ---- verdict certification (repro.cert, DESIGN SS5j) ----
     cert_checked: int = 0  # certificates actually verified or refuted
     cert_failures: int = 0  # certificates that failed verification
-    cert_degraded_jobs: int = 0  # jobs re-solved on the conservative path
-    cert_uncaught: int = 0  # failures surviving into final results
-    # verdict drift between a quarantined solve and its conservative
-    # re-solve: [{"query", "original", "conservative"}]
-    cert_divergences: list = field(default_factory=list)
+    # failures surviving into final results: nothing re-solves a failed
+    # certificate, so this equals cert_failures
+    cert_uncaught: int = 0
 
     @property
     def properties_total(self) -> int:
@@ -171,17 +169,10 @@ class RunManifest:
         }
         # certification accounting appears only when the run certified
         # anything, so uncertified manifests keep their pre-cert shape
-        if (
-            self.cert_checked
-            or self.cert_failures
-            or self.cert_degraded_jobs
-            or self.cert_uncaught
-        ):
+        if self.cert_checked or self.cert_failures or self.cert_uncaught:
             payload["cert_checked"] = self.cert_checked
             payload["cert_failures"] = self.cert_failures
-            payload["cert_degraded_jobs"] = self.cert_degraded_jobs
             payload["cert_uncaught"] = self.cert_uncaught
-            payload["cert_divergences"] = list(self.cert_divergences)
         return payload
 
     def reconciles(self, stats) -> bool:
@@ -219,13 +210,8 @@ class RunManifest:
             )
         if self.cert_failures:
             extras.append(
-                "%d certification failure(s), %d job(s) re-solved "
-                "conservatively, %d uncaught"
-                % (
-                    self.cert_failures,
-                    self.cert_degraded_jobs,
-                    self.cert_uncaught,
-                )
+                "%d certification failure(s), %d uncaught"
+                % (self.cert_failures, self.cert_uncaught)
             )
         if self.pool_rebuilds:
             extras.append("%d pool rebuild(s)" % self.pool_rebuilds)

@@ -18,7 +18,6 @@ The subsystem has four layers, each usable on its own:
 from .campaign import (
     CampaignConfig,
     CampaignResult,
-    build_regression_corpus,
     run_campaign,
 )
 from .gen import (
@@ -70,5 +69,4 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "run_campaign",
-    "build_regression_corpus",
 ]

@@ -36,8 +36,6 @@ __all__ = [
     "run_campaign",
     "write_reproducer",
     "load_reproducer",
-    "build_regression_corpus",
-    "CORPUS_FEATURES",
 ]
 
 REPRODUCER_VERSION = 1
@@ -209,65 +207,3 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             result.reproducers.append(path)
     result.elapsed = time.monotonic() - started
     return result
-
-
-# ----------------------------------------------------------------- corpus
-
-CORPUS_FEATURES = (
-    "and", "or", "xor", "add", "sub", "mul", "not", "shl", "shr",
-    "slice", "eq", "ult", "mux", "memory", "enable", "sreset",
-)
-
-
-def _has_feature(spec: DesignSpec, feature: str) -> bool:
-    if feature == "memory":
-        return any(not m.tied for m in spec.memories)
-    if feature == "enable":
-        return any(r.en_ref is not None and not r.tied for r in spec.registers)
-    if feature == "sreset":
-        return any(r.sreset_ref is not None and not r.tied
-                   for r in spec.registers)
-    return any(op.op == feature for op in spec.ops)
-
-
-def _live_register(spec: DesignSpec) -> bool:
-    return any(not r.tied for r in spec.registers)
-
-
-def build_regression_corpus(out_dir: str, seed: int = 0,
-                            features=CORPUS_FEATURES,
-                            search_limit: int = 400) -> List[str]:
-    """Grow ``tests/fuzz_corpus/``: one shrunk design per engine feature.
-
-    For each feature, scan design seeds for a spec that exercises it and
-    passes the oracle, then shrink it while it keeps the feature and a
-    live register (structural predicate -- cheap), re-verify the shrunk
-    design still passes, and write it in the reproducer format.
-    """
-    paths = []
-    for feature in features:
-        found = None
-        for offset in range(search_limit):
-            spec = sample_spec(seed * _SEED_STRIDE + offset)
-            if not (_has_feature(spec, feature) and _live_register(spec)):
-                continue
-            report = check_design(build_design(spec))
-            if report.ok:
-                found = spec
-                break
-        if found is None:
-            continue
-
-        def keeps_feature(candidate: DesignSpec, feature=feature) -> bool:
-            return (_has_feature(candidate, feature)
-                    and _live_register(candidate))
-
-        shrunk = shrink_spec(found, keeps_feature, max_evals=200)
-        if not check_design(build_design(shrunk)).ok:  # pragma: no cover
-            shrunk = found
-        paths.append(write_reproducer(
-            out_dir, shrunk, name="regress_%s" % feature,
-            note="regression design exercising %r through the full "
-                 "differential oracle" % feature,
-        ))
-    return paths

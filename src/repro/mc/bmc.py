@@ -72,11 +72,9 @@ class BmcContext:
         complete_horizon: bool = False,
         conflict_budget: Optional[int] = 200000,
         stats: Optional[PropertyStats] = None,
-        certify=None,
+        certify: bool = False,
     ):
-        from ..cert import CertifyPolicy
-
-        self.certify = certify or CertifyPolicy()
+        self.certify = certify
         self.netlist = netlist
         self.horizon = horizon
         self.context = context or SymbolicContextSpec()
@@ -84,7 +82,7 @@ class BmcContext:
         self.conflict_budget = conflict_budget
         self.stats = stats
 
-        self.solver = SatSolver(proof=self.certify.enabled)
+        self.solver = SatSolver(proof=certify)
         self.builder = BitBuilder(self.solver)
         self.frames: List[Frame] = []
         self._checks = 0
@@ -185,13 +183,13 @@ class BmcContext:
                 outcome = REACHABLE
                 witness = self._extract_witness()
                 detail = ""
-                if self.certify.enabled:
+                if self.certify:
                     certificate = self._witness_certificate(query)
             elif verdict == UNSAT:
                 if self.complete_horizon:
                     outcome = UNREACHABLE
                     detail = "UNSAT within declared-complete horizon"
-                    if self.certify.enabled:
+                    if self.certify:
                         certificate = self._drat_certificate(query)
                 else:
                     outcome = UNDETERMINED
@@ -246,16 +244,8 @@ class BmcContext:
         """Bundle the solver's proof log for this UNSAT answer (repro.cert)."""
         from ..cert import drat_certificate
 
-        # spot-unsampled queries get a count-only leg: no snapshot copy
-        # of the shared incremental log (see drat_certificate)
-        entries = (
-            self.solver.proof_entries()
-            if self.certify.should_check_proof(query.name)
-            else self.solver.proof_length()
-        )
         return drat_certificate(
-            {"proof": (entries, self.solver.final_lemma())},
-            self.certify,
+            {"proof": (self.solver.proof_entries(), self.solver.final_lemma())},
             name=query.name,
             overflow=self.solver.proof_overflowed(),
         )

@@ -128,21 +128,18 @@ class IncrementalInductionContext:
         k: int,
         symbolic_registers=(),
         simple_path: bool = True,
-        certify=None,
+        certify: bool = False,
     ):
         if k < 1:
             raise ValueError("k-induction needs k >= 1, got %d" % k)
-        from ..cert import CertifyPolicy
-
-        self.certify = certify or CertifyPolicy()
+        self.certify = certify
         self.netlist = netlist
         self.k = k
         self.symbolic_registers = frozenset(symbolic_registers)
         self.simple_path = simple_path
         self.checks = 0
-        proof = self.certify.enabled
-        self._base = _Unrolling(netlist, False, self.symbolic_registers, proof=proof)
-        self._step = _Unrolling(netlist, True, (), proof=proof)
+        self._base = _Unrolling(netlist, False, self.symbolic_registers, proof=certify)
+        self._step = _Unrolling(netlist, True, (), proof=certify)
         self._asserted_pairs: set = set()
         self._build(k)
 
@@ -229,16 +226,11 @@ class IncrementalInductionContext:
                 base_delta = dict(base.solver.last_solve)
                 # snapshot the proof leg while the verdict is fresh: later
                 # properties (and their retraction units) append to the
-                # same shared log.  For a query the policy won't check
-                # (spot-unsampled) the leg carries just the log length --
-                # copying the whole shared log per query is the dominant
-                # spot-mode cost otherwise.
+                # same shared log
                 base_leg = None
-                if self.certify.enabled and verdict == UNSAT:
+                if self.certify and verdict == UNSAT:
                     base_leg = (
-                        base.solver.proof_entries()
-                        if self.certify.should_check_proof(query_name)
-                        else base.solver.proof_length(),
+                        base.solver.proof_entries(),
                         base.solver.final_lemma(),
                     )
             if verdict == SAT:
@@ -250,7 +242,7 @@ class IncrementalInductionContext:
                     for frame in base.frames[:k]
                 ]
                 certificate = None
-                if self.certify.enabled:
+                if self.certify:
                     from ..cert import witness_certificate
                     from ..cert.witness import decode_model_witness
                     from ..props.views import ConcreteOps
@@ -297,11 +289,9 @@ class IncrementalInductionContext:
                 # (which contains -act) trivially implied -- a vacuous
                 # certificate
                 step_leg = None
-                if self.certify.enabled and verdict == UNSAT:
+                if self.certify and verdict == UNSAT:
                     step_leg = (
-                        step.solver.proof_entries()
-                        if self.certify.should_check_proof(query_name)
-                        else step.solver.proof_length(),
+                        step.solver.proof_entries(),
                         step.solver.final_lemma(),
                     )
                 step.solver.retract(act)
@@ -311,12 +301,11 @@ class IncrementalInductionContext:
                         merged[key] = merged.get(key, 0) + value
             if verdict == UNSAT:
                 certificate = None
-                if self.certify.enabled and base_leg and step_leg:
+                if self.certify and base_leg and step_leg:
                     from ..cert import drat_certificate
 
                     certificate = drat_certificate(
                         {"base": base_leg, "step": step_leg},
-                        self.certify,
                         name=query_name,
                         overflow=base.solver.proof_overflowed()
                         or step.solver.proof_overflowed(),
@@ -343,9 +332,8 @@ class InductionPool:
     group" pattern the engine's same-design batching sets up.
     """
 
-    def __init__(self, coi: bool = True, certify=None):
+    def __init__(self, coi: bool = True):
         self.coi = coi
-        self.certify = certify
         self._contexts: Dict[Tuple, IncrementalInductionContext] = {}
         # keyed weakly by netlist object: every property looks its
         # netlist up here, also one whose context is never built
@@ -378,18 +366,14 @@ class InductionPool:
         k: int,
         symbolic_registers=(),
         simple_path: bool = True,
-        certify=None,
+        certify: bool = False,
     ) -> IncrementalInductionContext:
-        from ..cert import CertifyPolicy
-
-        policy = certify or self.certify or CertifyPolicy()
-        certified = bool(policy.enabled)
         symbolic_registers = frozenset(symbolic_registers)
         support = None
         if self.coi:
             targets = tuple(sorted(bad.signals()))
             support = self._support(netlist, targets)
-        key = (netlist, support, symbolic_registers, simple_path, certified)
+        key = (netlist, support, symbolic_registers, simple_path, certify)
         ctx = self._contexts.get(key)
         if (ctx is None or ctx.k > k) and self.coi:
             # a context whose cone covers this property's support serves it
@@ -403,7 +387,7 @@ class InductionPool:
                     continue
                 if sregs != symbolic_registers or sp != simple_path:
                     continue
-                if cert != certified:
+                if cert != certify:
                     continue
                 if support[0] <= sup[0] and support[1] <= sup[1]:
                     if best is None or len(sup[0]) < len(best[0][1][0]):
@@ -413,7 +397,7 @@ class InductionPool:
         if ctx is None or ctx.k > k:
             # contexts only grow; a smaller-k request gets a fresh context
             # (simple-path strengthening is k-specific, see module doc)
-            key = (netlist, support, symbolic_registers, simple_path, certified)
+            key = (netlist, support, symbolic_registers, simple_path, certify)
             target_netlist = netlist
             if self.coi:
                 # enrich the slice with every named signal whose support
@@ -433,7 +417,7 @@ class InductionPool:
                 k,
                 symbolic_registers,
                 simple_path,
-                certify=policy,
+                certify=certify,
             )
             self._contexts[key] = ctx
         elif ctx.k < k:
@@ -448,7 +432,7 @@ class InductionPool:
         symbolic_registers=(),
         conflict_budget: Optional[int] = 200000,
         simple_path: bool = True,
-        certify=None,
+        certify: bool = False,
     ) -> CheckResult:
         ctx = self.context_for(
             netlist, bad, k, symbolic_registers, simple_path, certify=certify

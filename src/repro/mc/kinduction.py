@@ -60,7 +60,7 @@ def prove_unreachable_kinduction(
     conflict_budget: Optional[int] = 200000,
     simple_path: bool = True,
     pool=None,
-    certify=None,
+    certify: bool = False,
 ) -> CheckResult:
     """Try to prove ``bad`` globally unreachable via k-induction.
 
@@ -83,9 +83,6 @@ def prove_unreachable_kinduction(
             simple_path=simple_path,
             certify=certify,
         )
-    from ..cert import CertifyPolicy
-
-    policy = certify or CertifyPolicy()
     start = time.perf_counter()
     symbolic_registers = frozenset(symbolic_registers)
     query_name = "kind(%r)" % (bad,)
@@ -110,7 +107,7 @@ def prove_unreachable_kinduction(
     with obs.span("mc.kinduction", k=k) as root:
         # ---- base case: BMC from reset for k steps
         with obs.span("mc.kinduction.base"):
-            base_solver = SatSolver(proof=policy.enabled)
+            base_solver = SatSolver(proof=certify)
             base_builder = BitBuilder(base_solver)
             with paused_gc():
                 reset_state: Dict[str, List[int]] = {}
@@ -144,7 +141,7 @@ def prove_unreachable_kinduction(
                 for frame in base_frames
             ]
             certificate = None
-            if policy.enabled:
+            if certify:
                 from ..cert import witness_certificate
                 from ..cert.witness import decode_model_witness
                 from ..props.views import ConcreteOps
@@ -175,7 +172,7 @@ def prove_unreachable_kinduction(
 
         # ---- inductive step: arbitrary start state, k good steps, bad at k
         with obs.span("mc.kinduction.step"):
-            step_solver = SatSolver(proof=policy.enabled)
+            step_solver = SatSolver(proof=certify)
             step_builder = BitBuilder(step_solver)
             with paused_gc():
                 free_state: Dict[str, List[int]] = {
@@ -217,7 +214,7 @@ def prove_unreachable_kinduction(
             merged = _merge_counters(base_delta, step_solver.last_solve)
         if verdict == UNSAT:
             certificate = None
-            if policy.enabled:
+            if certify:
                 from ..cert import drat_certificate
 
                 # the base leg is also UNSAT here (REACHABLE returned
@@ -233,7 +230,6 @@ def prove_unreachable_kinduction(
                             step_solver.final_lemma(),
                         ),
                     },
-                    policy,
                     name=query_name,
                     overflow=base_solver.proof_overflowed()
                     or step_solver.proof_overflowed(),

@@ -71,8 +71,10 @@ class PropertyStats:
         return stats
 
     def summary(self) -> str:
+        # significant digits, not fixed decimals: cover evaluation runs at
+        # microseconds per property, and a nonzero mean must never read 0
         return (
-            "%s: %d properties, %.4fs/property mean, %.2f%% undetermined"
+            "%s: %d properties, %.3gs/property mean, %.2f%% undetermined"
             % (
                 self.label or "run",
                 self.count,

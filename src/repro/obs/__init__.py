@@ -10,8 +10,7 @@ This package is that substrate:
   context-manager API, thread safety, and cross-process forwarding so
   engine workers report into the parent run's JSONL stream;
 * :mod:`repro.obs.metrics` -- a registry of counters / gauges /
-  histograms with Prometheus text exposition, a JSON snapshot, and an
-  optional stdlib HTTP endpoint;
+  histograms with Prometheus text exposition and a JSON snapshot;
 * :mod:`repro.obs.profile` -- trace parsing, integrity validation,
   per-phase / per-instruction aggregation, hotspot ranking, and
   Chrome-tracing (Perfetto) export, surfaced as
@@ -33,7 +32,6 @@ from .metrics import (
     MetricsRegistry,
     REGISTRY,
     get_registry,
-    start_metrics_server,
 )
 from .profile import SpanRecord, TraceProfile
 from .tracer import (
@@ -82,7 +80,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "get_registry",
-    "start_metrics_server",
     "SpanRecord",
     "TraceProfile",
     "NULL_SPAN",

@@ -7,10 +7,8 @@ and every instrument accepts optional label key/values at observation
 time (``counter.inc(3, outcome="reachable")``).  Two export formats:
 
 * :meth:`~MetricsRegistry.to_prometheus` -- the Prometheus text
-  exposition format (``# HELP`` / ``# TYPE`` / sample lines), either
-  scraped from the optional stdlib HTTP endpoint
-  (:func:`start_metrics_server`) or dumped to a file at run end
-  (``synth-all --metrics FILE``);
+  exposition format (``# HELP`` / ``# TYPE`` / sample lines), dumped to
+  a file at run end (``synth-all --metrics FILE``);
 * :meth:`~MetricsRegistry.snapshot` -- a JSON-ready dict, for embedding
   in run manifests and test assertions.
 
@@ -22,9 +20,7 @@ add per observation -- far below the cost of the work it measures).
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "get_registry",
-    "start_metrics_server",
 ]
 
 LabelValues = Tuple[Tuple[str, str], ...]
@@ -281,40 +276,3 @@ REGISTRY = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
-
-
-def start_metrics_server(port: int):
-    """Serve :data:`REGISTRY` as ``/metrics`` (text exposition) and
-    ``/metrics.json`` (snapshot) on localhost from a daemon thread;
-    returns the HTTP server object (``server.shutdown()`` stops it,
-    ``server.server_address[1]`` is the bound port -- pass ``port=0`` for
-    an ephemeral one)."""
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    reg = REGISTRY
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):
-            if self.path.startswith("/metrics.json"):
-                body = json.dumps(reg.snapshot(), sort_keys=True).encode()
-                ctype = "application/json"
-            elif self.path.startswith("/metrics"):
-                body = reg.to_prometheus().encode()
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-            else:
-                self.send_response(404)
-                self.end_headers()
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):  # keep the CLI's stdout clean
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server

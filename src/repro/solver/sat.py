@@ -184,12 +184,11 @@ class SatSolver:
         # Stored flat -- one tag byte per entry in a bytearray plus a
         # zero-terminated literal stream in an array('q') (the DRAT text
         # layout) -- so the multi-hundred-thousand-entry log adds zero
-        # GC-tracked objects: the per-entry tuples made the collector's
-        # first post-build scan the dominant ``--certify spot`` cost.
-        # proof_entries() reconstructs tuples on demand (sampled
-        # certificates only).  None = logging off; the log is
-        # append-only so incremental contexts can snapshot [0:n) slices
-        # per certificate.
+        # GC-tracked objects: per-entry tuples would make the
+        # collector's first post-build scan the dominant logging cost.
+        # proof_entries() reconstructs tuples on demand (once per
+        # certificate).  None = logging off; the log is append-only so
+        # incremental contexts can snapshot [0:n) slices per certificate.
         self._proof_tags: Optional[bytearray] = bytearray() if proof else None
         self._proof_lits = _array("q") if proof else None
         self._proof_overflow = False
@@ -1036,9 +1035,6 @@ class SatSolver:
         proof_lits.extend(lits)
         proof_lits.append(0)
 
-    def proof_length(self) -> int:
-        return len(self._proof_tags) if self._proof_tags is not None else 0
-
     def proof_overflowed(self) -> bool:
         return self._proof_overflow
 
@@ -1046,8 +1042,8 @@ class SatSolver:
         """A snapshot slice of the proof log (list of (tag, lits) tuples).
 
         Reconstructs the tuple view from the flat tag/literal streams;
-        only certificate-sampled queries pay this, the hot logging path
-        never allocates per-entry objects.
+        only certificates pay this, the hot logging path never allocates
+        per-entry objects.
         """
         tags = self._proof_tags
         if tags is None:

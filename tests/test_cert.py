@@ -1,4 +1,4 @@
-"""Tests for certified verdicts (repro.cert + the engine degrade rung).
+"""Tests for certified verdicts (repro.cert + the engine's failure accounting).
 
 Four layers, mirroring the trust chain:
 
@@ -10,18 +10,19 @@ Four layers, mirroring the trust chain:
   to UNSAT, and the DRAT check of that refutation catches it;
 * certify-full verdicts are byte-identical to uncertified ones on the
   fuzz corpus (certification observes, never decides);
-* the scheduler's certification rung quarantines a failed certificate,
-  re-solves on the conservative recipe, surfaces the verdict divergence
-  in the manifest, and never caches an uncaught failure -- end to end
-  through the real :class:`JobScheduler`; a reach job, which has no
-  conservative recipe, surfaces its failure without a second solve.
+* the scheduler reports a failed certificate after one execute --
+  counted once in ``cert_failures`` and once in ``cert_uncaught``,
+  dumped as a bundle, never cached, never re-solved -- end to end
+  through the real :class:`JobScheduler`, for a fake job, a reach job
+  and a real synthesis job whose every cover replay is refuted.
 
 Plus the backward-compat pins: cache entries written before
-certificates existed, and by the retired multi-node workers (a ``node``
-key inside the checksum), still load as valid hits with
-``certificate=None`` and an unchanged format version; and a certificate
-payload edited under a re-sealed checksum is quarantined as
-``certificate_mismatch``.
+certificates existed, by the retired multi-node workers (a ``node``
+key inside the checksum), and by a reach job under the retired
+``--certify spot`` mode (a digest-only DRAT bundle over the proof
+shape) still load as valid hits with an unchanged format version; and
+a certificate payload edited under a re-sealed checksum is quarantined
+as ``certificate_mismatch``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import pytest
 
 import repro.cert as cert_mod
 from repro.cert import (
-    CertifyPolicy,
     certificate_failed,
+    certify_flag,
     payload_digest,
     verify_certificate_digest,
 )
@@ -56,8 +57,6 @@ from tests.test_solver_diff import drop_learned_literal
 
 CORPUS = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-
-FULL = CertifyPolicy.from_mode("full")
 
 
 def _corpus_paths(limit=None):
@@ -140,7 +139,7 @@ class TestWitnessMutations:
         for path in _corpus_paths():
             design = build_design(load_reproducer(path))
             for probe in design.probe_names:
-                ctx = BmcContext(design.netlist, horizon=4, certify=FULL)
+                ctx = BmcContext(design.netlist, horizon=4, certify=True)
                 result = ctx.check(
                     Query("reach_%s" % probe, Eventually(sig(probe)))
                 )
@@ -219,7 +218,7 @@ class TestSeededSolverMutation:
         for path in _corpus_paths(limit=2):
             design = build_design(load_reproducer(path))
             for probe in design.probe_names:
-                ctx = BmcContext(design.netlist, horizon=4, certify=FULL)
+                ctx = BmcContext(design.netlist, horizon=4, certify=True)
                 result = ctx.check(
                     Query("reach_%s" % probe, Eventually(sig(probe)))
                 )
@@ -237,7 +236,7 @@ class TestCertifyParity:
                 query = Query("reach_%s" % probe, Eventually(sig(probe)))
                 plain = BmcContext(design.netlist, horizon=4).check(query)
                 certified = BmcContext(
-                    design.netlist, horizon=4, certify=FULL
+                    design.netlist, horizon=4, certify=True
                 ).check(query)
                 assert (plain.outcome, plain.detail, plain.depth) == (
                     certified.outcome,
@@ -255,7 +254,7 @@ class TestCertifyParity:
                 if not design.netlist.registers:
                     continue
                 proof = prove_unreachable_kinduction(
-                    design.netlist, sig(probe), k=2, certify=FULL
+                    design.netlist, sig(probe), k=2, certify=True
                 )
                 if proof.outcome != UNREACHABLE:
                     continue
@@ -301,6 +300,38 @@ class TestCacheBackwardCompat:
         report = cache.verify_store()
         assert report["checked"] == report["ok"] == 1
         assert report["quarantined"] == 0
+
+    def test_spot_certified_entry_still_hits(self, tmp_path):
+        """An entry a reach job wrote under the retired ``--certify spot``
+        -- its DRAT bundle unsampled, so digest-only over the proof shape
+        with status ``skipped`` -- replays as a hit: the certify mode
+        never entered the cache key, and a bundle without a payload has
+        nothing left to mismatch."""
+        fixture_path = os.path.join(FIXTURES, "cache_entry_certify_spot.json")
+        with open(fixture_path, "r", encoding="utf-8") as handle:
+            fixture = json.load(handle)
+        assert fixture["format"] == CACHE_FORMAT_VERSION
+        (result,) = fixture["results"]
+        assert result["certificate"]["status"] == "skipped"
+        assert result["certificate"]["payload"] is None
+        job = next(
+            j for j in reach_jobs_for_corpus(CORPUS, certify="full")
+            if j.job_id == fixture["job_id"]
+        )
+        assert job.cache_key() == fixture["key"]
+        cache = ProofCache(str(tmp_path))
+        dest = cache._path(fixture["key"])
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        shutil.copyfile(fixture_path, dest)
+        outcome = JobScheduler(
+            EngineConfig(jobs=1, cache_dir=str(tmp_path))
+        ).run([job])
+        manifest = outcome.manifest
+        assert (manifest.cache_hits, manifest.jobs_executed) == (1, 0)
+        assert manifest.cert_checked == 0  # a skipped bundle is unchecked
+        assert outcome.results[job.job_id] == tuple(fixture["payload"])
+        report = cache.verify_store()
+        assert report["checked"] == report["ok"] == 1
 
     def test_certified_and_uncertified_jobs_share_cache_keys(self):
         job = ReachJob(design_json="{}", probe="p", design_label="d")
@@ -378,34 +409,27 @@ class TestCacheBackwardCompat:
         assert cache.get("tamperkey") is None
 
 
-# --------------------------------------------------------- engine degrade rung
+# ------------------------------------------------ engine failure accounting
 @dataclass(frozen=True)
 class CertFailingJob:
-    """First solve yields a refuted certificate; the conservative recipe
-    yields a verified one with a *different* verdict (so the run records
-    a divergence)."""
+    """Every execute yields a REACHABLE verdict whose certificate is
+    refuted."""
 
     job_id: str = "fake:certfail"
     key: str = "certfail-key"
-    trusted: bool = False
 
-    def _result(self):
-        payload = {"depth": 1, "path": "conservative" if self.trusted else "fast"}
+    def execute(self):
+        payload = {"depth": 1}
         cert = {
             "kind": "witness",
-            "status": "verified" if self.trusted else "failed",
-            "verified": bool(self.trusted),
+            "status": "failed",
+            "verified": False,
             "digest": payload_digest(payload),
             "payload": payload,
         }
-        outcome = UNREACHABLE if self.trusted else REACHABLE
-        return CheckResult("q", outcome, "fake", certificate=cert)
-
-    def execute(self):
-        return ("trusted" if self.trusted else "fast"), [self._result()]
-
-    def conservative(self):
-        return replace(self, trusted=True)
+        return "fast", [
+            CheckResult("q", REACHABLE, "fake", certificate=cert)
+        ]
 
     def cache_key(self):
         return self.key
@@ -423,45 +447,21 @@ class CertFailingJob:
         return True
 
 
-@dataclass(frozen=True)
-class CertDeadEndJob(CertFailingJob):
-    """A failed certificate with no conservative recipe: uncaught."""
-
-    job_id: str = "fake:certdeadend"
-    key: str = "certdeadend-key"
-    conservative = None  # the degrade rung finds nothing callable
-
-
 class TestSchedulerDegradeRung:
-    def test_failed_certificate_is_resolved_conservatively(self, tmp_path):
-        engine = JobScheduler(EngineConfig(jobs=1, cache_dir=str(tmp_path)))
-        outcome = engine.run([CertFailingJob()])
-        manifest = outcome.manifest
-        # the conservative verdict wins; the campaign completes cleanly
-        assert outcome.results["fake:certfail"] == "trusted"
-        assert manifest.cert_failures == 1
-        assert manifest.cert_degraded_jobs == 1
-        assert manifest.cert_uncaught == 0
-        assert manifest.cert_divergences == [
-            {"query": "q", "original": REACHABLE, "conservative": UNREACHABLE}
-        ]
-        assert manifest.jobs_failed == 0
-        # the re-solved (trusted) verdict is cacheable...
-        engine2 = JobScheduler(EngineConfig(jobs=1, cache_dir=str(tmp_path)))
-        outcome2 = engine2.run([CertFailingJob()])
-        assert outcome2.manifest.cache_hits == 1
-        assert outcome2.results["fake:certfail"] == "trusted"
+    """A failed certificate is reported, not re-solved: the job runs
+    once, every failure is uncaught, and nothing is cached."""
 
     def test_uncaught_failure_is_surfaced_and_never_cached(self, tmp_path):
         engine = JobScheduler(EngineConfig(jobs=1, cache_dir=str(tmp_path)))
-        outcome = engine.run([CertDeadEndJob()])
+        outcome = engine.run([CertFailingJob()])
         manifest = outcome.manifest
+        assert outcome.results["fake:certfail"] == "fast"
         assert manifest.cert_failures == 1
-        assert manifest.cert_degraded_jobs == 0
         assert manifest.cert_uncaught == 1
+        assert manifest.jobs_failed == 0
         # an untrusted verdict must never become a future cache hit
         engine2 = JobScheduler(EngineConfig(jobs=1, cache_dir=str(tmp_path)))
-        outcome2 = engine2.run([CertDeadEndJob()])
+        outcome2 = engine2.run([CertFailingJob()])
         assert outcome2.manifest.cache_hits == 0
         assert outcome2.manifest.cert_uncaught == 1
 
@@ -478,22 +478,19 @@ class TestSchedulerDegradeRung:
     def test_manifest_summary_mentions_certification(self):
         outcome = JobScheduler(EngineConfig(jobs=1)).run([CertFailingJob()])
         text = outcome.manifest.summary()
-        assert "certification failure" in text
-        assert "re-solved" in text
+        assert "1 certification failure(s), 1 uncaught" in text
 
     def test_failed_reach_certificate_is_uncaught_after_one_solve(
         self, tmp_path, monkeypatch
     ):
-        """Reach jobs have no conservative recipe: they already solve on
-        fresh solvers, so a second solve would retrace the same
-        deterministic path.  A failed certificate is surfaced as uncaught
-        after exactly one execute."""
+        """Reach jobs solve on fresh solvers, so a second solve would
+        retrace the same deterministic path.  A failed certificate is
+        surfaced as uncaught after exactly one execute."""
         job = next(
             j
             for j in reach_jobs_for_corpus(CORPUS, certify="full")
             if j.execute()[0][0] == REACHABLE
         )
-        assert not hasattr(job, "conservative")
         executes = []
         real_execute = ReachJob.execute
 
@@ -509,8 +506,73 @@ class TestSchedulerDegradeRung:
         manifest = engine.run([job]).manifest
         assert manifest.cert_failures == 1
         assert manifest.cert_uncaught == 1
-        assert manifest.cert_degraded_jobs == 0
         assert executes == [job.job_id]
+
+    def test_failed_synthesis_certificates_reported_after_one_execute(
+        self, tmp_path, monkeypatch
+    ):
+        """A real synthesis job whose every cover replay is refuted runs
+        once: each refuted certificate counts once in ``cert_failures``
+        and once in ``cert_uncaught``, nothing is cached, and the run's
+        trace passes ``profile --check``."""
+        from repro import cli
+        from repro.core.mhb import CycleAccuratePath
+        from repro.core.rtl2mupath import (
+            Rtl2MuPath,
+            Rtl2MuPathConfig,
+            _CoverCertifier,
+        )
+        from repro.designs import (
+            ContextFamilyConfig,
+            CoreContextProvider,
+            build_core,
+        )
+        from repro.engine.specs import SynthesisJob, synthesis_jobs_for
+        from repro.mc.stats import PropertyStats
+
+        # the design and family tests/test_engine.py's jobs build, so the
+        # job's memoized worker builds serve both files
+        family = ContextFamilyConfig(
+            horizon=24, neighbors=("DIV",), iuv_values=(0, 1),
+            neighbor_values=(0, 1), include_deep=False,
+        )
+        design = build_core()
+        tool = Rtl2MuPath(
+            design,
+            CoreContextProvider(xlen=design.config.xlen, config=family),
+            config=Rtl2MuPathConfig(certify="full"),
+        )
+        (job,) = synthesis_jobs_for(tool, ["ADD"])
+        executes = []
+        real_execute = SynthesisJob.execute
+
+        def counting_execute(self):
+            executes.append(self.job_id)
+            return real_execute(self)
+
+        monkeypatch.setattr(SynthesisJob, "execute", counting_execute)
+        # a replay that reproduces no visit refutes every cover witness
+        monkeypatch.setattr(
+            _CoverCertifier, "_replayed",
+            lambda self, db, idx, iuv_pc: CycleAccuratePath(
+                iuv="ADD", visits=()
+            ),
+        )
+        trace = tmp_path / "trace.jsonl"
+        stats = PropertyStats(label="t")
+        engine = JobScheduler(EngineConfig(
+            jobs=1, cache_dir=str(tmp_path / "cache"), trace_path=str(trace),
+        ))
+        manifest = engine.run([job], stats=stats).manifest
+        refuted = sum(1 for r in stats.results if certificate_failed(r))
+        assert refuted > 0
+        assert executes == [job.job_id]
+        assert manifest.attempts == 1
+        assert manifest.cert_failures == manifest.cert_uncaught == refuted
+        assert manifest.cache_stores == 0
+        assert manifest.cache_skipped_nonfinal == 1
+        assert manifest.reconciles(stats)
+        assert cli.main(["profile", str(trace), "--check"]) == 0
 
 
 class TestEndToEndCertifiedCampaign:
@@ -542,19 +604,23 @@ class TestEndToEndCertifiedCampaign:
 
 # -------------------------------------------------------------------- policy
 class TestCertifyPolicy:
-    def test_modes(self):
-        assert not CertifyPolicy.from_mode("off").enabled
-        assert CertifyPolicy.from_mode("spot").enabled
-        assert CertifyPolicy.from_mode("full").should_check_proof("anything")
-        with pytest.raises(ValueError):
-            CertifyPolicy.from_mode("sometimes")
+    """The ``--certify`` modes and what each one certifies."""
 
-    def test_spot_sampling_is_deterministic(self):
-        spot = CertifyPolicy.from_mode("spot")
-        names = ["q%d" % i for i in range(64)]
-        picks = [n for n in names if spot.should_check_proof(n)]
-        assert picks == [n for n in names if spot.should_check_proof(n)]
-        assert 0 < len(picks) < len(names)
+    def test_modes(self):
+        """``--certify`` is ``off`` or ``full``; any other mode raises,
+        ``spot`` included, wherever a config or job carries it."""
+        from repro.core.rtl2mupath import Rtl2MuPathConfig
+
+        assert certify_flag("off") is False
+        assert certify_flag("full") is True
+        for mode in ("spot", "sometimes"):
+            with pytest.raises(ValueError):
+                certify_flag(mode)
+            with pytest.raises(ValueError):
+                Rtl2MuPathConfig(certify=mode).certified
+        job = reach_jobs_for_corpus(CORPUS)[0]
+        with pytest.raises(ValueError):
+            replace(job, certify="spot").execute()
 
     def test_undetermined_never_certified(self):
         """A budget-starved solve yields UNDETERMINED with no certificate."""
@@ -562,7 +628,7 @@ class TestCertifyPolicy:
             design = build_design(load_reproducer(path))
             for probe in design.probe_names:
                 ctx = BmcContext(
-                    design.netlist, horizon=4, conflict_budget=1, certify=FULL
+                    design.netlist, horizon=4, conflict_budget=1, certify=True
                 )
                 result = ctx.check(
                     Query("reach_%s" % probe, Eventually(sig(probe)))
@@ -628,7 +694,7 @@ class TestCoverWitnessCertificates:
         db = TraceDB(core_design.netlist, group.contexts, group.complete)
         index = VisitIndex(db, core_design.metadata, group.iuv_pc)
         certifier = _CoverCertifier(
-            core_design.netlist, core_design.metadata.pls, FULL
+            core_design.netlist, core_design.metadata.pls, True
         )
         certifier.add_index(db, index)
         witness = next(p for p in index.paths if p.pl_set)
@@ -647,22 +713,3 @@ class TestCoverWitnessCertificates:
         bad = certifier.certify("cover_forged", doctored, pred)
         assert bad["verified"] is False
         assert certificate_failed(bad)
-
-    def test_spot_mode_samples_covers(self, core_design, core_provider):
-        from repro.core.rtl2mupath import Rtl2MuPath, Rtl2MuPathConfig
-
-        tool = Rtl2MuPath(
-            core_design,
-            core_provider,
-            config=Rtl2MuPathConfig(certify="spot"),
-        )
-        tool.synthesize("ADD")
-        certs = [
-            r.certificate
-            for r in tool.stats.results
-            if r.certificate is not None
-        ]
-        reachable = [r for r in tool.stats.results if r.outcome == REACHABLE]
-        assert certs, "spot mode sampled no covers"
-        assert len(certs) < len(reachable)
-        assert all(c["verified"] is True for c in certs)

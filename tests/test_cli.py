@@ -48,6 +48,8 @@ class TestParser:
             "--broker", "--priority", "--cache-server",
             # certification budgets are constants
             "--certify-proof-limit", "--certify-time-budget",
+            # --metrics FILE is the one metrics export
+            "--metrics-port",
         ],
     )
     def test_removed_flags_rejected(self, flag, capsys):
@@ -56,6 +58,19 @@ class TestParser:
             build_parser().parse_args(["synth-all", flag])
         assert exc.value.code == 2
         assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+    def test_certify_modes(self, capsys):
+        """``--certify`` takes ``off`` or ``full``; the retired ``spot``
+        mode is an invalid choice, not a silent alias."""
+        parser = build_parser()
+        assert parser.parse_args(["synth-all"]).certify == "off"
+        assert parser.parse_args(
+            ["synth-all", "--certify", "full"]
+        ).certify == "full"
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["synth-all", "--certify", "spot"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'spot'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["broker", "worker", "top"])
     def test_removed_commands_rejected(self, command, capsys):

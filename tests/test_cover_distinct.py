@@ -87,7 +87,7 @@ def reference_synthesize(tool, iuv_name):
     """One scan of every path per cover: ``_synthesize``'s reference."""
     cfg = tool.config
     groups = tool.provider.mupath_groups(iuv_name)
-    certifier = _CoverCertifier(tool.netlist, tool.metadata.pls, cfg.certify_policy())
+    certifier = _CoverCertifier(tool.netlist, tool.metadata.pls, cfg.certified)
     indexes = []
     truncated = False
     for group in groups:

@@ -44,6 +44,17 @@ class TestPropertyStats:
         assert stats.undetermined_fraction == 0.25
         assert stats.total_time == 1.0
 
+    def test_microsecond_mean_does_not_read_zero(self):
+        """Cover evaluation runs at microseconds per property: the summary
+        keeps significant digits instead of rounding the mean to 0."""
+        stats = PropertyStats(label="rtl2mupath")
+        for _ in range(4):
+            stats.record(CheckResult("q", REACHABLE, "e", time_seconds=5e-6))
+        assert stats.summary() == (
+            "rtl2mupath: 4 properties, 5e-06s/property mean, "
+            "0.00% undetermined"
+        )
+
 
 class TestCheckResult:
     def test_predicates(self):

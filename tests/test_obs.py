@@ -2,7 +2,7 @@
 
 Covers the tracer (span pairing, nesting, attributes, the active-tracer
 stack, cross-process replay), the metrics registry (counters, gauges,
-histograms, Prometheus exposition, the HTTP endpoint), the solver /
+histograms, Prometheus exposition, the JSON snapshot), the solver /
 engine deep counters on :class:`CheckResult`, telemetry-log buffering,
 and -- most load-bearing -- the trace-integrity and reconciliation
 properties of real traced runs: every event timestamped, span
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import threading
-import urllib.request
 from collections import Counter as TallyCounter
 
 import pytest
@@ -32,8 +31,6 @@ from repro.obs import (
     SpanCollector,
     TraceProfile,
     Tracer,
-    get_registry,
-    start_metrics_server,
 )
 from repro.obs.tracer import NULL_SPAN
 from repro.solver.sat import SAT, UNSAT, SatSolver
@@ -243,29 +240,6 @@ class TestMetrics:
         assert snap["a"] == 2
         assert snap["b"] == [{"labels": {"k": "v"}, "value": 1}]
         assert snap["h"]["count"] == 1
-
-    def test_http_endpoint_serves_both_formats(self):
-        # the endpoint serves the process registry, which other tests
-        # feed too: assert on a counter only this test touches
-        served = get_registry().counter("repro_test_served_total", "requests")
-        served.inc(7)
-        expected = served.value()
-        server = start_metrics_server(0)
-        try:
-            port = server.server_address[1]
-            with urllib.request.urlopen(
-                "http://127.0.0.1:%d/metrics" % port
-            ) as resp:
-                assert resp.status == 200
-                body = resp.read().decode()
-            assert "repro_test_served_total %d" % expected in body
-            with urllib.request.urlopen(
-                "http://127.0.0.1:%d/metrics.json" % port
-            ) as resp:
-                payload = json.loads(resp.read())
-            assert payload["repro_test_served_total"] == expected
-        finally:
-            server.shutdown()
 
 
 # -------------------------------------------------------- solver deep counters
