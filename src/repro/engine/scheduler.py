@@ -38,10 +38,11 @@ across a ``ProcessPoolExecutor``, with:
   OOM killer would take the whole worker;
 * **checkpoint/resume**: with ``run_dir`` set, every completed job
   report -- including non-cacheable UNDETERMINED results and degraded
-  failures -- is appended to a periodically-fsynced
-  ``checkpoint.jsonl``; a later run with ``resume=True`` replays those
-  records and executes only the jobs the interrupted run never
-  finished, bit-identically to an uninterrupted run;
+  failures, but never a failed certificate -- is appended to a
+  periodically-fsynced ``checkpoint.jsonl``; a later run with
+  ``resume=True`` replays those records and executes only the jobs the
+  interrupted run never finished (or whose certificate failed),
+  bit-identically to an uninterrupted run;
 * **exact accounting**: every per-property CheckResult -- fresh,
   cache-replayed, or checkpoint-resumed -- folds into the caller's
   PropertyStats, and the telemetry manifest reconciles against it
@@ -71,7 +72,6 @@ paths without real process churn.
 
 from __future__ import annotations
 
-import _thread
 import os
 import random
 import signal
@@ -250,14 +250,20 @@ def _rss_guard(max_rss_mb: Optional[float], tripped: List[float]):
         yield
         return
     stop = threading.Event()
+    main_ident = threading.main_thread().ident
+    # a SIGINT that Python does not handle would kill the process
+    interruptible = callable(signal.getsignal(signal.SIGINT))
 
     def _watch():
         while not stop.wait(0.02):
             rss = current_rss_mb()
             if rss is not None and rss > max_rss_mb:
                 tripped.append(rss)
-                if not stop.is_set():
-                    _thread.interrupt_main()
+                if interruptible and not stop.is_set():
+                    # a real signal: it also breaks a main thread blocked
+                    # in a system call, where a flag read between
+                    # bytecodes would wait for the call to return
+                    signal.pthread_kill(main_ident, signal.SIGINT)
                 return
 
     watcher = threading.Thread(target=_watch, name="rss-guard", daemon=True)
@@ -1026,7 +1032,9 @@ class JobScheduler:
             retries=max(0, len(report.attempts) - 1),
             seconds=round(sum(a.seconds for a in report.attempts), 6),
         )
-        if checkpoint is not None:
+        if checkpoint is not None and report.cert_failures == 0:
+            # like the cache: a failed certificate is never replayed, so
+            # a resumed run re-executes the job and reports it again
             from .serialize import check_results_to_dicts
 
             encode = getattr(job, "encode_value", None)

@@ -16,11 +16,14 @@ four check families, each mapping onto the paper's three-verdict lattice
 
 ``engines``
     The enumerative engine over the *exhaustive* alphabet-constrained
-    context family, BMC over a symbolic context *constrained to the same
-    alphabets* (with ``complete_horizon`` asserted only when enumeration
-    really is exhaustive), and the portfolio combinator over a truncated
-    family.  All three answer identical horizon-bounded queries, so any
-    pair of definite-but-different verdicts is a disagreement.
+    context family (a :class:`~repro.mc.enumerative.ProductFamily`, which
+    steps each distinct transition once; sampled when it would exceed
+    ``MAX_CONTEXTS``), BMC over a symbolic context *constrained to the
+    same alphabets* (with ``complete_horizon`` asserted only when
+    enumeration really is exhaustive), and the portfolio combinator over
+    a truncated family.  All three answer identical horizon-bounded
+    queries, so any pair of definite-but-different verdicts is a
+    disagreement.
 
 ``kinduction``
     k-induction runs with *free* inputs -- a superset of the alphabet
@@ -44,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..mc.bmc import BmcContext, SymbolicContextSpec
-from ..mc.enumerative import Context, EnumerativeEngine, TraceDB
+from ..mc.enumerative import Context, EnumerativeEngine, ProductFamily, TraceDB
 from ..mc.kinduction import prove_unreachable_kinduction
 from ..mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE
 from ..mc.portfolio import PortfolioEngine
@@ -172,29 +175,32 @@ class OracleReport:
 
 def _input_sequences(design: GeneratedDesign, config: OracleConfig,
                      rng: random.Random):
-    """All (or sampled) input sequences over the declared alphabets.
+    """The input sequences over the declared alphabets the oracle drives.
 
-    Returns ``(sequences, complete)`` where each sequence is a list of
-    per-cycle input dicts and ``complete`` says enumeration covered the
-    whole alphabet-constrained space up to the horizon.
+    Returns ``(count, sequence, product)``: ``sequence(i)`` is the
+    ``i``-th of ``count`` sequences, a list of per-cycle input dicts.
+    When every sequence fits ``MAX_CONTEXTS``, enumeration is complete and
+    ``product`` is their :class:`ProductFamily`, in ``itertools.product``
+    order; otherwise ``product`` is None and the sequences are
+    ``SAMPLED_CONTEXTS`` random ones.
     """
     live = design.live_inputs
     per_cycle = [
         dict(zip((i.name for i in live), combo))
         for combo in itertools.product(*(i.alphabet for i in live))
     ]
-    total = len(per_cycle) ** config.horizon
-    if total <= MAX_CONTEXTS:
-        sequences = [
-            list(seq)
-            for seq in itertools.product(per_cycle, repeat=config.horizon)
-        ]
-        return sequences, True
+    if len(per_cycle) ** config.horizon <= MAX_CONTEXTS:
+        product = ProductFamily(design.netlist, per_cycle, config.horizon)
+        return len(product), product.sequence, product
     sequences = [
         [rng.choice(per_cycle) for _ in range(config.horizon)]
         for _ in range(SAMPLED_CONTEXTS)
     ]
-    return sequences, False
+    return len(sequences), sequences.__getitem__, None
+
+
+def _contexts(sequence, count: int) -> List[Context]:
+    return [Context.make({}, sequence(i), label="seq%d" % i) for i in range(count)]
 
 
 def _queries(design: GeneratedDesign) -> List[Query]:
@@ -245,15 +251,15 @@ def _alphabet_drive(design: GeneratedDesign) -> Callable:
 
 # ----------------------------------------------------------------- checks
 
-def _check_ref_vs_sim(design, sequences, rng, report):
+def _check_ref_vs_sim(design, count, sequence, rng, report):
     sim = Simulator(design.netlist)
     ref = design.ref()
-    picks = list(range(len(sequences)))
-    if len(picks) > SIM_SEQUENCES:
-        sampled = rng.sample(picks[1:-1], SIM_SEQUENCES - 2)
-        picks = [picks[0]] + sampled + [picks[-1]]
+    picks = range(count)
+    if count > SIM_SEQUENCES:
+        sampled = rng.sample(range(1, count - 1), SIM_SEQUENCES - 2)
+        picks = [0] + sampled + [count - 1]
     for si in picks:
-        seq = sequences[si]
+        seq = sequence(si)
         sim.reset()
         ref.reset()
         for t, cycle in enumerate(seq):
@@ -276,11 +282,11 @@ def _check_ref_vs_sim(design, sequences, rng, report):
                 return
 
 
-def _check_sim_vs_blast(design, sequences, report):
+def _check_sim_vs_blast(design, count, sequence, report):
     netlist = design.netlist
     sim = Simulator(netlist)
-    picks = sequences[:BLAST_SEQUENCES]
-    for si, seq in enumerate(picks):
+    for si in range(min(count, BLAST_SEQUENCES)):
+        seq = sequence(si)
         solver = SatSolver()
         builder = BitBuilder(solver)
         state = {
@@ -331,21 +337,17 @@ def _check_witness(design, query, result, report):
         ))
 
 
-def _check_engines(design, sequences, complete, config, report):
+def _check_engines(design, count, sequence, product, config, report, span):
     netlist = design.netlist
-    # the sequences share their per-cycle dicts: sort each one once, so
-    # the contexts share the sorted tuples ``Context.make`` would build
-    items: Dict[int, tuple] = {}
-    for seq in sequences:
-        for cycle in seq:
-            if id(cycle) not in items:
-                items[id(cycle)] = tuple(sorted(cycle.items()))
-    contexts = [
-        Context((), tuple(items[id(cycle)] for cycle in seq), label="seq%d" % i)
-        for i, seq in enumerate(sequences)
-    ]
-    tracedb = TraceDB(netlist, contexts, complete=complete)
-    enum = EnumerativeEngine(tracedb)
+    complete = product is not None
+    family = product if complete else TraceDB(
+        netlist, _contexts(sequence, count), complete=False)
+    # walk the family here, so the first check is not charged for it
+    span.set("distinct_traces", len(family.distinct_views()))
+    span.set("contexts", len(family))
+    if complete:
+        span.set("transitions", product.transitions)
+    enum = EnumerativeEngine(family)
     bmc = BmcContext(
         netlist,
         horizon=config.horizon,
@@ -353,7 +355,8 @@ def _check_engines(design, sequences, complete, config, report):
         complete_horizon=complete,
         conflict_budget=CONFLICT_BUDGET,
     )
-    truncated = TraceDB(netlist, contexts[:TRUNCATED_CONTEXTS], complete=False)
+    truncated = TraceDB(
+        netlist, _contexts(sequence, min(count, TRUNCATED_CONTEXTS)), complete=False)
     portfolio = PortfolioEngine(truncated, bmc=bmc)
 
     full_alphabets = all(
@@ -420,18 +423,18 @@ def check_design(design: GeneratedDesign,
     started = time.perf_counter()
     rng = random.Random(RNG_SEED ^ design.spec.seed)
     with obs.span("fuzz.oracle", design=design.spec.name) as sp:
-        sequences, complete = _input_sequences(design, config, rng)
-        report.complete = complete
+        count, sequence, product = _input_sequences(design, config, rng)
+        report.complete = product is not None
         before = len(report.disagreements)
         if "ref" in config.check_kinds:
             with obs.span("fuzz.oracle.ref"):
-                _check_ref_vs_sim(design, sequences, rng, report)
+                _check_ref_vs_sim(design, count, sequence, rng, report)
         if "blast" in config.check_kinds:
             with obs.span("fuzz.oracle.blast"):
-                _check_sim_vs_blast(design, sequences, report)
+                _check_sim_vs_blast(design, count, sequence, report)
         if "engines" in config.check_kinds or "kinduction" in config.check_kinds:
-            with obs.span("fuzz.oracle.engines"):
-                _check_engines(design, sequences, complete, config, report)
+            with obs.span("fuzz.oracle.engines") as esp:
+                _check_engines(design, count, sequence, product, config, report, esp)
         report.elapsed = time.perf_counter() - started
         sp.set("checks", report.checks)
         sp.set("disagreements", len(report.disagreements))

@@ -16,13 +16,18 @@ SAT-based :mod:`repro.mc.bmc` engine answers the same queries symbolically
 and is cross-checked against this engine in the test suite.
 
 A query's verdict on a trace is a function of the trace's rows alone, and
-families collapse to few distinct traces (the fuzz oracle's 64,736
-simulated contexts hold 4,146).  :meth:`EnumerativeEngine.check`
+families collapse to few distinct traces (the e2e fuzz corpus's 64,288
+exhaustive contexts hold 4,039).  :meth:`EnumerativeEngine.check`
 therefore evaluates each query once per *distinct* trace, in order of
 first occurrence in the family (DESIGN SS5n).  The first satisfying
 distinct trace is the first occurrence of the first satisfying context's
 rows, so outcome, witness, ``depth`` and ``contexts_scanned`` are the
 ones a per-context scan reports.
+
+A :class:`ProductFamily` -- every input sequence over a per-cycle
+alphabet, from reset -- yields those distinct traces without simulating
+each context: a walk of the input trie steps each distinct
+``(state, inputs)`` transition once (DESIGN SS5o).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import itertools
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..props.query import Query
@@ -45,6 +50,7 @@ __all__ = [
     "Context",
     "ReactiveContext",
     "TraceDB",
+    "ProductFamily",
     "EnumerativeEngine",
     "simulate_context",
 ]
@@ -206,12 +212,108 @@ class TraceDB:
 _SHARED: "weakref.WeakValueDictionary[tuple, TraceDB]" = weakref.WeakValueDictionary()
 
 
+def _trie_node(rows: tuple, state: tuple) -> tuple:
+    """The identity of a node of the input trie, for pruning.
+
+    The traces under a node are its prefix rows followed by rows that its
+    state and the input suffix alone decide, so two nodes with equal
+    prefix rows and equal state hold equal traces.
+    """
+    return rows, state
+
+
+class ProductFamily:
+    """Every ``horizon``-cycle input sequence over ``per_cycle``, from reset.
+
+    Family index ``i`` is the ``i``-th sequence of
+    ``itertools.product(per_cycle, repeat=horizon)``; :meth:`sequence`
+    decodes it.  The family is complete, and :meth:`distinct_views`
+    returns what :meth:`TraceDB.distinct_views` returns for the same
+    contexts, without simulating each of them: a depth-first walk of the
+    input trie in enumeration order steps each distinct
+    ``(state, inputs)`` transition once (``transitions`` counts them) and
+    skips a subtree whose ``(prefix rows, state)`` node it already
+    visited, since every trace under that node occurred at a smaller
+    family index.  The walk runs on first use.
+    """
+
+    complete = True
+
+    def __init__(self, netlist: Netlist, per_cycle: Sequence[Dict[str, int]],
+                 horizon: int):
+        self.netlist = netlist
+        self.per_cycle = list(per_cycle)
+        self.horizon = horizon
+        self.transitions = 0
+        self._size = len(self.per_cycle) ** horizon
+        self._distinct: Optional[List[Tuple[int, ConcreteTraceView]]] = None
+
+    def __len__(self):
+        return self._size
+
+    def sequence(self, index: int) -> List[Dict[str, int]]:
+        """The per-cycle input dicts of family ``index``: its digits in
+        base ``len(per_cycle)``, most significant first."""
+        if not 0 <= index < self._size:
+            raise IndexError("family index %d out of range" % index)
+        radix = len(self.per_cycle)
+        out = []
+        for _ in range(self.horizon):
+            index, digit = divmod(index, radix)
+            out.append(self.per_cycle[digit])
+        out.reverse()
+        return out
+
+    def distinct_views(self) -> List[Tuple[int, ConcreteTraceView]]:
+        """``(family index, view)`` of the first context of each distinct
+        trace, in family order."""
+        if self._distinct is None:
+            self._distinct = self._walk()
+        return self._distinct
+
+    def _walk(self) -> List[Tuple[int, ConcreteTraceView]]:
+        simulator = Simulator(self.netlist)
+        step = compiled(self.netlist).step
+        names = simulator.observable_names
+        index = {name: i for i, name in enumerate(names)}
+        packed = [simulator.pack_inputs(choice) for choice in self.per_cycle]
+        radix = len(packed)
+        horizon = self.horizon
+        memo: Dict[tuple, tuple] = {}
+        visited = set()
+        first: Dict[tuple, Tuple[int, ConcreteTraceView]] = {}
+        # (first family index, depth, prefix rows, state); children are
+        # pushed last-first, so nodes pop in enumeration order
+        stack = [(0, 0, (), simulator.state)]
+        while stack:
+            base, depth, rows, state = stack.pop()
+            if depth == horizon:
+                if rows not in first:
+                    first[rows] = (base, ConcreteTraceView(
+                        list(rows), names=names, index=index))
+                continue
+            node = _trie_node(rows, state)
+            if node in visited:
+                continue
+            visited.add(node)
+            stride = radix ** (horizon - depth - 1)
+            for i in range(radix - 1, -1, -1):
+                key = (state, packed[i])
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = step(state, packed[i])
+                stack.append((base + i * stride, depth + 1, rows + (hit[1],), hit[0]))
+        self.transitions = len(memo)
+        return list(first.values())
+
+
 class EnumerativeEngine:
-    """Checks queries against a :class:`TraceDB`."""
+    """Checks queries against a :class:`TraceDB` or a :class:`ProductFamily`."""
 
     name = "enumerative"
 
-    def __init__(self, tracedb: TraceDB, stats: Optional[PropertyStats] = None):
+    def __init__(self, tracedb: Union[TraceDB, ProductFamily],
+                 stats: Optional[PropertyStats] = None):
         self.tracedb = tracedb
         self.stats = stats
 

@@ -300,7 +300,7 @@ class Simulator:
 
         Tuple entries follow ``observable_names`` ordering.
         """
-        input_tuple = self._pack_inputs(inputs)
+        input_tuple = self.pack_inputs(inputs)
         state = self.state
         self.cycle += 1
         if state is self._fixed_state and input_tuple == self._fixed_inputs:
@@ -325,7 +325,9 @@ class Simulator:
     def state_dict(self):
         return dict(zip(self._reg_names, self.state))
 
-    def _pack_inputs(self, inputs):
+    def pack_inputs(self, inputs: Optional[Dict[str, int]]):
+        """The step function's input tuple for an input dict; absent
+        inputs are 0, and an unknown name raises KeyError."""
         if not inputs:
             return self._zero_inputs
         if not inputs.keys() <= self._input_set:

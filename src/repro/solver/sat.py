@@ -197,7 +197,7 @@ class SatSolver:
     def _grow(self):
         """Extend the var-indexed arrays to cover ``num_vars`` (chunked)."""
         cap = self._var_cap
-        new_cap = max(self.num_vars, 2 * cap, 1024)
+        new_cap = max(self.num_vars, 2 * cap, 16)
         delta = new_cap - cap
         self._lit_val += [0] * (2 * delta)
         self._level += [0] * delta

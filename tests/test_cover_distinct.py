@@ -11,14 +11,17 @@ reference:
   included, under ``certify="full"``) must be identical;
 * ``reference_check`` -- the per-context scan of
   ``EnumerativeEngine.check``; outcome, witness, depth and solver dict
-  must be identical;
+  must be identical, for TraceDBs and for the fuzz oracle's
+  ``ProductFamily`` (DESIGN SS5o), whose length, distinct views and
+  ``sequence(i)`` must also match a per-context TraceDB's;
 * ``reference_supports`` -- one ``coi_cone`` walk per name.
 
 Planted bugs (a witness from the last matching distinct value, paths
-deduplicated by PL set alone, a closure without register-to-register
-edges) must fail them.
+deduplicated by PL set alone, a trie walk that prunes on the state
+alone, a closure without register-to-register edges) must fail them.
 """
 
+import itertools
 import random
 import time
 import weakref
@@ -29,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.rtl2mupath as rtl2mupath_mod
 import repro.core.synthlc as synthlc_mod
+import repro.mc.enumerative as enumerative_mod
 import repro.rtl.coi as coi_mod
 from repro.core import Rtl2MuPath, SynthLC
 from repro.core.decisions import extract_decisions
@@ -53,7 +57,7 @@ from repro.fuzz.oracle import (
     _input_sequences,
     _queries,
 )
-from repro.mc.enumerative import Context, EnumerativeEngine, TraceDB
+from repro.mc.enumerative import Context, EnumerativeEngine, ProductFamily, TraceDB
 from repro.mc.incremental import InductionPool
 from repro.mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from repro.props.views import ConcreteOps
@@ -357,25 +361,66 @@ def reference_check(engine, query):
 
 
 def oracle_tracedbs(design):
-    """The full and truncated families the fuzz oracle checks ``design`` on."""
+    """The fuzz oracle's families for ``design``: per-context full and
+    truncated TraceDBs, and its ProductFamily (None when it samples).
+
+    When the oracle enumerates, the full TraceDB simulates each sequence
+    of ``itertools.product`` itself, as the product family's reference.
+    """
+    config = OracleConfig()
     rng = random.Random(RNG_SEED ^ design.spec.seed)
-    sequences, complete = _input_sequences(design, OracleConfig(), rng)
+    count, sequence, product = _input_sequences(design, config, rng)
+    if product is None:
+        sequences = [sequence(i) for i in range(count)]
+    else:
+        live = design.live_inputs
+        per_cycle = [
+            dict(zip((i.name for i in live), combo))
+            for combo in itertools.product(*(i.alphabet for i in live))
+        ]
+        sequences = itertools.product(per_cycle, repeat=config.horizon)
     contexts = [Context.make({}, seq, label="seq%d" % i) for i, seq in enumerate(sequences)]
     return (
-        TraceDB(design.netlist, contexts, complete=complete),
+        TraceDB(design.netlist, contexts, complete=product is not None),
         TraceDB(design.netlist, contexts[:TRUNCATED_CONTEXTS], complete=False),
+        product,
     )
 
 
-def engine_disagreements(design):
+def check_disagreements(family, reference, queries):
+    engine = EnumerativeEngine(family)
     out = []
-    for db in oracle_tracedbs(design):
-        engine = EnumerativeEngine(db)
-        for query in _queries(design):
-            got, want = engine.check(query), reference_check(engine, query)
-            for field in ("outcome", "witness", "depth", "solver", "detail"):
-                if getattr(got, field) != getattr(want, field):
-                    out.append((query.name, field))
+    for query in queries:
+        got, want = engine.check(query), reference_check(reference, query)
+        for field in ("outcome", "witness", "depth", "solver", "detail"):
+            if getattr(got, field) != getattr(want, field):
+                out.append((query.name, field))
+    return out
+
+
+def distinct_rows(family):
+    return [(index, tuple(view.cycles)) for index, view in family.distinct_views()]
+
+
+def engine_disagreements(design):
+    """Where the oracle's families depart from the per-context scan: each
+    TraceDB's distinct scan, and the product family's len, distinct
+    views, sequences and checks against the full TraceDB."""
+    full, truncated, product = oracle_tracedbs(design)
+    queries = _queries(design)
+    out = []
+    for db in (full, truncated):
+        out += check_disagreements(db, EnumerativeEngine(db), queries)
+    if product is not None:
+        if len(product) != len(full):
+            out.append(("product", "len"))
+        if distinct_rows(product) != distinct_rows(full):
+            out.append(("product", "distinct_views"))
+        if any(product.sequence(i) != [dict(cycle) for cycle in context.input_sequence]
+               for i, context in enumerate(full.contexts)):
+            out.append(("product", "sequence"))
+        out += [("product",) + d for d in
+                check_disagreements(product, EnumerativeEngine(full), queries)]
     return out
 
 
@@ -399,8 +444,21 @@ def test_enumerative_matches_per_context_reference_on_random_designs(seed):
     assert engine_disagreements(build_design(sample_spec(seed))) == []
 
 
+def test_corpus_and_campaign_designs_enumerate():
+    # so the parity tests above compare product families, whose walks
+    # step far fewer transitions than a per-context scan steps cycles
+    designs = [build_design(load_reproducer(path)) for path in CORPUS]
+    designs += [campaign_design(seed) for seed in CAMPAIGN_SEEDS]
+    products = [oracle_tracedbs(design)[2] for design in designs]
+    assert all(product is not None for product in products)
+    for product in products:
+        product.distinct_views()
+    cycles = sum(len(product) * product.horizon for product in products)
+    assert sum(product.transitions for product in products) < cycles / 10
+
+
 def test_campaign_families_repeat_traces():
-    full, truncated = oracle_tracedbs(campaign_design(CAMPAIGN_SEEDS[0]))
+    full, truncated, _ = oracle_tracedbs(campaign_design(CAMPAIGN_SEEDS[0]))
     assert 1 < len(full.distinct_views()) < len(full.views) / 10
     assert 1 < len(truncated.distinct_views()) < len(truncated.views)
     firsts = [index for index, _ in full.distinct_views()]
@@ -418,10 +476,30 @@ def test_planted_last_matching_trace_is_caught(monkeypatch):
     assert any(engine_disagreements(campaign_design(seed)) for seed in CAMPAIGN_SEEDS)
 
 
+def test_planted_state_only_pruning_is_caught(monkeypatch):
+    # pruning a subtree on its state alone drops traces whose prefix rows
+    # differ from the first visit's
+    monkeypatch.setattr(enumerative_mod, "_trie_node", lambda rows, state: state)
+    assert any(engine_disagreements(campaign_design(seed)) for seed in CAMPAIGN_SEEDS)
+
+
+def test_product_sequences_follow_itertools_order():
+    per_cycle = [{"a": 0}, {"a": 1}, {"a": 2}]
+    design = campaign_design(CAMPAIGN_SEEDS[0])
+    product = ProductFamily(design.netlist, per_cycle, 3)
+    assert len(product) == 27
+    assert [product.sequence(i) for i in range(27)] == [
+        list(seq) for seq in itertools.product(per_cycle, repeat=3)
+    ]
+    with pytest.raises(IndexError):
+        product.sequence(27)
+
+
 def test_views_share_one_name_index():
-    full, _ = oracle_tracedbs(campaign_design(CAMPAIGN_SEEDS[0]))
+    full, _, product = oracle_tracedbs(campaign_design(CAMPAIGN_SEEDS[0]))
     assert len({id(view.index) for view in full.views}) == 1
     assert len({id(view.names) for view in full.views}) == 1
+    assert len({id(view.index) for _, view in product.distinct_views()}) == 1
 
 
 # ----------------------------------------------------- (c) COI supports

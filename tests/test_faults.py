@@ -421,6 +421,23 @@ class TestRssCeiling:
         assert manifest.jobs_failed == 1
         assert manifest.reconciles(stats)
 
+    def test_guard_interrupts_a_main_thread_blocked_in_sleep(self):
+        from repro.engine.scheduler import (
+            MemoryBudgetExceeded,
+            _rss_guard,
+            current_rss_mb,
+        )
+
+        rss = current_rss_mb()
+        if rss is None:
+            pytest.skip("RSS not readable on this platform")
+        started = time.perf_counter()
+        with pytest.raises(MemoryBudgetExceeded):
+            # over the ceiling from the start: the first sample trips it
+            with _rss_guard(rss / 2, []):
+                time.sleep(2.0)
+        assert time.perf_counter() - started < 1.0
+
     def test_memory_spike_fault_trips_the_ceiling(self):
         from repro.engine.scheduler import current_rss_mb
 
