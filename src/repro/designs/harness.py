@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -320,6 +321,27 @@ class ProgramRun:
     trace: Optional[object] = None  # repro.sim.Trace when recorded
 
 
+# netlist -> (ARF word positions, memory word positions) in its state
+# tuple, each ordered by numeric suffix; held weakly, like the compiles
+_WORD_POSITIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _word_positions(netlist) -> Tuple[List[int], List[int]]:
+    """State positions of the ``arf_w*`` and ``amem_w*`` registers."""
+    positions = _WORD_POSITIONS.get(netlist)
+    if positions is None:
+        names = [reg.name for reg, _ in netlist.registers]
+
+        def ordered(prefix):
+            return [i for _, i in sorted(
+                (int(name[len(prefix):]), i)
+                for i, name in enumerate(names) if name.startswith(prefix)
+            )]
+
+        positions = _WORD_POSITIONS[netlist] = (ordered("arf_w"), ordered("amem_w"))
+    return positions
+
+
 def run_program(
     sim,
     program: Sequence[int],
@@ -378,15 +400,10 @@ def run_program(
         raise RuntimeError(
             "program did not quiesce within %d cycles" % max_cycles
         )
-    state = sim.state_dict()
-    arf = [state[name] for name in sorted(
-        (n for n in state if n.startswith("arf_w")),
-        key=lambda n: int(n[5:]),
-    )]
-    mem = [state[name] for name in sorted(
-        (n for n in state if n.startswith("amem_w")),
-        key=lambda n: int(n[6:]),
-    )]
+    arf_positions, mem_positions = _word_positions(sim.netlist)
+    state = sim.state
+    arf = [state[i] for i in arf_positions]
+    mem = [state[i] for i in mem_positions]
     return ProgramRun(arf=arf, mem=mem, cycles=cycles, retire=retire, trace=trace)
 
 

@@ -198,13 +198,7 @@ def check_sequence(
             detail="predictor error: %s" % exc,
         )
     run = run_program(sim, program, arf_init)
-
-    from ..designs.harness import golden_steps
-
-    steps, _, _ = golden_steps(
-        program, arf_init, xlen=model.xlen,
-        mem_words=model.mem_words, pc_bits=model.pc_bits,
-    )
+    steps = predicted.steps
 
     # architectural divergence: the harness itself is broken -- the
     # cycle oracle cannot say anything trustworthy about timing

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..designs.harness import golden_steps, slot_pc
+from ..designs.harness import GoldenStep, golden_steps, slot_pc
 from .model import PerfModel
 
 __all__ = ["Prediction", "PredictError", "predict_program", "STALL_CLASSES"]
@@ -59,6 +59,7 @@ class Prediction:
     out_of_model: List[dict]
     arf: List[int]  # architectural results (golden reference)
     mem: List[int]
+    steps: List[GoldenStep]  # the golden model's per-instruction steps
 
     @property
     def stall_cycles(self) -> int:
@@ -352,4 +353,5 @@ def predict_program(
         out_of_model=out_of_model,
         arf=arf,
         mem=mem,
+        steps=steps,
     )

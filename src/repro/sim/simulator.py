@@ -7,6 +7,13 @@ engine -- run one to two orders of magnitude faster than tree-walking
 evaluation, which matters when a single RTL2MuPATH run executes hundreds of
 thousands of simulated cycles.
 
+Large cones of cells that read at most 16 bits of state and inputs -- an
+instruction decoder keyed on its opcode field, say -- are compiled as
+functions of their own and memoized per compile on the values of those
+bits, so a step looks such a cone's outputs up instead of recomputing
+them (DESIGN §5p).  The memos fill caches of pure functions of their
+keys, so the step stays a pure function of ``(state, inputs)``.
+
 Semantics match the paper's timing model: observable (named) signals are
 functions of the register state *at the start of a cycle* plus that cycle's
 inputs; register updates take effect at the start of the next cycle
@@ -22,8 +29,9 @@ that would repeat a fixed-point transition (see ``step_tuple``).
 from __future__ import annotations
 
 import hashlib
+import heapq
 import weakref
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rtl.netlist import Netlist, netlist_fingerprint
 
@@ -71,6 +79,14 @@ class Trace:
 # one is spilled to a local.  CPython's tokenizer rejects source nested
 # more than 200 parentheses deep, and each inlined level adds at most two.
 _MAX_DEPTH = 48
+# Memoized cones (DESIGN §5p): a block's key packs at most this many
+# bits, so its memo holds at most 2**_MAX_KEY_BITS entries ...
+_MAX_KEY_BITS = 16
+# ... it has at least this many cells ...
+_MIN_BLOCK_CELLS = 32
+# ... and fewer than half of them are its frontier.
+
+_LEAF_OPS = ("reg", "input")
 
 
 def _observable_names(netlist: Netlist) -> List[str]:
@@ -125,48 +141,142 @@ def _cell_expr(node, a) -> str:
     raise NotImplementedError("simulator: unknown op %r" % op)
 
 
-def compile_netlist(netlist: Netlist):
-    """Compile ``netlist`` into a step function.
+def _is_atom(node) -> bool:
+    """A register, an input, or a constant-offset slice of one."""
+    return node.op in _LEAF_OPS or (node.op == "slice" and node.args[0].op in _LEAF_OPS)
 
-    Returns ``(step, observable_names)`` where
-    ``step(state_tuple, input_tuple) -> (next_state_tuple, obs_tuple)``.
-    State ordering follows ``netlist.registers``; input ordering follows
-    ``netlist.inputs``; observables are named signals then outputs.
 
-    The step is straight-line code.  Constants are literals, and a cell
-    with a single consumer that is neither an observable nor a register
-    next-state root is inlined into that consumer's expression (so a mux
-    evaluates only its selected arm's inlined cells); every other cell
-    gets a local.
+def _bits(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first, each as its own mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _memo_blocks(netlist: Netlist, pinned) -> List[Tuple[list, list]]:
+    """The cones worth memoizing: ``[(key atoms, cells)]``, disjoint.
+
+    A cell's support is the set of atoms (:func:`_is_atom`) it reads,
+    kept as a bit mask over the atoms; ``-1`` marks a support wider than
+    ``_MAX_KEY_BITS``.  A key's block is every cell whose support fits in
+    it, less the cells of blocks taken before; its frontier is the
+    block's cells that are in ``pinned`` or read by a cell outside it.
+    Blocks are taken greedily, largest first, while they have at least
+    ``_MIN_BLOCK_CELLS`` cells and a frontier under half of them.
+
+    The candidate keys are the cells' supports.  Counting a key's block
+    visits only the supports inside it, so no pair of unrelated supports
+    is ever compared; a key whose block lost cells to a block taken
+    before it is requeued at its new size.
     """
-    observable_names = _observable_names(netlist)
-    obs_nodes = [
-        netlist.named[name] if name in netlist.named else netlist.outputs[name]
-        for name in observable_names
-    ]
-    next_nodes = [nxt for _, nxt in netlist.registers]
-    pinned = {node.uid for node in obs_nodes}
-    pinned.update(node.uid for node in next_nodes)
-    uses: Dict[int, int] = {}
+    if netlist.num_cells < _MIN_BLOCK_CELLS:
+        return []
+    atoms: List = []
+    width_of = {0: 0}  # support -> its bits
+    support: Dict[int, int] = {}
+    readers: Dict[int, int] = {}  # uid -> union of its readers' supports
+    cells: Dict[int, list] = {}  # support -> its cells
     for node in netlist.order:
-        for arg in node.args:
-            uses[arg.uid] = uses.get(arg.uid, 0) + 1
+        if node.op == "const":
+            support[node.uid] = 0
+        elif _is_atom(node):
+            if node.width > _MAX_KEY_BITS:
+                support[node.uid] = -1
+            else:
+                mask = support[node.uid] = 1 << len(atoms)
+                width_of[mask] = node.width
+                atoms.append(node)
+        else:
+            mask = 0
+            for arg in node.args:
+                mask |= support[arg.uid]
+            if mask > 0:
+                width = width_of.get(mask)
+                if width is None:
+                    width = width_of[mask] = sum(
+                        atoms[bit.bit_length() - 1].width for bit in _bits(mask)
+                    )
+                if width > _MAX_KEY_BITS:
+                    mask = -1
+                else:
+                    cells.setdefault(mask, []).append(node)
+            support[node.uid] = mask
+            for arg in node.args:
+                uid = arg.uid
+                readers[uid] = readers.get(uid, 0) | mask
+    for uid in pinned:
+        readers[uid] = -1
 
-    lines = ["def _step(state, inputs):"]
-    # per node: the text its consumers use (a local, a literal or an
-    # inlined expression) and that text's parenthesis depth
-    text: Dict[int, str] = {}
-    depth: Dict[int, int] = {}
-    for leaves, source in (
-        ([reg.q for reg, _ in netlist.registers], "state"),
-        (netlist.inputs, "inputs"),
-    ):
-        for node in leaves:
-            text[node.uid] = "v%d" % node.uid
-            depth[node.uid] = 0
-        if leaves:
-            lines.append("    %s, = %s" % (", ".join(text[n.uid] for n in leaves), source))
-    for node in netlist.order:
+    # The supports inside a key are found by a depth-first walk over its
+    # atoms, lowest first, that extends only prefixes of some support.
+    prefixes = set()
+    for mask in cells:
+        prefix = 0
+        for bit in _bits(mask):
+            prefix |= bit
+            prefixes.add(prefix)
+
+    def inside(key):
+        bits = _bits(key)
+        found = []
+        stack = [(0, 0)]
+        while stack:
+            prefix, start = stack.pop()
+            for i in range(start, len(bits)):
+                grown = prefix | bits[i]
+                if grown in prefixes:
+                    stack.append((grown, i + 1))
+                    if grown in cells:
+                        found.append(grown)
+        return found
+
+    inner = {key: inside(key) for key in cells}
+    heap = [(-sum(len(cells[mask]) for mask in masks), key) for key, masks in inner.items()]
+    heapq.heapify(heap)
+    taken = set()
+    blocks = []
+    while heap and -heap[0][0] >= _MIN_BLOCK_CELLS:
+        _, key = heapq.heappop(heap)
+        masks = [mask for mask in inner[key] if mask not in taken]
+        count = sum(len(cells[mask]) for mask in masks)
+        if heap and count < -heap[0][0]:
+            # another key may hold more: requeue this one at its size
+            heapq.heappush(heap, (-count, key))
+            continue
+        if count < _MIN_BLOCK_CELLS:
+            break
+        members = [node for mask in masks for node in cells[mask]]
+        frontier = sum(1 for node in members if readers.get(node.uid, 0) | key != key)
+        if 2 * frontier < count:
+            taken.update(masks)
+            blocks.append(([atoms[bit.bit_length() - 1] for bit in _bits(key)], members))
+    return blocks
+
+
+def _key_expr(atoms, text) -> str:
+    """A block's memo key: its atoms' values packed into one int."""
+    parts = []
+    shift = 0
+    for atom in atoms:
+        parts.append("%s << %d" % (text[atom.uid], shift) if shift else text[atom.uid])
+        shift += atom.width
+    return " | ".join(parts)
+
+
+def _emit(nodes, text, depth, uses, pinned, lines):
+    """Append one statement per non-inlined cell of ``nodes`` to ``lines``.
+
+    ``nodes`` are topologically ordered.  Constants become literals; a
+    cell with one reader in ``uses`` that is not in ``pinned`` is inlined
+    into its reader unless that would nest deeper than ``_MAX_DEPTH``.
+    ``text`` and ``depth`` map each done node to the text its readers use
+    and that text's parenthesis depth; nodes already in ``text`` are
+    skipped.
+    """
+    for node in nodes:
         uid = node.uid
         if uid in text:
             continue
@@ -184,13 +294,126 @@ def compile_netlist(netlist: Netlist):
             text[uid] = "v%d" % uid
             depth[uid] = 0
 
-    def packed(nodes):
-        return "(%s)" % "".join(text[node.uid] + ", " for node in nodes)
 
-    lines.append("    return %s, %s" % (packed(next_nodes), packed(obs_nodes)))
-    source = "\n".join(lines)
+def _count_uses(nodes) -> Dict[int, int]:
+    """uid -> how many of ``nodes`` read it."""
+    uses: Dict[int, int] = {}
+    for node in nodes:
+        for arg in node.args:
+            uses[arg.uid] = uses.get(arg.uid, 0) + 1
+    return uses
+
+
+def _packed(nodes, text) -> str:
+    return "(%s)" % "".join(text[node.uid] + ", " for node in nodes)
+
+
+def _emit_cone(index, atoms, frontier, position) -> List[str]:
+    """The source of cone function ``_c<index>`` and its memo ``_m<index>``.
+
+    The cone takes the key atoms' values, computes the frontier from
+    them, stores the frontier tuple under the key and returns it.  The
+    store is its last act, so an interrupted cone stores nothing.
+    """
+    text = {atom.uid: "v%d" % atom.uid for atom in atoms}
+    # the frontier's fan-in down to the key atoms, which hold all of it
+    cone: Dict[int, object] = {}
+    stack = list(frontier)
+    while stack:
+        node = stack.pop()
+        if node.uid not in cone and node.uid not in text:
+            cone[node.uid] = node
+            stack.extend(node.args)
+    lines = ["def _c%d(%s):" % (index, ", ".join(text.values()))]
+    _emit(
+        sorted(cone.values(), key=lambda node: position[node.uid]), text,
+        dict.fromkeys(text, 0), _count_uses(cone.values()),
+        {node.uid for node in frontier}, lines,
+    )
+    lines.append("    _r = _m%d[%s] = %s" % (index, _key_expr(atoms, text), _packed(frontier, text)))
+    lines.append("    return _r")
+    lines.append("_m%d = {}" % index)
+    return lines
+
+
+def compile_netlist(netlist: Netlist):
+    """Compile ``netlist`` into a step function.
+
+    Returns ``(step, observable_names)`` where
+    ``step(state_tuple, input_tuple) -> (next_state_tuple, obs_tuple)``.
+    State ordering follows ``netlist.registers``; input ordering follows
+    ``netlist.inputs``; observables are named signals then outputs.
+
+    The step is straight-line code.  Constants are literals, and a cell
+    with a single consumer that is neither an observable nor a register
+    next-state root is inlined into that consumer's expression (so a mux
+    evaluates only its selected arm's inlined cells); every other cell
+    gets a local.  Each block of :func:`_memo_blocks` is a cone function
+    memoized on its key (:func:`_emit_cone`): the step looks the block's
+    frontier up by key and calls the cone only on a miss.
+    """
+    observable_names = _observable_names(netlist)
+    obs_nodes = [
+        netlist.named[name] if name in netlist.named else netlist.outputs[name]
+        for name in observable_names
+    ]
+    next_nodes = [nxt for _, nxt in netlist.registers]
+    pinned = {node.uid for node in obs_nodes}
+    pinned.update(node.uid for node in next_nodes)
+    blocks = _memo_blocks(netlist, pinned)
+    claimed = {node.uid for _, members in blocks for node in members}
+    step_cells = [node for node in netlist.order if node.uid not in claimed]
+    uses = _count_uses(step_cells)
+    memoized = [
+        (atoms, [node for node in members if node.uid in pinned or node.uid in uses])
+        for atoms, members in blocks
+    ]
+    for atoms, _ in memoized:
+        for atom in atoms:
+            uses[atom.uid] = uses.get(atom.uid, 0) + 1
+
+    position = {node.uid: i for i, node in enumerate(netlist.order)} if blocks else {}
+    # each cone compiles on its own, then the step: one module of them
+    # all would hold every function's syntax tree at once, which set the
+    # peak memory of a process that compiles the IFT netlist
+    pieces = [
+        _emit_cone(index, atoms, frontier, position)
+        for index, (atoms, frontier) in enumerate(memoized)
+    ]
+    lines = ["def _step(state, inputs):"]
+    pieces.append(lines)
+    # per node: the text its consumers use (a local, a literal or an
+    # inlined expression) and that text's parenthesis depth
+    text: Dict[int, str] = {}
+    depth: Dict[int, int] = {}
+    for leaves, source in (
+        ([reg.q for reg, _ in netlist.registers], "state"),
+        (netlist.inputs, "inputs"),
+    ):
+        for node in leaves:
+            text[node.uid] = "v%d" % node.uid
+            depth[node.uid] = 0
+        if leaves:
+            lines.append("    %s, = %s" % (", ".join(text[n.uid] for n in leaves), source))
+    # the lookups come first, and the key atoms before them
+    key_atoms = {atom.uid: atom for atoms, _ in memoized for atom in atoms}
+    _emit(
+        sorted(key_atoms.values(), key=lambda node: position[node.uid]),
+        text, depth, uses, pinned, lines,
+    )
+    for index, (atoms, frontier) in enumerate(memoized):
+        for node in frontier:
+            text[node.uid] = "v%d" % node.uid
+            depth[node.uid] = 0
+        lines.append("    %s = _m%d.get(%s) or _c%d(%s)" % (
+            _packed(frontier, text), index, _key_expr(atoms, text),
+            index, ", ".join(text[atom.uid] for atom in atoms),
+        ))
+    _emit(step_cells, text, depth, uses, pinned, lines)
+    lines.append("    return %s, %s" % (_packed(next_nodes, text), _packed(obs_nodes, text)))
     namespace: Dict[str, object] = {}
-    exec(compile(source, "<netlist:%s>" % netlist.name, "exec"), namespace)
+    for piece in pieces:
+        exec(compile("\n".join(piece), "<netlist:%s>" % netlist.name, "exec"), namespace)
     return namespace["_step"], observable_names
 
 

@@ -22,6 +22,10 @@ from repro.designs import (
     run_program,
     sample_sequence,
 )
+from repro.designs.core import CoreConfig
+from repro.designs.harness import _word_positions
+from repro.designs.variants import build_cva6_mul
+from repro.rtl import Module, elaborate
 from repro.sim import Simulator
 
 MEM_WORDS = 4
@@ -68,6 +72,43 @@ def test_seeded_sequences_match_golden_model(cosim_design, cosim_sim):
         want_arf, want_mem = golden_model(program, arf_init)
         assert run.arf == want_arf, seed
         assert run.mem == want_mem, seed
+
+
+@pytest.mark.parametrize("build, xlen", [
+    (lambda: build_core(CoreConfig(xlen=4)), 4),
+    (build_core, 8),
+    (build_cva6_mul, 8),
+], ids=["core-xlen4", "core-xlen8", "cva6-mul"])
+def test_program_run_reads_the_state_dict_words(build, xlen):
+    sim = Simulator(build().netlist)
+    checked = 0
+    for seed in range(40):
+        program, arf_init = sample_sequence(seed, xlen=xlen)
+        if sum(isa.decode(word).spec.cls == "store" for word in program) > 1:
+            continue  # steer clear of the store -> load -> store deadlock
+        run = run_program(sim, program, arf_init)
+        state = sim.state_dict()
+        arf = sorted(name for name in state if name.startswith("arf_w"))
+        mem = sorted(name for name in state if name.startswith("amem_w"))
+        assert run.arf == [state["arf_w%d" % i] for i in range(len(arf))]
+        assert run.mem == [state["amem_w%d" % i] for i in range(len(mem))]
+        checked += 1
+    assert checked >= 10
+
+
+def test_word_positions_follow_the_numeric_suffix():
+    m = Module("words")
+    order = [10, 2, 9, 0, 11, 1]
+    for i in order:
+        reg = m.reg("arf_w%d" % i, 4)
+        reg.next = reg.q
+    mem = m.reg("amem_w0", 4)
+    mem.next = mem.q
+    netlist = elaborate(m)
+    names = [reg.name for reg, _ in netlist.registers]
+    arf, amem = _word_positions(netlist)
+    assert [names[i] for i in arf] == ["arf_w%d" % i for i in sorted(order)]
+    assert [names[i] for i in amem] == ["amem_w0"]
 
 
 class TestDirectedCosim:

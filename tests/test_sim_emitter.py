@@ -1,21 +1,24 @@
 """Differential test of the step-function emitter.
 
-``compile_netlist`` emits constants as literals and inlines single-use
-cells into their consumers.  ``reference_compile`` below is the plain
-emitter it replaced -- one local per node, in topological order -- kept
-as the reference: both must give identical ``(next_state, obs)`` on
-every design and every (state, input) pair drawn here.
+``compile_netlist`` emits constants as literals, inlines single-use
+cells into their consumers and memoizes small-support cones on their
+key atoms.  ``reference_compile`` below is the plain emitter it
+replaced -- one local per node, in topological order -- kept as the
+reference: both must give identical ``(next_state, obs)`` on every
+design and every (state, input) pair drawn here.  Each pair list runs
+twice through one compile, so the second pass reads warm memos.
 """
 
 import glob
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.simulator as simulator_mod
-from repro.core.synthlc import instrument_design
+from repro.core.synthlc import ASSUMPTIONS, instrument_design
 from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core
 from repro.designs.cache import CacheContextProvider, build_cache
 from repro.designs.core import CoreConfig
@@ -31,6 +34,11 @@ CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "fuzz_corpus",
 # the e2e benchmark's smoke-scale upath family
 SMOKE_FAMILY = ContextFamilyConfig(
     horizon=32, neighbors=("DIV",), iuv_values=(0, 15), neighbor_values=(0,),
+)
+# and its smoke-scale leakage taint family (LW's taint, DIV the transponder)
+SMOKE_TAINT_FAMILY = ContextFamilyConfig(
+    horizon=32, neighbors=("DIV",), iuv_values=(0,), neighbor_values=(0,),
+    instrumented=True,
 )
 
 
@@ -102,7 +110,11 @@ def reference_compile(netlist):
 
 
 def random_pairs(netlist, count, seed=0):
-    """Random (state, inputs) tuples, plus all-zero and all-ones ones."""
+    """Random (state, inputs) tuples, plus all-zero and all-ones ones.
+
+    Every other random pair draws each register from {0, 1, all-ones},
+    so memo keys repeat while the bits outside them differ.
+    """
     rng = random.Random(seed)
     reg_widths = [reg.width for reg, _ in netlist.registers]
     input_widths = [node.width for node in netlist.inputs]
@@ -110,11 +122,12 @@ def random_pairs(netlist, count, seed=0):
         (tuple(0 for _ in reg_widths), tuple(0 for _ in input_widths)),
         (tuple((1 << w) - 1 for w in reg_widths), tuple((1 << w) - 1 for w in input_widths)),
     ]
-    for _ in range(count):
-        pairs.append((
-            tuple(rng.getrandbits(w) for w in reg_widths),
-            tuple(rng.getrandbits(w) for w in input_widths),
-        ))
+    for i in range(count):
+        if i % 2:
+            state = tuple(rng.choice((0, 1, (1 << w) - 1)) for w in reg_widths)
+        else:
+            state = tuple(rng.getrandbits(w) for w in reg_widths)
+        pairs.append((state, tuple(rng.getrandbits(w) for w in input_widths)))
     return pairs
 
 
@@ -135,15 +148,26 @@ def reached_pairs(netlist, contexts):
 
 
 def first_disagreement(netlist, pairs):
-    """The first pair on which ``compile_netlist`` and the reference differ."""
+    """The first pair on which ``compile_netlist`` and the reference differ.
+
+    The pairs run twice through one compile: the second pass is served
+    from the memos the first one filled.
+    """
     step, names = compile_netlist(netlist)
     ref, ref_names = reference_compile(netlist)
     assert names == ref_names
-    for state, inputs in pairs:
+    for state, inputs in list(pairs) * 2:
         got, want = step(state, inputs), ref(state, inputs)
         if got != want:
             return state, inputs, got, want
     return None
+
+
+def memos(step):
+    """The memo of every block in ``step``'s compile, by block index."""
+    names = step.__globals__
+    count = sum(1 for name in names if name.startswith("_c"))
+    return [names["_m%d" % i] for i in range(count)]
 
 
 @pytest.fixture(scope="module")
@@ -176,8 +200,23 @@ def test_fuzz_corpus_design_matches_reference(path):
     assert first_disagreement(netlist, random_pairs(netlist, 200)) is None
 
 
+def test_fuzz_corpus_matches_reference_at_block_floor_two(monkeypatch):
+    monkeypatch.setattr(simulator_mod, "_MIN_BLOCK_CELLS", 2)
+    for path in CORPUS:
+        netlist = build_design(load_reproducer(path)).netlist
+        assert first_disagreement(netlist, random_pairs(netlist, 200)) is None, path
+
+
 def test_corpus_is_complete():
     assert len(CORPUS) == 16
+
+
+def test_only_the_low_floor_blocks_generated_designs(monkeypatch):
+    designs = [build_design(sample_spec(seed)).netlist for seed in range(28)]
+    assert not any(memos(compile_netlist(netlist)[0]) for netlist in designs)
+    monkeypatch.setattr(simulator_mod, "_MIN_BLOCK_CELLS", 2)
+    blocked = [netlist for netlist in designs if memos(compile_netlist(netlist)[0])]
+    assert len(blocked) >= len(designs) // 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -185,6 +224,15 @@ def test_corpus_is_complete():
 def test_random_generated_design_matches_reference(seed, pair_seed):
     netlist = build_design(sample_spec(seed)).netlist
     assert first_disagreement(netlist, random_pairs(netlist, 40, pair_seed)) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), pair_seed=st.integers(0, 1000))
+def test_random_generated_design_matches_reference_at_block_floor_two(seed, pair_seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator_mod, "_MIN_BLOCK_CELLS", 2)
+        netlist = build_design(sample_spec(seed)).netlist
+        assert first_disagreement(netlist, random_pairs(netlist, 40, pair_seed)) is None
 
 
 def test_smoke_upath_family_pairs_match_reference(netlists):
@@ -199,7 +247,7 @@ def test_smoke_upath_family_pairs_match_reference(netlists):
         assert first_disagreement(netlists[name], pairs) is None
 
 
-def test_deep_single_use_chain_compiles_and_matches():
+def deep_chain():
     # 400 chained single-use cells: inlined whole, the expression would
     # nest far past CPython's 200-parenthesis limit
     m = Module("chain")
@@ -210,8 +258,100 @@ def test_deep_single_use_chain_compiles_and_matches():
         node = (node + r.q) if i % 2 else (node ^ m.const(i & 0xFF, 8))
     r.next = node
     m.name_signal("out", node)
-    netlist = elaborate(m)
+    return elaborate(m)
+
+
+def test_deep_single_use_chain_compiles_and_matches():
+    netlist = deep_chain()
     assert first_disagreement(netlist, random_pairs(netlist, 50)) is None
+
+
+def test_deep_single_use_chain_matches_at_block_floor_two(monkeypatch):
+    # at either floor the chain, which reads the 16 bits of a and r, is
+    # one cone, spilled inside as the step would spill it
+    monkeypatch.setattr(simulator_mod, "_MIN_BLOCK_CELLS", 2)
+    netlist = deep_chain()
+    step, _ = compile_netlist(netlist)
+    assert len(memos(step)) == 1
+    assert first_disagreement(netlist, random_pairs(netlist, 50)) is None
+
+
+def test_smoke_leakage_taint_family_pairs_match_reference(netlists):
+    provider = CoreContextProvider(xlen=4, config=SMOKE_TAINT_FAMILY)
+    contexts = [
+        context
+        for assumption in ASSUMPTIONS if assumption != "intrinsic"
+        for group in provider.taint_groups("DIV", "LW", assumption, "rs1")
+        for context in group.contexts
+    ]
+    pairs = reached_pairs(netlists["core-ift"], contexts)
+    assert len(pairs) > 50
+    assert first_disagreement(netlists["core-ift"], pairs) is None
+
+
+@pytest.mark.parametrize("name", [
+    "core", "cache", "cva6-mul", "cva6-op",
+    "core-ift", "cache-ift", "cva6-mul-ift", "cva6-op-ift",
+])
+def test_memo_keys_fit_sixteen_bits(netlists, name):
+    netlist = netlists[name]
+    step, _ = compile_netlist(netlist)
+    for state, inputs in random_pairs(netlist, 60):
+        step(state, inputs)
+    filled = memos(step)
+    if name in ("core", "core-ift"):
+        assert filled
+    assert all(memo and max(memo) < 1 << 16 for memo in filled)
+
+
+def test_interrupted_cone_stores_no_entry(netlists):
+    # a job deadline (SIGALRM) or the RSS guard (SIGINT) can raise at any
+    # line of a cone.  Raised at the cone's last statement but one, the
+    # interrupt must leave no entry, and the next step with that key
+    # must compute it afresh.
+    netlist = netlists["core-ift"]
+    step, _ = compile_netlist(netlist)
+    ref, _ = reference_compile(netlist)
+    names = step.__globals__
+    cone = names["_c0"].__code__
+    store_line = max(line for _, _, line in cone.co_lines() if line) - 1
+
+    def interrupt_at_store(frame, event, arg):
+        if frame.f_code is not cone:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == store_line:
+                raise KeyboardInterrupt
+            return local
+
+        return local
+
+    state, inputs = random_pairs(netlist, 1)[-1]
+    previous = sys.gettrace()
+    sys.settrace(interrupt_at_store)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            step(state, inputs)
+    finally:
+        sys.settrace(previous)
+    assert names["_m0"] == {}
+    assert step(state, inputs) == ref(state, inputs)
+    assert len(names["_m0"]) == 1
+    assert step(state, inputs) == ref(state, inputs)
+
+
+@pytest.mark.parametrize("name", ["core", "core-ift"])
+def test_planted_key_missing_an_atom_is_caught(netlists, monkeypatch, name):
+    real = simulator_mod._key_expr
+
+    def all_but_the_last_atom(atoms, text):
+        return real(atoms[:-1], text) or "0"
+
+    monkeypatch.setattr(simulator_mod, "_key_expr", all_but_the_last_atom)
+    netlist = netlists[name]
+    pairs = random_pairs(netlist, 60 if name.endswith("-ift") else 1000)
+    assert first_disagreement(netlist, pairs) is not None
 
 
 def test_planted_mux_arm_swap_on_inlined_cells_is_caught(netlists, monkeypatch):
