@@ -22,22 +22,11 @@ Commands:
     run-manifest summary that reconciles with the SS VII-B3 property
     accounting;
   * ``--timeout SECONDS`` / ``--max-attempts N`` -- per-job wall-clock
-    deadline and the attempts per job: an attempt that times out, raises
-    or crosses ``--max-rss-mb`` is retried; results, UNDETERMINED ones
-    included, are final;
-  * ``--run-dir DIR`` / ``--resume DIR`` -- checkpoint completed job
-    reports (fsynced JSONL) and resume an interrupted run: ``--resume``
-    replays the checkpoint and executes only the unfinished jobs,
-    producing verdicts identical to an uninterrupted run;
-  * ``--keep-going`` -- degrade failed/quarantined jobs to reported
-    failures instead of aborting the whole batch;
-  * ``--max-rss-mb MB`` -- per-worker memory soft ceiling: attempts
-    crossing it abort as degraded results before the kernel OOM-killer
-    takes the worker;
-  * ``--backoff SECONDS`` -- base delay (exponential, seeded jitter)
-    between process-pool rebuilds after worker deaths;
-  * ``--fault-plan FILE`` -- arm a deterministic fault-injection plan
-    (see :mod:`repro.faults`) for chaos testing;
+    deadline and the attempts per job: an attempt that times out or
+    raises is retried; results, UNDETERMINED ones included, are final;
+  * ``--keep-going`` -- report failed jobs (every attempt failed, or
+    the worker died running the job alone) instead of aborting the
+    whole batch;
   * ``--metrics FILE`` -- dump the process metrics registry (Prometheus
     text exposition) at run end;
   * ``--duv-prune`` -- run the paper's step 1 (DUV-level PL
@@ -51,9 +40,11 @@ Commands:
     one is reported (``cert_failures`` / ``cert_uncaught`` in the
     manifest), its result is never cached, and the run exits 1.
 
-  A clean Ctrl-C drains in-flight results into the checkpoint (with
-  ``--run-dir``) and exits 130 with the resume command printed; the
-  run directory is never left torn.
+  A clean Ctrl-C drains finished workers into the proof cache and exits
+  130.  Rerunning the same command with the same ``--cache-dir``
+  replays every job that finished and executes only the rest; the cache
+  never holds UNDETERMINED or a failed certificate, so those jobs
+  re-execute and re-report.
 
 * ``cache-info DIR`` -- summarize a proof-cache directory (entry and
   quarantine counts, sizes, age range); ``--json`` for machine output,
@@ -202,53 +193,15 @@ def cmd_sc_safe(args):
 
 
 def cmd_synth_all(args):
-    import json
-    import os
-
     from .engine import EngineConfig, EngineError, JobScheduler
-    from .faults import FaultPlan
     from .obs import get_registry
 
-    run_dir = args.resume or args.run_dir
-    resume = args.resume is not None
-    names = list(args.instrs)
-    run_meta_path = os.path.join(run_dir, "run.json") if run_dir else None
-    if not names and resume and run_meta_path and os.path.isfile(run_meta_path):
-        # an interrupted run's job list is part of its checkpoint state:
-        # `--resume DIR` alone re-runs exactly what the original asked for
-        with open(run_meta_path, "r", encoding="utf-8") as handle:
-            names = list(json.load(handle).get("instrs", []))
-    if not names:
-        names = sorted(set(CLASS_REPRESENTATIVES.values()))
+    names = list(args.instrs) or sorted(set(CLASS_REPRESENTATIVES.values()))
     known = {s.name for s in isa.INSTRUCTIONS}
     unknown = [name for name in names if name not in known]
     if unknown:
         print("unknown instruction(s): %s" % ", ".join(unknown))
         return 2
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as exc:
-            print("error loading fault plan: %s" % exc)
-            return 2
-        if fault_plan.state_dir is None:
-            # firing counts must survive the worker deaths the plan causes
-            import tempfile
-
-            state_dir = (
-                os.path.join(run_dir, "fault-state")
-                if run_dir
-                else tempfile.mkdtemp(prefix="repro-fault-state-")
-            )
-            fault_plan = fault_plan.with_state_dir(state_dir)
-        print("fault plan armed: %s (%d spec(s), state in %s)"
-              % (args.fault_plan, len(fault_plan.specs), fault_plan.state_dir))
-    if run_meta_path is not None:
-        os.makedirs(run_dir, exist_ok=True)
-        with open(run_meta_path, "w", encoding="utf-8") as handle:
-            json.dump({"instrs": names}, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     design = build_core()
     tool = Rtl2MuPath(
         design,
@@ -265,11 +218,6 @@ def cmd_synth_all(args):
         timeout_seconds=args.timeout,
         max_attempts=args.max_attempts,
         keep_going=args.keep_going,
-        max_rss_mb=args.max_rss_mb,
-        backoff_seconds=args.backoff,
-        fault_plan=fault_plan,
-        run_dir=run_dir,
-        resume=resume,
     )
     engine = JobScheduler(engine_config)
     try:
@@ -309,16 +257,20 @@ def cmd_synth_all(args):
             print(manifest.summary())
         return 1
     except KeyboardInterrupt:
-        # the scheduler already drained finished workers and synced the
-        # checkpoint; tell the user how to pick the run back up
+        # the scheduler already drained finished workers into the proof
+        # cache; tell the user how to pick the run back up
         print()
-        if run_dir:
+        if args.cache_dir:
             print(
-                "interrupted; completed jobs are checkpointed -- resume "
-                "with: python -m repro synth-all --resume %s" % run_dir
+                "interrupted; finished jobs are in the proof cache -- rerun "
+                "the same command with --cache-dir %s to execute only the "
+                "rest" % args.cache_dir
             )
         else:
-            print("interrupted (no --run-dir, so nothing was checkpointed)")
+            print(
+                "interrupted (no --cache-dir, so nothing was stored); rerun "
+                "with --cache-dir DIR to keep finished jobs across runs"
+            )
         manifest = engine.last_manifest
         if manifest is not None:
             print(manifest.summary())
@@ -335,8 +287,8 @@ def cmd_synth_all(args):
         result = results[name]
         if result is None:  # a --keep-going run degraded this job
             failed.append(name)
-            print("%-6s FAILED (see telemetry; job degraded or quarantined)"
-                  % name)
+            print("%-6s FAILED (see telemetry; every attempt failed or the "
+                  "worker died)" % name)
             continue
         print(
             "%-6s %d uPATH families, %d concrete paths, %d decision sources%s"
@@ -614,25 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None,
                    help="per-job wall-clock deadline in seconds")
     p.add_argument("--max-attempts", type=int, default=3,
-                   help="attempts per job: an attempt that times out, "
-                        "raises or crosses --max-rss-mb is retried on the "
-                        "same recipe (default 3)")
+                   help="attempts per job: an attempt that times out or "
+                        "raises is retried on the same recipe (default 3)")
     p.add_argument("--keep-going", action="store_true",
                    help="report failed jobs and continue instead of aborting")
-    p.add_argument("--run-dir", default=None, metavar="DIR",
-                   help="run directory: checkpoint completed jobs to "
-                        "DIR/checkpoint.jsonl for later --resume")
-    p.add_argument("--resume", default=None, metavar="DIR",
-                   help="resume an interrupted run from DIR's checkpoint "
-                        "(replays completed jobs; executes only the rest)")
-    p.add_argument("--max-rss-mb", type=float, default=None, metavar="MB",
-                   help="per-worker RSS soft ceiling; attempts exceeding it "
-                        "abort as degraded instead of being OOM-killed")
-    p.add_argument("--backoff", type=float, default=0.1, metavar="SECONDS",
-                   help="base delay before rebuilding a broken worker pool "
-                        "(exponential, jittered; default 0.1)")
-    p.add_argument("--fault-plan", default=None, metavar="FILE",
-                   help="arm a JSON fault-injection plan (chaos testing)")
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="dump Prometheus text-format metrics at run end")
     p.add_argument("--duv-prune", action="store_true",

@@ -262,9 +262,6 @@ class Rtl2MuPath:
     def _record(self, name: str, outcome: str, started: float, detail: str = "",
                 engine="enumerative-indexed", depth=None, solver=None,
                 certificate=None):
-        from ..faults import injection_point
-
-        injection_point("solver.check", query=name)
         elapsed = time.perf_counter() - started
         self.stats.record(
             CheckResult(

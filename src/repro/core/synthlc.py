@@ -535,9 +535,6 @@ class SynthLC:
         return signatures
 
     def _record(self, name, outcome, started):
-        from ..faults import injection_point
-
-        injection_point("solver.check", query=name)
         elapsed = time.perf_counter() - started
         self.stats.record(
             CheckResult(

@@ -17,18 +17,18 @@ This package is the reproduction's systematic answer:
   ship *recipes*, not objects);
 * :mod:`repro.engine.scheduler` -- a job executor fanning work across a
   ``ProcessPoolExecutor`` with per-job wall-clock deadlines and a retry
-  of every attempt that times out, raises or crosses the RSS ceiling;
+  of every attempt that times out or raises; a worker death fails only
+  the job that caused it;
 * :mod:`repro.engine.cache` -- a persistent on-disk proof cache keyed by
   a canonical content hash of (elaborated netlist, context-family config,
   property template, engine config); UNDETERMINED verdicts are never
-  cached as final;
+  cached as final.  It is also the one recovery mechanism: rerunning an
+  interrupted run over the same cache replays every job that finished
+  and executes only the rest;
 * :mod:`repro.engine.telemetry` -- structured JSONL run events plus a
   run-manifest summary that folds back into
   :class:`~repro.mc.stats.PropertyStats`, keeping the SS VII-B3
   accounting exact under parallel + cached execution;
-* :mod:`repro.engine.checkpoint` -- crash-durable ``checkpoint.jsonl``
-  records of completed job reports (including non-cacheable UNDETERMINED
-  results), powering ``synth-all --resume <run-dir>``;
 * :mod:`repro.engine.serialize` -- exact JSON round-trips for
   :class:`~repro.core.rtl2mupath.MuPathResult` and friends, used by the
   proof cache.
@@ -39,7 +39,6 @@ Entry points: :meth:`repro.core.rtl2mupath.Rtl2MuPath.synthesize_all`,
 """
 
 from .cache import ProofCache, canonical_json, content_key, netlist_fingerprint
-from .checkpoint import RunCheckpoint
 from .scheduler import EngineConfig, EngineError, JobScheduler, RunOutcome
 from .specs import (
     DesignSpec,
@@ -70,7 +69,6 @@ __all__ = [
     "infer_provider_spec",
     "synthesis_jobs_for",
     "synthlc_jobs_for",
-    "RunCheckpoint",
     "RunManifest",
     "TelemetryLog",
 ]

@@ -279,8 +279,6 @@ class ProofCache:
     ) -> bool:
         """Store a verdict entry; non-final entries are refused (the
         UNDETERMINED rule).  Returns True when an entry was written."""
-        from .. import faults
-
         if not final:
             return False
         entry = {
@@ -308,9 +306,6 @@ class ProofCache:
             except OSError:
                 pass
             raise
-        # chaos hook: lets a fault plan damage exactly the bytes a crash
-        # mid-write would, after the atomic rename made the entry visible
-        faults.injection_point("cache.put", path=path, key=key)
         return True
 
     def __contains__(self, key: str) -> bool:

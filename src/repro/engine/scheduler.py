@@ -10,11 +10,11 @@ across a ``ProcessPoolExecutor``, with:
   entries containing UNDETERMINED -- those are not stored);
 * **per-job wall-clock deadlines**: a SIGALRM-based deadline inside the
   worker aborts a stuck attempt instead of hanging the run;
-* **retry of failed attempts**: an attempt that times out, raises or
-  crosses the RSS ceiling is re-run on the same recipe, up to
-  ``max_attempts`` attempts.  An attempt that returns results is final,
-  whatever its verdicts: UNDETERMINED is interpreted by the pipeline's
-  ``undetermined_as`` (SS VII-B4), never retried;
+* **retry of failed attempts**: an attempt that times out or raises is
+  re-run on the same recipe, up to ``max_attempts`` attempts.  An
+  attempt that returns results is final, whatever its verdicts:
+  UNDETERMINED is interpreted by the pipeline's ``undetermined_as``
+  (SS VII-B4), never retried;
 * **reported certificate failures**: an attempt whose results carry a
   failed certificate (``--certify full``, DESIGN SS5j) is final too.
   Its failing bundles are dumped to ``$REPRO_CERT_ARTIFACTS``, each
@@ -22,31 +22,18 @@ across a ``ProcessPoolExecutor``, with:
   ``cert_uncaught``, and the job is never cached.  Nothing re-solves
   it: every engine path is deterministic, so a second execute would
   retrace the first;
-* **crash-resilient dispatch**: a worker death (OOM-kill, segfault,
-  SIGKILL, injected chaos) breaks the process pool; the scheduler
-  catches it, rebuilds the pool with exponential backoff and seeded
-  jitter, and re-dispatches the lost jobs.  Every job lost to a break
-  gains a *poison* count; once a job has been implicated
-  ``POISON_LIMIT`` times it runs in an isolation probe (a dedicated
-  single-worker pool) that pinpoints repeat killers -- a probe death is
-  definitive and the job is quarantined as a failed report (the
-  UNDETERMINED-style graceful degradation of SS VII-B4) instead of
-  looping, while innocent bystanders complete their probe and continue;
-* **a per-worker RSS soft ceiling**: with ``max_rss_mb`` set, a watcher
-  thread samples the worker's resident set during each attempt and
-  aborts the attempt (recorded as ``rss_exceeded``) before the kernel's
-  OOM killer would take the whole worker;
-* **checkpoint/resume**: with ``run_dir`` set, every completed job
-  report -- including non-cacheable UNDETERMINED results and degraded
-  failures, but never a failed certificate -- is appended to a
-  periodically-fsynced ``checkpoint.jsonl``; a later run with
-  ``resume=True`` replays those records and executes only the jobs the
-  interrupted run never finished (or whose certificate failed),
-  bit-identically to an uninterrupted run;
-* **exact accounting**: every per-property CheckResult -- fresh,
-  cache-replayed, or checkpoint-resumed -- folds into the caller's
-  PropertyStats, and the telemetry manifest reconciles against it
-  (SS VII-B3);
+* **worker deaths fail one job**: a worker death (OOM-kill, segfault,
+  SIGKILL) breaks the process pool, and the pool cannot say which job
+  killed it.  So each job of every unfinished batch re-runs alone in a
+  fresh one-worker pool; a death there is that job's own, and it fails
+  with error ``worker died`` while its batch-mates complete;
+* **recovery by rerun**: every completed, final job is stored in the
+  proof cache as it is folded (a Ctrl-C drains finished workers into
+  it first), so rerunning an interrupted or failed run over the same
+  ``cache_dir`` replays what finished and executes only the rest;
+* **exact accounting**: every per-property CheckResult -- fresh or
+  cache-replayed -- folds into the caller's PropertyStats, and the
+  telemetry manifest reconciles against it (SS VII-B3);
 * **same-design batching**: jobs sharing a ``group_key()`` are
   dispatched to one worker as a serial batch (split only to keep every
   worker busy), so the worker's memoized design, provider and SynthLC
@@ -64,16 +51,12 @@ Job protocol (duck-typed; see :mod:`repro.engine.specs`):
 
 ``jobs=1`` (or a single job) runs inline in the calling process -- no
 pool, no pickling -- which is also the deterministic reference mode the
-tests compare the parallel path against.  Inline mode simulates worker
-deaths (see :class:`repro.faults.InjectedWorkerDeath`) through the same
-poison/quarantine accounting, so the chaos suite can prove the failure
-paths without real process churn.
+tests compare the parallel path against.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import signal
 import threading
 import time
@@ -81,29 +64,25 @@ import traceback
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import faults, obs
+from .. import obs
 from ..cert import failed_certificates
-from ..faults import InjectedWorkerDeath
 from ..mc.outcomes import UNDETERMINED
 from ..obs.metrics import REGISTRY
 from ..obs.tracer import SpanCollector, Tracer, replay_into
 from .cache import ProofCache
-from .checkpoint import RunCheckpoint
 from .telemetry import RunManifest, TelemetryLog
 
 __all__ = [
     "EngineConfig",
     "EngineError",
     "JobTimeout",
-    "MemoryBudgetExceeded",
     "AttemptRecord",
     "WorkerReport",
     "RunOutcome",
     "JobScheduler",
-    "current_rss_mb",
 ]
 
 
@@ -121,32 +100,17 @@ _ENGINE_RUN_SECONDS = REGISTRY.histogram(
 )
 _ENGINE_REBUILDS = REGISTRY.counter(
     "repro_engine_pool_rebuilds_total",
-    "process-pool rebuilds after worker deaths",
-)
-_ENGINE_RSS_ABORTS = REGISTRY.counter(
-    "repro_engine_rss_aborts_total",
-    "attempts aborted by the per-worker RSS soft ceiling",
+    "process pools broken by a worker death",
 )
 
 
 class EngineError(RuntimeError):
-    """A job failed every attempt and ``keep_going`` is off."""
+    """A job failed (every attempt failed, or its worker died) and
+    ``keep_going`` is off."""
 
 
 class JobTimeout(Exception):
     """A job attempt exceeded its wall-clock deadline."""
-
-
-class MemoryBudgetExceeded(Exception):
-    """A job attempt exceeded the per-worker RSS soft ceiling."""
-
-
-# pool-break implications before a job runs in an isolation probe
-POISON_LIMIT = 2
-# cap on the exponential pool-rebuild backoff, before jitter
-BACKOFF_MAX_SECONDS = 5.0
-# seeds the backoff jitter
-BACKOFF_SEED = 0
 
 
 @dataclass
@@ -159,12 +123,6 @@ class EngineConfig:
     cache_dir: Optional[str] = None
     trace_path: Optional[str] = None
     keep_going: bool = False  # map failed jobs to None instead of raising
-    # ---- fault tolerance (see module docs) ----
-    max_rss_mb: Optional[float] = None  # per-worker RSS soft ceiling
-    backoff_seconds: float = 0.1  # base delay between pool rebuilds
-    fault_plan: Optional["faults.FaultPlan"] = None  # chaos injection
-    run_dir: Optional[str] = None  # enables checkpoint.jsonl
-    resume: bool = False  # replay the run_dir's prior checkpoint
 
     @property
     def workers(self) -> int:
@@ -185,8 +143,6 @@ class AttemptRecord:
     properties: int = 0
     undetermined: int = 0
     timed_out: bool = False
-    rss_exceeded: bool = False
-    rss_mb: float = 0.0
     error: Optional[str] = None
 
 
@@ -198,8 +154,7 @@ class WorkerReport:
     value: Any = None
     results: List = field(default_factory=list)
     attempts: List[AttemptRecord] = field(default_factory=list)
-    error: Optional[str] = None  # set only when no attempt produced a value
-    quarantined: bool = False  # job repeatedly killed its worker
+    error: Optional[str] = None  # no attempt produced a value, or the worker died
     spans: List = field(default_factory=list)  # collected (kind, fields) events
     # certificates that failed verification (repro.cert, DESIGN SS5j)
     cert_failures: int = 0
@@ -214,72 +169,6 @@ class RunOutcome:
 
     def __getitem__(self, job_id: str) -> Any:
         return self.results[job_id]
-
-
-# --------------------------------------------------------------- RSS ceiling
-def current_rss_mb() -> Optional[float]:
-    """This process's resident set size in MB, or None when unreadable."""
-    try:
-        with open("/proc/self/statm", "rb") as handle:
-            pages = int(handle.read().split()[1])
-        return pages * (os.sysconf("SC_PAGE_SIZE") / (1024.0 * 1024.0))
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-
-        # ru_maxrss is the peak, not the current, RSS -- still a valid
-        # trigger for a soft ceiling (it only ever overshoots earlier)
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    except (ImportError, OSError, ValueError):
-        return None
-
-
-@contextmanager
-def _rss_guard(max_rss_mb: Optional[float], tripped: List[float]):
-    """Abort the body with :class:`MemoryBudgetExceeded` when this
-    process's RSS crosses ``max_rss_mb``.
-
-    A daemon watcher thread samples the RSS and interrupts the main
-    thread (jobs run on the worker's / inline caller's main thread);
-    the interrupt is translated here, and callers additionally check
-    ``tripped`` to classify an interrupt delivered after the body
-    finished.  A no-op when ``max_rss_mb`` is falsy.
-    """
-    if not max_rss_mb:
-        yield
-        return
-    stop = threading.Event()
-    main_ident = threading.main_thread().ident
-    # a SIGINT that Python does not handle would kill the process
-    interruptible = callable(signal.getsignal(signal.SIGINT))
-
-    def _watch():
-        while not stop.wait(0.02):
-            rss = current_rss_mb()
-            if rss is not None and rss > max_rss_mb:
-                tripped.append(rss)
-                if interruptible and not stop.is_set():
-                    # a real signal: it also breaks a main thread blocked
-                    # in a system call, where a flag read between
-                    # bytecodes would wait for the call to return
-                    signal.pthread_kill(main_ident, signal.SIGINT)
-                return
-
-    watcher = threading.Thread(target=_watch, name="rss-guard", daemon=True)
-    watcher.start()
-    try:
-        yield
-    except KeyboardInterrupt:
-        if tripped:
-            raise MemoryBudgetExceeded(
-                "attempt RSS %.0f MB exceeded the %.0f MB soft ceiling"
-                % (tripped[0], max_rss_mb)
-            ) from None
-        raise
-    finally:
-        stop.set()
-        watcher.join(timeout=1.0)
 
 
 @contextmanager
@@ -325,21 +214,18 @@ def _deadline(seconds: Optional[float]):
             )
 
 
-def _run_job_group(entries, **kwargs) -> List["WorkerReport"]:
+def _run_job_group(jobs, **kwargs) -> List["WorkerReport"]:
     """Execute a batch of same-group jobs serially inside one worker.
 
     Jobs sharing a ``group_key()`` (same design) are dispatched as one
     unit so the worker's memoized design, provider and SynthLC builds
     serve the whole batch.
     """
-    return [
-        _run_job_with_retries(job, job_seq=seq, **kwargs)
-        for seq, job in entries
-    ]
+    return [_run_job_with_retries(job, **kwargs) for job in jobs]
 
 
 def _group_batches(pending, workers: int):
-    """Partition pending ``(seq, job, key)`` entries into dispatch units.
+    """Partition pending ``(job, key)`` entries into dispatch units.
 
     Entries are grouped by ``job.group_key()`` (jobs without one group
     alone), preserving submission order within a group.  Groups larger
@@ -351,7 +237,7 @@ def _group_batches(pending, workers: int):
     order: List[str] = []
     groups: Dict[str, List] = {}
     for entry in pending:
-        job = entry[1]
+        job = entry[0]
         getter = getattr(job, "group_key", None)
         gk = getter() if callable(getter) else "job:%s" % job.job_id
         if gk not in groups:
@@ -372,9 +258,6 @@ def _run_job_with_retries(
     max_attempts: int,
     timeout_seconds: Optional[float],
     collect_spans: bool = False,
-    fault_plan=None,
-    job_seq: Optional[int] = None,
-    max_rss_mb: Optional[float] = None,
 ) -> WorkerReport:
     """Execute one job under the deadline and failed-attempt retries.
 
@@ -386,34 +269,19 @@ def _run_job_with_retries(
     in the report for the parent to replay into its run trace.  The
     inline (jobs=1) path uses the identical mechanism, which is what
     makes serial and parallel runs produce the same span set.
-
-    With ``fault_plan`` the plan is re-armed here, scoped to this job
-    and its dispatch sequence number, so worker-side injection points
-    (``worker.job_start``, ``worker.attempt``, ``job.execute``,
-    ``solver.check``) fire deterministically.
     """
     report = WorkerReport(job_id=job.job_id)
-    armed = previous_armed = None
-    if fault_plan is not None:
-        armed = faults.arm(fault_plan, job=job.job_id, job_seq=job_seq)
-        previous_armed = faults.activate(armed)
     collector = tracer = None
     if collect_spans:
         collector = SpanCollector()
         tracer = Tracer(sink=collector)
         obs.activate(tracer)
     try:
-        faults.injection_point("worker.job_start", job=job.job_id)
-        _attempt_loop(
-            job, report, max_attempts, timeout_seconds,
-            max_rss_mb=max_rss_mb, collector=collector,
-        )
+        _attempt_loop(job, report, max_attempts, timeout_seconds, collector)
     finally:
         if tracer is not None:
             obs.deactivate(tracer)
             report.spans = collector.records
-        if armed is not None:
-            faults.deactivate(previous_armed)
     return report
 
 
@@ -421,7 +289,7 @@ def _scrub_span_accounting(collector, start: int):
     """Demote per-property accounting attrs on span records from ``start``.
 
     An attempt whose results never reach the job's ``PropertyStats`` --
-    it timed out, crashed or crossed the RSS ceiling -- must not leave
+    it timed out or crashed -- must not leave
     ``properties``/``check_seconds`` attributes in the trace: the profile
     reconciliation identity sums those attrs across all spans and
     equates them with the stats accumulator's ``total_time``.  The
@@ -446,20 +314,15 @@ def _attempt_loop(
     report: WorkerReport,
     max_attempts: int,
     timeout_seconds: Optional[float],
-    max_rss_mb: Optional[float] = None,
     collector=None,
 ) -> None:
     last_error = None
     for attempt in range(max(1, max_attempts)):
         started = time.perf_counter()
-        rss_trip: List[float] = []
         mark = len(collector.records) if collector is not None else 0
         try:
-            faults.injection_point(
-                "worker.attempt", job=job.job_id, attempt=attempt
-            )
             with obs.span("job.attempt", job=job.job_id, attempt=attempt):
-                with _rss_guard(max_rss_mb, rss_trip), _deadline(timeout_seconds):
+                with _deadline(timeout_seconds):
                     value, results = job.execute()
         except JobTimeout:
             report.attempts.append(
@@ -475,26 +338,6 @@ def _attempt_loop(
             )
             _scrub_span_accounting(collector, mark)
             continue
-        except (MemoryBudgetExceeded, KeyboardInterrupt) as exc:
-            if isinstance(exc, KeyboardInterrupt) and not rss_trip:
-                raise  # a real interrupt, not a late RSS-watcher trip
-            report.attempts.append(
-                AttemptRecord(
-                    attempt=attempt,
-                    seconds=time.perf_counter() - started,
-                    rss_exceeded=True,
-                    rss_mb=round(rss_trip[0], 3) if rss_trip else 0.0,
-                    error=str(exc) or "RSS soft ceiling exceeded",
-                )
-            )
-            last_error = "attempt %d exceeded the %s MB RSS soft ceiling" % (
-                attempt,
-                max_rss_mb,
-            )
-            _scrub_span_accounting(collector, mark)
-            continue
-        except InjectedWorkerDeath:
-            raise  # simulated worker kill: handled by the dispatcher
         except Exception:
             trace = traceback.format_exc()
             report.attempts.append(
@@ -590,8 +433,6 @@ class JobScheduler:
         log = telemetry if telemetry is not None else TelemetryLog(cfg.trace_path)
         manifest = RunManifest(workers=cfg.workers)
         cache = ProofCache(cfg.cache_dir) if cfg.cache_dir else None
-        checkpoint = RunCheckpoint(cfg.run_dir) if cfg.run_dir else None
-        resumed = checkpoint.open(resume=cfg.resume) if checkpoint else {}
         results_by_id: Dict[str, Any] = {}
         started = time.perf_counter()
         run_tracer = run_span_ctx = run_span = None
@@ -602,11 +443,6 @@ class JobScheduler:
                 "engine.run", jobs=len(jobs), workers=cfg.workers
             )
             run_span = run_span_ctx.__enter__()
-        # parent-side arming covers parent points (cache.put corruption);
-        # workers re-arm the plan per job for worker/solver points
-        previous_armed = None
-        if cfg.fault_plan is not None:
-            previous_armed = faults.activate(faults.arm(cfg.fault_plan))
         try:
             log.event(
                 "run_start",
@@ -615,35 +451,13 @@ class JobScheduler:
                 cache_dir=cfg.cache_dir,
                 max_attempts=cfg.max_attempts,
                 timeout_seconds=cfg.timeout_seconds,
-                run_dir=cfg.run_dir,
-                resume=bool(cfg.resume),
             )
             failures: List[str] = []
-            pending: List[Tuple[int, Any, Optional[str]]] = []
-            for seq, job in enumerate(jobs):
+            pending: List[Tuple[Any, Optional[str]]] = []
+            for job in jobs:
                 manifest.jobs_total += 1
-                key = (
-                    job.cache_key()
-                    if (cache is not None or checkpoint is not None)
-                    else None
-                )
-                record = resumed.get(job.job_id)
-                if record is not None:
-                    if record.get("key") == key:
-                        self._replay_checkpoint(
-                            job, record, stats, manifest, log,
-                            results_by_id, failures,
-                        )
-                        continue
-                    # the job's content changed since the checkpoint was
-                    # written (netlist / config edit): the record is stale
-                    log.event(
-                        "resume_stale",
-                        job=job.job_id,
-                        key=key,
-                        recorded_key=record.get("key"),
-                    )
-                if cache is not None and key is not None:
+                key = job.cache_key() if cache is not None else None
+                if key is not None:
                     entry = cache.get(key)
                     if entry is not None:
                         self._replay_hit(
@@ -652,7 +466,7 @@ class JobScheduler:
                         continue
                     manifest.cache_misses += 1
                     log.event("cache_miss", job=job.job_id, key=key)
-                pending.append((seq, job, key))
+                pending.append((job, key))
 
             run_span_id = run_span.span_id if run_span is not None else None
             try:
@@ -660,22 +474,18 @@ class JobScheduler:
                     self._fold_report(
                         job, key, report, cache, stats, manifest, log,
                         results_by_id, failures, run_span_id=run_span_id,
-                        checkpoint=checkpoint,
                     )
             except KeyboardInterrupt:
-                # a clean Ctrl-C must never leave a torn run dir: every
-                # report folded so far (including ones the dispatcher
-                # salvaged from already-finished workers) is synced to the
-                # checkpoint before the interrupt propagates, so a later
-                # --resume replays exactly the completed prefix
+                # every final report folded so far -- including ones the
+                # dispatcher salvaged from already-finished workers -- is
+                # in the proof cache, so a rerun over the same cache_dir
+                # replays them and executes only the rest
                 manifest.interrupted = True
                 log.event(
                     "run_interrupted",
                     jobs_done=len(results_by_id),
                     jobs_total=manifest.jobs_total,
                 )
-                if checkpoint is not None:
-                    checkpoint.sync()
                 raise
             if cache is not None:
                 manifest.cache_quarantined = cache.quarantined_session
@@ -695,10 +505,6 @@ class JobScheduler:
                 )
         finally:
             self.last_manifest = manifest
-            if cfg.fault_plan is not None:
-                faults.deactivate(previous_armed)
-            if checkpoint is not None:
-                checkpoint.close()
             if run_span_ctx is not None:
                 run_span_ctx.__exit__(None, None, None)
                 obs.deactivate(run_tracer)
@@ -713,15 +519,11 @@ class JobScheduler:
     @staticmethod
     def _note_run_metrics(manifest: RunManifest) -> None:
         _ENGINE_JOBS.inc(manifest.jobs_cached, disposition="cached")
-        _ENGINE_JOBS.inc(manifest.jobs_resumed, disposition="resumed")
         _ENGINE_JOBS.inc(manifest.jobs_executed, disposition="executed")
         _ENGINE_JOBS.inc(manifest.jobs_failed, disposition="failed")
-        _ENGINE_JOBS.inc(manifest.jobs_quarantined, disposition="quarantined")
         _ENGINE_PROPERTIES.inc(manifest.properties_evaluated, source="fresh")
         _ENGINE_PROPERTIES.inc(manifest.properties_replayed, source="replayed")
-        _ENGINE_PROPERTIES.inc(manifest.properties_resumed, source="resumed")
         _ENGINE_REBUILDS.inc(manifest.pool_rebuilds)
-        _ENGINE_RSS_ABORTS.inc(manifest.rss_aborts)
         _ENGINE_RUN_SECONDS.observe(manifest.wall_seconds)
 
     # ------------------------------------------------------------ internals
@@ -750,42 +552,6 @@ class JobScheduler:
         )
         results_by_id[job.job_id] = value
 
-    def _replay_checkpoint(
-        self, job, record, stats, manifest, log, results_by_id, failures
-    ):
-        """Fold one resumed checkpoint record exactly like a live report."""
-        from ..mc.outcomes import CheckResult
-
-        replayed = [CheckResult.from_dict(d) for d in record.get("results") or []]
-        error = record.get("error")
-        if error is None:
-            decode = getattr(job, "decode_value", None)
-            payload = record.get("payload")
-            value = decode(payload) if decode is not None else payload
-        else:
-            value = None
-        if stats is not None:
-            for result in replayed:
-                stats.record(result)
-        manifest.jobs_resumed += 1
-        manifest.note_results(replayed, resumed=True)
-        if error is not None:
-            manifest.jobs_failed += 1
-            if record.get("quarantined"):
-                manifest.jobs_quarantined += 1
-            failures.append("%s: %s (resumed)" % (job.job_id, error))
-        # like cache_hit's replayed_seconds: resumed verdicts ran before
-        # this trace began, so the profile reconciles them from this event
-        log.event(
-            "resume_replay",
-            job=job.job_id,
-            key=record.get("key"),
-            properties=len(replayed),
-            error=error,
-            replayed_seconds=round(sum(r.time_seconds for r in replayed), 9),
-        )
-        results_by_id[job.job_id] = value
-
     # ------------------------------------------------------------- dispatch
     def _worker_kwargs(self, log) -> Dict[str, Any]:
         cfg = self.config
@@ -793,8 +559,6 @@ class JobScheduler:
             max_attempts=cfg.max_attempts,
             timeout_seconds=cfg.timeout_seconds,
             collect_spans=log.enabled,
-            fault_plan=cfg.fault_plan,
-            max_rss_mb=cfg.max_rss_mb,
         )
 
     def _execute_iter(self, pending, log, manifest):
@@ -802,169 +566,84 @@ class JobScheduler:
         cfg = self.config
         if not pending:
             return
-        for _seq, job, _key in pending:
+        for job, _key in pending:
             log.event("job_start", job=job.job_id)
+        kwargs = self._worker_kwargs(log)
         workers = min(cfg.workers, len(pending))
         if workers <= 1:
-            yield from self._execute_inline(pending, log, manifest)
+            # same-group jobs run consecutively, so the in-process
+            # memoized builders serve each group back-to-back
+            for batch in _group_batches(pending, 1):
+                for job, key in batch:
+                    yield job, key, _run_job_with_retries(job, **kwargs)
         else:
-            yield from self._execute_pool(pending, workers, log, manifest)
+            yield from self._execute_pool(pending, workers, kwargs, log, manifest)
 
-    def _execute_inline(self, pending, log, manifest):
-        """Serial in-process dispatch, with simulated-death resilience."""
-        kwargs = self._worker_kwargs(log)
-        rng = random.Random(BACKOFF_SEED)
-        poison: Dict[str, int] = {}
-        # same-group jobs run consecutively, so the in-process memoized
-        # builders serve each group back-to-back
-        queue = [
-            entry for batch in _group_batches(pending, 1) for entry in batch
-        ]
-        while queue:
-            seq, job, key = queue.pop(0)
-            try:
-                report = _run_job_with_retries(job, job_seq=seq, **kwargs)
-            except InjectedWorkerDeath as exc:
-                count = poison[job.job_id] = poison.get(job.job_id, 0) + 1
-                log.event(
-                    "worker_death",
-                    job=job.job_id,
-                    poison=count,
-                    simulated=True,
-                    error=str(exc),
+    def _execute_pool(self, pending, workers, kwargs, log, manifest):
+        """Pool dispatch; the jobs a worker death loses re-run alone."""
+        lost: List[Tuple[Any, Optional[str]]] = []
+        batches = _group_batches(pending, workers)
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+            submitted = [
+                (
+                    pool.submit(
+                        _run_job_group, [job for job, _key in batch], **kwargs
+                    ),
+                    batch,
                 )
-                if count > POISON_LIMIT:
-                    yield job, key, self._quarantined_report(job, count)
-                    continue
-                manifest.pool_rebuilds += 1
-                self._backoff(manifest.pool_rebuilds, rng, log)
-                queue.insert(0, (seq, job, key))
-                continue
-            yield job, key, report
-
-    def _execute_pool(self, pending, workers, log, manifest):
-        """Pool dispatch surviving worker deaths (see module docs)."""
-        kwargs = self._worker_kwargs(log)
-        rng = random.Random(BACKOFF_SEED)
-        poison: Dict[str, int] = {}
-        remaining = list(pending)
-        while remaining:
-            suspects = [
-                entry for entry in remaining
-                if poison.get(entry[1].job_id, 0) >= POISON_LIMIT
+                for batch in batches
             ]
-            if suspects:
-                # isolation probe: a repeatedly implicated job runs alone
-                # in a fresh single-worker pool, so a death is definitive
-                # (and an innocent bystander clears its name)
-                entry = suspects[0]
-                remaining.remove(entry)
-                seq, job, key = entry
-                log.event(
-                    "isolation_probe", job=job.job_id, poison=poison[job.job_id]
-                )
-                report = None
-                with ProcessPoolExecutor(max_workers=1) as pool:
-                    future = pool.submit(
-                        _run_job_with_retries, job, job_seq=seq, **kwargs
-                    )
+            consumed = set()
+            try:
+                for index, (future, batch) in enumerate(submitted):
+                    consumed.add(index)
                     try:
-                        report = future.result()
+                        reports = future.result()
                     except (BrokenProcessPool, CancelledError):
-                        pass
-                if report is None:
-                    deaths = poison[job.job_id] + 1
-                    log.event(
-                        "worker_death", job=job.job_id, poison=deaths, probe=True
-                    )
-                    yield job, key, self._quarantined_report(job, deaths)
-                else:
-                    poison.pop(job.job_id, None)
-                    yield job, key, report
-                continue
-            lost: List[Tuple[int, Any, Optional[str]]] = []
-            batches = _group_batches(remaining, workers)
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(batches))
-            ) as pool:
-                submitted = [
-                    (
-                        pool.submit(
-                            _run_job_group,
-                            [(seq, job) for seq, job, _key in batch],
-                            **kwargs,
-                        ),
-                        batch,
-                    )
-                    for batch in batches
-                ]
-                consumed = set()
+                        # a worker died: the pool cannot name the job that
+                        # killed it, so every unfinished batch is lost
+                        lost.extend(batch)
+                        continue
+                    for (job, key), report in zip(batch, reports):
+                        yield job, key, report
+            except KeyboardInterrupt:
+                # Ctrl-C drains, not discards: batches that finished
+                # before the interrupt are salvaged and yielded (the run
+                # loop folds them into the cache), queued work is
+                # cancelled, and the interrupt continues unwinding
+                pool.shutdown(wait=False, cancel_futures=True)
+                for index, (future, batch) in enumerate(submitted):
+                    if index in consumed or not future.done():
+                        continue
+                    try:
+                        reports = future.result()
+                    except Exception:
+                        continue
+                    for (job, key), report in zip(batch, reports):
+                        yield job, key, report
+                raise
+        if not lost:
+            return
+        manifest.pool_rebuilds += 1
+        for job, _key in lost:
+            log.event("job_lost", job=job.job_id)
+        # each lost job re-runs alone in a fresh one-worker pool, so a
+        # death there is that job's own and fails it alone
+        for job, key in lost:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                future = pool.submit(_run_job_with_retries, job, **kwargs)
                 try:
-                    for index, (future, batch) in enumerate(submitted):
-                        consumed.add(index)
-                        try:
-                            reports = future.result()
-                        except (BrokenProcessPool, CancelledError):
-                            # a worker died; every job of every unfinished
-                            # batch is implicated (the pool cannot name the
-                            # actual killer)
-                            lost.extend(batch)
-                            continue
-                        for (seq, job, key), report in zip(batch, reports):
-                            yield job, key, report
-                except KeyboardInterrupt:
-                    # Ctrl-C drains, not discards: batches that finished
-                    # before the interrupt are salvaged and yielded (the
-                    # run loop folds and checkpoints them), queued work is
-                    # cancelled, and the interrupt continues unwinding
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    for index, (future, batch) in enumerate(submitted):
-                        if index in consumed or not future.done():
-                            continue
-                        try:
-                            reports = future.result()
-                        except Exception:
-                            continue
-                        for (seq, job, key), report in zip(batch, reports):
-                            yield job, key, report
-                    raise
-            remaining = lost
-            if lost:
-                manifest.pool_rebuilds += 1
-                for _seq, job, _key in lost:
-                    count = poison[job.job_id] = poison.get(job.job_id, 0) + 1
-                    log.event("job_lost", job=job.job_id, poison=count)
-                self._backoff(manifest.pool_rebuilds, rng, log)
-
-    @staticmethod
-    def _quarantined_report(job, deaths: int) -> WorkerReport:
-        return WorkerReport(
-            job_id=job.job_id,
-            error="quarantined: job killed its worker %d time(s)" % deaths,
-            quarantined=True,
-        )
-
-    def _backoff(self, rebuilds: int, rng: random.Random, log) -> float:
-        """Exponential backoff with seeded jitter before a pool rebuild."""
-        cfg = self.config
-        if cfg.backoff_seconds <= 0:
-            log.event("pool_rebuild", rebuilds=rebuilds, backoff_seconds=0.0)
-            return 0.0
-        delay = min(
-            cfg.backoff_seconds * (2 ** max(0, rebuilds - 1)),
-            BACKOFF_MAX_SECONDS,
-        )
-        delay *= 0.5 + rng.random()  # jitter in [0.5x, 1.5x), seeded
-        log.event(
-            "pool_rebuild", rebuilds=rebuilds, backoff_seconds=round(delay, 6)
-        )
-        time.sleep(delay)
-        return delay
+                    report = future.result()
+                except BrokenProcessPool:
+                    manifest.pool_rebuilds += 1
+                    log.event("worker_death", job=job.job_id)
+                    report = WorkerReport(job_id=job.job_id, error="worker died")
+            yield job, key, report
 
     # ----------------------------------------------------------------- fold
     def _fold_report(
         self, job, key, report, cache, stats, manifest, log, results_by_id,
-        failures, run_span_id=None, checkpoint=None,
+        failures, run_span_id=None,
     ):
         if report.spans:
             # worker (or inline collector) span events, re-rooted under the
@@ -973,7 +652,6 @@ class JobScheduler:
         manifest.attempts += len(report.attempts)
         manifest.retries += max(0, len(report.attempts) - 1)
         manifest.timeouts += sum(1 for a in report.attempts if a.timed_out)
-        manifest.rss_aborts += sum(1 for a in report.attempts if a.rss_exceeded)
         for record in report.attempts:
             log.event(
                 "job_attempt",
@@ -983,25 +661,13 @@ class JobScheduler:
                 properties=record.properties,
                 undetermined=record.undetermined,
                 timed_out=record.timed_out,
-                rss_exceeded=record.rss_exceeded,
                 error=record.error,
             )
         if report.error is not None:
             manifest.jobs_failed += 1
-            if report.quarantined:
-                manifest.jobs_quarantined += 1
-                log.event(
-                    "job_quarantined", job=report.job_id, error=report.error
-                )
             log.event("job_failed", job=report.job_id, error=report.error)
             failures.append("%s: %s" % (report.job_id, report.error))
             results_by_id[job.job_id] = None
-            if checkpoint is not None:
-                checkpoint.record_job(
-                    job.job_id, key, None, [],
-                    [asdict(a) for a in report.attempts],
-                    error=report.error, quarantined=report.quarantined,
-                )
             return
         if stats is not None:
             for result in report.results:
@@ -1032,18 +698,6 @@ class JobScheduler:
             retries=max(0, len(report.attempts) - 1),
             seconds=round(sum(a.seconds for a in report.attempts), 6),
         )
-        if checkpoint is not None and report.cert_failures == 0:
-            # like the cache: a failed certificate is never replayed, so
-            # a resumed run re-executes the job and reports it again
-            from .serialize import check_results_to_dicts
-
-            encode = getattr(job, "encode_value", None)
-            payload = encode(report.value) if encode else report.value
-            checkpoint.record_job(
-                job.job_id, key, payload,
-                check_results_to_dicts(report.results),
-                [asdict(a) for a in report.attempts],
-            )
         if cache is not None and key is not None:
             undetermined = histogram.get(UNDETERMINED, 0)
             final = (

@@ -206,10 +206,8 @@ class SynthesisJob:
 
     def execute(self):
         from ..core.rtl2mupath import Rtl2MuPath, Rtl2MuPathConfig
-        from ..faults import injection_point
         from ..mc.stats import PropertyStats
 
-        injection_point("job.execute", job=self.job_id)
         design = self.design_spec.build()
         provider = self.provider_spec.build()
         stats = PropertyStats(label=self.job_id)
@@ -310,10 +308,8 @@ class SynthLCJob:
     def execute(self):
         from ..core.decisions import Decision
         from ..core.synthlc import ASSUMPTIONS
-        from ..faults import injection_point
         from ..mc.stats import PropertyStats
 
-        injection_point("job.execute", job=self.job_id)
         tool = _built_synthlc(
             self.design_spec, self.provider_spec, self.extra_persistent
         )
@@ -443,13 +439,10 @@ class ReachJob:
         return "reach:%s" % digest[:16]
 
     def execute(self):
-        from ..faults import injection_point
+        from ..cert import certify_flag
         from ..mc import REACHABLE, BmcContext
         from ..mc.kinduction import prove_unreachable_kinduction
         from ..props import Eventually, Query, sig
-
-        injection_point("job.execute", job=self.job_id)
-        from ..cert import certify_flag
 
         certify = certify_flag(self.certify)
         design = _built_fuzz_design(self.design_json)

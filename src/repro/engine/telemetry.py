@@ -7,8 +7,7 @@ accumulates a :class:`RunManifest` whose totals fold back into
 :class:`~repro.mc.stats.PropertyStats`, so the paper's SS VII-B3 property
 accounting still holds exactly under parallel + cached execution:
 
-    properties_evaluated + properties_replayed + properties_resumed
-        == stats.count
+    properties_evaluated + properties_replayed == stats.count
 
 (assuming the stats accumulator started empty), with matching outcome
 histograms.  ``RunManifest.reconciles(stats)`` asserts precisely that.
@@ -96,13 +95,10 @@ class RunManifest:
     jobs_cached: int = 0
     jobs_executed: int = 0
     jobs_failed: int = 0
-    jobs_resumed: int = 0  # replayed from a run checkpoint (--resume)
-    jobs_quarantined: int = 0  # repeat worker-killers degraded to failures
     attempts: int = 0
     retries: int = 0
     timeouts: int = 0
-    pool_rebuilds: int = 0  # process pool rebuilt after worker deaths
-    rss_aborts: int = 0  # attempts aborted by the RSS soft ceiling
+    pool_rebuilds: int = 0  # process pools broken by a worker death
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stores: int = 0
@@ -110,7 +106,6 @@ class RunManifest:
     cache_quarantined: int = 0  # corrupt entries moved aside this run
     properties_evaluated: int = 0  # freshly checked this run
     properties_replayed: int = 0  # replayed from the proof cache
-    properties_resumed: int = 0  # replayed from the run checkpoint
     outcomes: Counter = field(default_factory=Counter)
     wall_seconds: float = 0.0
     workers: int = 1
@@ -124,17 +119,10 @@ class RunManifest:
 
     @property
     def properties_total(self) -> int:
-        return (
-            self.properties_evaluated
-            + self.properties_replayed
-            + self.properties_resumed
-        )
+        return self.properties_evaluated + self.properties_replayed
 
-    def note_results(self, results, replayed: bool = False,
-                     resumed: bool = False):
-        if resumed:
-            self.properties_resumed += len(results)
-        elif replayed:
+    def note_results(self, results, replayed: bool = False):
+        if replayed:
             self.properties_replayed += len(results)
         else:
             self.properties_evaluated += len(results)
@@ -146,13 +134,10 @@ class RunManifest:
             "jobs_cached": self.jobs_cached,
             "jobs_executed": self.jobs_executed,
             "jobs_failed": self.jobs_failed,
-            "jobs_resumed": self.jobs_resumed,
-            "jobs_quarantined": self.jobs_quarantined,
             "attempts": self.attempts,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "pool_rebuilds": self.pool_rebuilds,
-            "rss_aborts": self.rss_aborts,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_stores": self.cache_stores,
@@ -160,7 +145,6 @@ class RunManifest:
             "cache_quarantined": self.cache_quarantined,
             "properties_evaluated": self.properties_evaluated,
             "properties_replayed": self.properties_replayed,
-            "properties_resumed": self.properties_resumed,
             "properties_total": self.properties_total,
             "outcomes": dict(self.outcomes),
             "wall_seconds": round(self.wall_seconds, 6),
@@ -184,19 +168,17 @@ class RunManifest:
 
     def summary(self) -> str:
         text = (
-            "engine run: %d jobs (%d cached, %d resumed, %d executed, "
-            "%d failed), %d properties (%d fresh, %d replayed, %d resumed), "
+            "engine run: %d jobs (%d cached, %d executed, %d failed), "
+            "%d properties (%d fresh, %d replayed), "
             "%d retries, %d timeouts, %.2fs wall on %d worker(s)"
             % (
                 self.jobs_total,
                 self.jobs_cached,
-                self.jobs_resumed,
                 self.jobs_executed,
                 self.jobs_failed,
                 self.properties_total,
                 self.properties_evaluated,
                 self.properties_replayed,
-                self.properties_resumed,
                 self.retries,
                 self.timeouts,
                 self.wall_seconds,
@@ -215,10 +197,6 @@ class RunManifest:
             )
         if self.pool_rebuilds:
             extras.append("%d pool rebuild(s)" % self.pool_rebuilds)
-        if self.jobs_quarantined:
-            extras.append("%d job(s) quarantined" % self.jobs_quarantined)
-        if self.rss_aborts:
-            extras.append("%d RSS abort(s)" % self.rss_aborts)
         if self.cache_quarantined:
             extras.append(
                 "%d cache entr%s quarantined"

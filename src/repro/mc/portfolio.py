@@ -40,9 +40,6 @@ class PortfolioEngine:
         self.stats = stats
 
     def check(self, query: Query) -> CheckResult:
-        from ..faults import injection_point
-
-        injection_point("solver.check", query=query.name)
         with obs.span("mc.check", engine=self.name, query=query.name) as sp:
             started = time.perf_counter()
             first = self.enumerative.check(query)

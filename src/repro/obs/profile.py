@@ -234,12 +234,12 @@ class TraceProfile:
         )
 
     def replayed_seconds(self) -> float:
-        """Original checker time of verdicts replayed rather than re-run:
-        proof-cache hits plus checkpoint-resumed jobs."""
+        """Original checker time of verdicts replayed from the proof
+        cache rather than re-run."""
         return sum(
             event.get("replayed_seconds", 0.0) or 0.0
             for event in self.events
-            if event.get("event") in ("cache_hit", "resume_replay")
+            if event.get("event") == "cache_hit"
         )
 
     def accounted_seconds(self) -> float:
@@ -281,12 +281,8 @@ class TraceProfile:
                 "cache_hit",
                 "cache_miss",
                 "job_failed",
-                "job_quarantined",
                 "job_lost",
                 "worker_death",
-                "pool_rebuild",
-                "isolation_probe",
-                "resume_replay",
             ):
                 trace_events.append(
                     {

@@ -12,8 +12,8 @@ Four layers, mirroring the trust chain:
   fuzz corpus (certification observes, never decides);
 * the scheduler reports a failed certificate after one execute --
   counted once in ``cert_failures`` and once in ``cert_uncaught``,
-  dumped as a bundle, never cached or checkpointed (a resumed run
-  re-executes it), never re-solved -- end to end
+  dumped as a bundle, never cached (a rerun over the same cache
+  re-executes and re-reports it), never re-solved -- end to end
   through the real :class:`JobScheduler`, for a fake job, a reach job
   and a real synthesis job whose every cover replay is refuted.
 
@@ -464,18 +464,8 @@ class TestSchedulerDegradeRung:
         engine2 = JobScheduler(EngineConfig(jobs=1, cache_dir=str(tmp_path)))
         outcome2 = engine2.run([CertFailingJob()])
         assert outcome2.manifest.cache_hits == 0
+        assert outcome2.manifest.jobs_executed == 1
         assert outcome2.manifest.cert_uncaught == 1
-
-    def test_resume_re_executes_a_failed_certificate(self, tmp_path):
-        run_dir = str(tmp_path / "run")
-        JobScheduler(EngineConfig(jobs=1, run_dir=run_dir)).run([CertFailingJob()])
-        manifest = JobScheduler(
-            EngineConfig(jobs=1, run_dir=run_dir, resume=True)
-        ).run([CertFailingJob()]).manifest
-        # a resumed run must not replay an untrusted verdict as clean
-        assert manifest.jobs_resumed == 0
-        assert manifest.jobs_executed == 1
-        assert manifest.cert_uncaught == 1
 
     def test_failure_bundles_dumped_for_ci(self, tmp_path, monkeypatch):
         art_dir = tmp_path / "artifacts"

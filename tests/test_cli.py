@@ -50,6 +50,9 @@ class TestParser:
             "--certify-proof-limit", "--certify-time-budget",
             # --metrics FILE is the one metrics export
             "--metrics-port",
+            # a rerun over the proof cache is the one recovery path
+            "--run-dir", "--resume", "--max-rss-mb", "--backoff",
+            "--fault-plan",
         ],
     )
     def test_removed_flags_rejected(self, flag, capsys):

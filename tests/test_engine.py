@@ -10,19 +10,23 @@ Covers the four scenarios the engine must get right:
   only failed attempts retry.
 
 Plus a two-process pool against the serial reference for SynthLC labels
-and the fuzz-corpus reach campaign, the clean-interrupt checkpoint (a
-Ctrl-C mid-fold leaves a resumable run dir), the ``repro cache-info``
-CLI, and unit coverage for the content hashing, JSON round-trips, and
-the PropertyStats satellite fixes.
+and the fuzz-corpus reach campaign; a worker death under a two-process
+pool (the job that kills its worker fails alone, its batch-mates
+complete); the proof cache as the one recovery path (a rerun after a
+Ctrl-C mid-fold executes only what the cache lacks, and corrupt entries
+are quarantined and recomputed); retried attempts' span accounting; the
+``repro cache-info`` CLI; and unit coverage for the content hashing,
+JSON round-trips, and the PropertyStats satellite fixes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import pytest
 
@@ -40,7 +44,7 @@ from repro.engine import (
     netlist_fingerprint,
     synthesis_jobs_for,
 )
-from repro.engine.cache import CACHE_FORMAT_VERSION
+from repro.engine.cache import CACHE_FORMAT_VERSION, entry_checksum
 from repro.engine.serialize import (
     mupath_result_from_dict,
     mupath_result_to_dict,
@@ -48,6 +52,7 @@ from repro.engine.serialize import (
 from repro.engine.specs import reach_jobs_for_corpus
 from repro.mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from repro.mc.stats import PropertyStats
+from repro.obs import TraceProfile, note_property
 
 TINY_FAMILY = ContextFamilyConfig(
     horizon=24,
@@ -281,7 +286,8 @@ class SleepyJob:
 @dataclass(frozen=True)
 class EchoJob:
     """A trivial job with one UNREACHABLE verdict, for scheduler-policy
-    tests."""
+    tests.  It accounts the verdict into the active span the way the
+    pipelines' ``_record`` sites do, so its traces reconcile."""
 
     name: str
     group: str = "echo"
@@ -300,6 +306,7 @@ class EchoJob:
             engine="echo",
             time_seconds=0.001,
         )
+        note_property(result.outcome, result.time_seconds)
         return "value:%s" % self.name, [result]
 
     def cache_key(self):
@@ -327,6 +334,57 @@ class CrashyJob:
 
     def cache_key(self):
         return None
+
+
+@dataclass(frozen=True)
+class FlakyJob:
+    """Raises on its first attempt, after accounting one property into
+    the active span the way the pipelines' ``_record`` sites do, and
+    returns one REACHABLE verdict on every later attempt."""
+
+    job_id: str = "fake:flaky"
+    tries: list = field(default_factory=list, compare=False)
+
+    def execute(self):
+        note_property(REACHABLE, 0.01)
+        self.tries.append(len(self.tries))
+        if len(self.tries) == 1:
+            raise RuntimeError("crash after property accounting")
+        return "value:" + self.job_id, [
+            CheckResult("q:" + self.job_id, REACHABLE, "fake",
+                        time_seconds=0.01)
+        ]
+
+    def cache_key(self):
+        return None
+
+
+@dataclass(frozen=True)
+class KillerJob(EchoJob):
+    """Kills any worker process that runs it; runs normally inline."""
+
+    def execute(self):
+        if multiprocessing.parent_process() is not None:
+            os._exit(137)
+        return super().execute()
+
+
+@dataclass(frozen=True)
+class OnceKillerJob(EchoJob):
+    """Kills the first worker process that runs it (a transient death,
+    like an OOM kill under a neighbour's load), then runs normally."""
+
+    marker: str = ""
+
+    def execute(self):
+        if multiprocessing.parent_process() is not None:
+            try:
+                open(self.marker, "x").close()
+            except FileExistsError:
+                pass
+            else:
+                os._exit(137)
+        return super().execute()
 
 
 # ------------------------------------------------------------- retry policy
@@ -406,6 +464,112 @@ class TestRetryEscalation:
         assert outcome["ok"] == "value:" + REACHABLE
         assert outcome.manifest.jobs_failed == 1
         assert outcome.manifest.jobs_executed == 1
+
+    def test_raised_error_is_retried_like_any_attempt_error(self):
+        engine = JobScheduler(EngineConfig(jobs=1, max_attempts=2))
+        stats = PropertyStats(label="t")
+        outcome = engine.run([FlakyJob()], stats=stats)
+        assert outcome["fake:flaky"] == "value:fake:flaky"
+        manifest = outcome.manifest
+        assert manifest.attempts == 2
+        assert manifest.retries == 1
+        assert manifest.jobs_failed == 0
+        assert manifest.reconciles(stats)
+
+
+class TestRetryTraceReconciliation:
+    """Spans from attempts whose results never reach the stats must not
+    keep accounting attrs, or ``profile --check`` fails after any retry."""
+
+    def test_crashed_attempt_accounting_is_discarded(self, tmp_path):
+        trace = str(tmp_path / "trace.jsonl")
+        engine = JobScheduler(
+            EngineConfig(jobs=1, max_attempts=2, trace_path=trace)
+        )
+        stats = PropertyStats(label="t")
+        outcome = engine.run([FlakyJob()], stats=stats)
+        assert outcome.manifest.reconciles(stats)
+        profile = TraceProfile.load(trace)
+        assert profile.ok, profile.errors
+        assert profile.reconciles_total_time(stats.total_time)
+        discarded = [
+            record for record in profile.spans
+            if "discarded_check_seconds" in record.attrs
+        ]
+        assert len(discarded) == 1
+        assert discarded[0].attrs["discarded_properties"] == 1
+
+
+# -------------------------------------------------------------- worker death
+class TestWorkerDeath:
+    """A worker death fails only the job that caused it: each job of a
+    broken pool's unfinished batches re-runs alone in a fresh one-worker
+    pool, and a death there is that job's own."""
+
+    # one group, so the killer shares a same-design batch with an
+    # innocent job under jobs=2 (batches [a, killer] and [b, c])
+    JOBS = (
+        EchoJob(name="a"),
+        KillerJob(name="killer"),
+        EchoJob(name="b"),
+        EchoJob(name="c"),
+    )
+
+    def test_killer_fails_alone_and_batch_mates_complete(
+        self, tmp_path, capsys
+    ):
+        trace = str(tmp_path / "trace.jsonl")
+        engine = JobScheduler(
+            EngineConfig(jobs=2, keep_going=True, trace_path=trace)
+        )
+        stats = PropertyStats(label="t")
+        outcome = engine.run(list(self.JOBS), stats=stats)
+        assert outcome["echo:killer"] is None
+        for name in ("a", "b", "c"):
+            assert outcome["echo:" + name] == "value:" + name
+        manifest = outcome.manifest
+        assert manifest.jobs_failed == 1
+        assert manifest.jobs_executed == 3
+        # the shared pool broke, then the killer's own pool
+        assert manifest.pool_rebuilds == 2
+        assert manifest.reconciles(stats)
+
+        from repro import cli
+
+        assert cli.main(["profile", trace, "--check"]) == 0
+        capsys.readouterr()
+        with open(trace, "r", encoding="utf-8") as handle:
+            events = [json.loads(line) for line in handle]
+        deaths = [e["job"] for e in events if e["event"] == "worker_death"]
+        assert deaths == ["echo:killer"]
+        failed = [e for e in events if e["event"] == "job_failed"]
+        assert [(e["job"], e["error"]) for e in failed] == [
+            ("echo:killer", "worker died")
+        ]
+
+    def test_killer_raises_without_keep_going(self):
+        engine = JobScheduler(EngineConfig(jobs=2))
+        with pytest.raises(EngineError, match="echo:killer: worker died"):
+            engine.run(list(self.JOBS))
+        manifest = engine.last_manifest
+        assert manifest.jobs_failed == 1
+        assert manifest.jobs_executed == 3
+
+    def test_transient_death_recovers_with_identical_results(self, tmp_path):
+        jobs = [
+            EchoJob(name="a"),
+            OnceKillerJob(name="once", marker=str(tmp_path / "died")),
+            EchoJob(name="b"),
+        ]
+        baseline = JobScheduler(EngineConfig(jobs=1)).run(jobs)
+        stats = PropertyStats(label="t")
+        outcome = JobScheduler(EngineConfig(jobs=2)).run(jobs, stats=stats)
+        assert os.path.exists(str(tmp_path / "died"))  # a worker did die
+        assert outcome.results == baseline.results
+        manifest = outcome.manifest
+        assert manifest.pool_rebuilds == 1
+        assert manifest.jobs_failed == 0
+        assert manifest.reconciles(stats)
 
 
 # ------------------------------------------------------------------- SynthLC
@@ -510,7 +674,7 @@ class TestSynthLCEngine:
         assert manifest.reconciles(tool.stats)
 
 
-# ------------------------------------------------------- interrupt checkpoint
+# ------------------------------------------------- recovery: rerun over cache
 class InterruptingStats(PropertyStats):
     """Simulates Ctrl-C landing mid-fold, after ``after`` results."""
 
@@ -525,31 +689,135 @@ class InterruptingStats(PropertyStats):
 
 
 class TestGracefulInterrupt:
-    def test_interrupt_syncs_checkpoint_and_resume_completes(self, tmp_path):
-        run_dir = str(tmp_path / "run")
+    def test_rerun_after_interrupt_executes_only_unstored_jobs(
+        self, tmp_path
+    ):
+        cache_dir = str(tmp_path / "cache")
         jobs = [EchoJob(name="k%d" % i, group="g%d" % i) for i in range(3)]
-        engine = JobScheduler(EngineConfig(jobs=1, run_dir=run_dir))
+        engine = JobScheduler(EngineConfig(jobs=1, cache_dir=cache_dir))
         with pytest.raises(KeyboardInterrupt):
+            # Ctrl-C lands while k1's verdict folds: k0 is stored, k1 not
             engine.run(jobs, stats=InterruptingStats(after=2))
         manifest = engine.last_manifest
         assert manifest.interrupted is True
         assert manifest.to_dict()["interrupted"] is True
-        # the interrupted run dir is NOT torn: --resume replays the
-        # completed prefix and executes only the remainder
-        stats = PropertyStats(label="resumed")
-        resumed = JobScheduler(
-            EngineConfig(jobs=1, run_dir=run_dir, resume=True)
-        )
-        outcome = resumed.run(jobs, stats=stats)
+        assert manifest.cache_stores == 1
+        assert ProofCache(cache_dir).entries() == 1
+        # a plain rerun over the same cache replays the stored job and
+        # executes only the two the interrupted run did not store
+        stats = PropertyStats(label="rerun")
+        rerun = JobScheduler(EngineConfig(jobs=1, cache_dir=cache_dir))
+        outcome = rerun.run(jobs, stats=stats)
         assert outcome.manifest.interrupted is False
-        assert outcome.manifest.jobs_resumed >= 1
-        assert (
-            outcome.manifest.jobs_resumed + outcome.manifest.jobs_executed
-            == len(jobs)
-        )
+        assert outcome.manifest.jobs_cached == 1
+        assert outcome.manifest.jobs_executed == 2
         for job in jobs:
             assert outcome[job.job_id] == "value:" + job.name
         assert outcome.manifest.reconciles(stats)
+
+
+class TestCacheHardening:
+    KEY = "ab" * 32
+
+    def _seeded(self, tmp_path):
+        cache = ProofCache(str(tmp_path / "cache"))
+        cache.put(self.KEY, "job", {"x": 1},
+                  [CheckResult("q", UNREACHABLE, "fake").to_dict()])
+        return cache
+
+    def test_entries_carry_checksums(self, tmp_path):
+        cache = self._seeded(tmp_path)
+        with open(cache._path(self.KEY), "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        assert entry["format"] == CACHE_FORMAT_VERSION
+        assert entry["checksum"] == entry_checksum(entry)
+        assert cache.get(self.KEY) is not None
+
+    def test_truncated_entry_quarantined_not_served(self, tmp_path):
+        cache = self._seeded(tmp_path)
+        path = cache._path(self.KEY)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        assert cache.get(self.KEY) is None
+        assert not os.path.exists(path)  # moved, not deleted in place
+        assert cache.quarantined() == 1
+        assert cache.quarantined_session == 1
+        assert cache.entries() == 0  # quarantine/ is not entries
+        assert self.KEY not in cache
+
+    def test_bitflip_checksum_mismatch_quarantined(self, tmp_path):
+        cache = self._seeded(tmp_path)
+        path = cache._path(self.KEY)
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["payload"] = {"x": 2}  # valid JSON, silently altered payload
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        assert cache.get(self.KEY) is None
+        assert cache.quarantined() == 1
+
+    def test_stale_format_is_miss_not_quarantine(self, tmp_path):
+        cache = self._seeded(tmp_path)
+        path = cache._path(self.KEY)
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["format"] = CACHE_FORMAT_VERSION - 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        assert cache.get(self.KEY) is None
+        assert os.path.exists(path)  # left in place for the next put
+        assert cache.quarantined() == 0
+
+    def test_contains_is_existence_only(self, tmp_path, monkeypatch):
+        cache = self._seeded(tmp_path)
+        # __contains__ must not re-read + re-parse the entry
+        import repro.engine.cache as cache_mod
+
+        def _fail(*a, **k):
+            raise AssertionError("__contains__ parsed the entry")
+
+        monkeypatch.setattr(cache_mod.json, "load", _fail)
+        assert self.KEY in cache
+        assert ("cd" * 32) not in cache
+
+    def test_quarantine_name_collisions_get_suffixes(self, tmp_path):
+        cache = self._seeded(tmp_path)
+        for _ in range(3):
+            path = cache._path(self.KEY)
+            with open(path, "w") as handle:
+                handle.write("{broken")
+            assert cache.get(self.KEY) is None
+            cache.put(self.KEY, "job", {"x": 1}, [])
+        assert cache.quarantined() == 3
+        assert cache.entries() == 1
+
+    def test_engine_recovers_from_fault_corrupted_entry(self, tmp_path):
+        # an entry torn on disk after it landed is quarantined by the
+        # next run, recomputed and re-stored -- no stale replay
+        cache_dir = str(tmp_path / "cache")
+        job = CacheableJob(job_id="fake:0", key="55" * 32, outcome=REACHABLE)
+        cold = JobScheduler(EngineConfig(jobs=1, cache_dir=cache_dir))
+        cold.run([job])
+        assert cold.last_manifest.cache_stores == 1
+        path = ProofCache(cache_dir)._path(job.key)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+
+        warm = JobScheduler(EngineConfig(jobs=1, cache_dir=cache_dir))
+        stats = PropertyStats(label="warm")
+        outcome = warm.run([job], stats=stats)
+        manifest = outcome.manifest
+        assert manifest.cache_hits == 0
+        assert manifest.cache_quarantined == 1
+        assert manifest.jobs_executed == 1
+        assert manifest.cache_stores == 1
+        assert outcome["fake:0"] == "value:" + REACHABLE
+        assert manifest.reconciles(stats)
+        assert "1 cache entry quarantined" in manifest.summary()
+
+        # third run: the rewritten entry replays cleanly
+        third = JobScheduler(EngineConfig(jobs=1, cache_dir=cache_dir))
+        assert third.run([job]).manifest.cache_hits == 1
 
 
 # ----------------------------------------------------------- cache-info CLI

@@ -305,8 +305,8 @@ def test_memo_keys_fit_sixteen_bits(netlists, name):
 
 
 def test_interrupted_cone_stores_no_entry(netlists):
-    # a job deadline (SIGALRM) or the RSS guard (SIGINT) can raise at any
-    # line of a cone.  Raised at the cone's last statement but one, the
+    # a job deadline (SIGALRM) or a Ctrl-C can raise at any line of a
+    # cone.  Raised at the cone's last statement but one, the
     # interrupt must leave no entry, and the next step with that key
     # must compute it afresh.
     netlist = netlists["core-ift"]
