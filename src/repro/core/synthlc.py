@@ -40,6 +40,7 @@ from ..ift.cellift import IftConfig, IftDesign, instrument_ift
 from ..mc.enumerative import TraceDB
 from ..mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from ..mc.stats import PropertyStats
+from ..rtl.netlist import Netlist
 from ..sim.simulator import simulation_key
 from .decisions import Decision
 from .pl import DesignMetadata
@@ -142,6 +143,13 @@ _INSTRUMENTED: "weakref.WeakValueDictionary[tuple, IftDesign]" = (
 )
 
 
+# IFT netlist -> {observed names: its slice observing them}, held weakly
+# like _INSTRUMENTED, so a tool rebuilt from a job recipe reuses the slice
+_OBSERVED: "weakref.WeakKeyDictionary[Netlist, Dict[tuple, Netlist]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def instrument_design(design, extra_persistent: Iterable[str] = ()):
     """IFT-instrument a design per its metadata (SS V-A's final two inputs).
 
@@ -175,6 +183,24 @@ def instrument_design(design, extra_persistent: Iterable[str] = ()):
     return ift
 
 
+def _cover_reads(netlist: Netlist, metadata: DesignMetadata) -> Tuple[str, ...]:
+    """The signals of ``netlist`` that :class:`_TaintIndex` reads.
+
+    Every PL slot's occupancy and PC, its ``__tainted`` flag where the
+    netlist has one, and the flush strobe's taint.
+    """
+    present = netlist.named.keys() | netlist.outputs.keys()
+    names = []
+    for pl in metadata.pls.values():
+        for slot in pl.slots:
+            names += (slot.occ_signal, slot.pc_signal)
+            if slot.taint_probe + "__tainted" in present:
+                names.append(slot.taint_probe + "__tainted")
+    if "flush_fire__tainted" in present:
+        names.append("flush_fire__tainted")
+    return tuple(dict.fromkeys(names))
+
+
 class _TaintIndex:
     """Per-trace profiles on the IFT-instrumented DUV.
 
@@ -184,11 +210,17 @@ class _TaintIndex:
     occupies some PL; ``flush_tainted[t]`` -- the flush strobe is tainted
     (destination evidence for squash decisions, whose destination set is
     empty and therefore has no uFSM to inspect).
+
+    ``traces`` holds one profile per view, in family order; views of
+    equal contexts share one rows list, hence one profile object.
+    ``distinct`` holds each of those profiles once, in order of first
+    occurrence.
     """
 
     def __init__(self, tracedb: TraceDB, metadata: DesignMetadata, p_pc: int, t_pc: int):
         self.complete = tracedb.complete
         self.traces = []
+        self.distinct = []
         pls = metadata.pls
         first = tracedb.views[0] if tracedb.views else None
         if first is None:
@@ -206,41 +238,53 @@ class _TaintIndex:
                     )
                 )
         flush_taint_i = index.get("flush_fire__tainted")
+        by_rows: Dict[int, tuple] = {}
         for view in tracedb.views:
-            visits: List[FrozenSet[str]] = []
-            tainted: List[FrozenSet[str]] = []
-            t_inflight: List[bool] = []
-            flush_tainted: List[bool] = []
-            prev_row = None
-            for row in view.cycles:
-                # an elided cycle repeats the previous row object (DESIGN
-                # SS5m), hence its profile; equal but distinct rows compute
-                if row is not prev_row:
-                    prev_row = row
-                    vset = set()
-                    tset = set()
-                    t_fly = False
-                    for name, occ_i, pc_i, taint_i in slots:
-                        if row[occ_i]:
-                            pc = row[pc_i]
-                            if pc == p_pc:
-                                vset.add(name)
-                                if taint_i is not None and row[taint_i]:
-                                    tset.add(name)
-                            if pc == t_pc:
-                                t_fly = True
-                    vset = frozenset(vset)
-                    tset = frozenset(tset)
-                    f_taint = (
-                        bool(row[flush_taint_i])
-                        if flush_taint_i is not None
-                        else False
-                    )
-                visits.append(vset)
-                tainted.append(tset)
-                t_inflight.append(t_fly)
-                flush_tainted.append(f_taint)
-            self.traces.append((visits, tainted, t_inflight, flush_tainted))
+            profile = by_rows.get(id(view.cycles))
+            if profile is None:
+                profile = by_rows[id(view.cycles)] = _profile(
+                    view.cycles, slots, flush_taint_i, p_pc, t_pc
+                )
+                self.distinct.append(profile)
+            self.traces.append(profile)
+
+
+def _profile(rows, slots, flush_taint_i, p_pc: int, t_pc: int):
+    """``(visits, tainted, t_inflight, flush_tainted)`` of one trace."""
+    visits: List[FrozenSet[str]] = []
+    tainted: List[FrozenSet[str]] = []
+    t_inflight: List[bool] = []
+    flush_tainted: List[bool] = []
+    prev_row = None
+    for row in rows:
+        # an elided cycle repeats the previous row object (DESIGN
+        # SS5m), hence its profile; equal but distinct rows compute
+        if row is not prev_row:
+            prev_row = row
+            vset = set()
+            tset = set()
+            t_fly = False
+            for name, occ_i, pc_i, taint_i in slots:
+                if row[occ_i]:
+                    pc = row[pc_i]
+                    if pc == p_pc:
+                        vset.add(name)
+                        if taint_i is not None and row[taint_i]:
+                            tset.add(name)
+                    if pc == t_pc:
+                        t_fly = True
+            vset = frozenset(vset)
+            tset = frozenset(tset)
+            f_taint = (
+                bool(row[flush_taint_i])
+                if flush_taint_i is not None
+                else False
+            )
+        visits.append(vset)
+        tainted.append(tset)
+        t_inflight.append(t_fly)
+        flush_tainted.append(f_taint)
+    return visits, tainted, t_inflight, flush_tainted
 
 
 class SynthLC:
@@ -260,6 +304,7 @@ class SynthLC:
         self.extra_persistent = tuple(extra_persistent)
         with obs.span("phase.ift"):
             self.ift = instrument_design(design, extra_persistent=extra_persistent)
+        self._reads = _cover_reads(self.ift.netlist, self.metadata)
 
     # ------------------------------------------------------------------ main
     def classify(
@@ -331,6 +376,29 @@ class SynthLC:
         )
 
     # ------------------------------------------------------------ internals
+    def observed(self, contexts) -> Netlist:
+        """The IFT netlist sliced to what the covers and the drivers read.
+
+        The covers read :func:`_cover_reads`; the drivers of ``contexts``
+        read their ``feedback_signals`` (those the netlist has).  A COI
+        slice simulates every signal it keeps exactly (DESIGN SS5q), so
+        rows over it are the full netlist's rows on those columns.
+        """
+        from ..rtl.coi import observed_netlist
+
+        netlist = self.ift.netlist
+        names = dict.fromkeys(self._reads)
+        for context in contexts:
+            for name in getattr(context, "feedback_signals", ()):
+                if name in netlist.named or name in netlist.outputs:
+                    names[name] = None
+        names = tuple(names)
+        by_names = _OBSERVED.setdefault(netlist, {})
+        sliced = by_names.get(names)
+        if sliced is None:
+            sliced = by_names[names] = observed_netlist(netlist, names)
+        return sliced
+
     def _work_items(self, mupath_results, transmitter_list, candidates):
         """Enumerate the independent classification runs.
 
@@ -394,7 +462,9 @@ class SynthLC:
         groups = self.provider.taint_groups(p_name, t_name, assumption, operand)
         for group in groups:
             with obs.span("phase.elaborate"):
-                db = TraceDB(self.ift.netlist, group.contexts, group.complete)
+                db = TraceDB(
+                    self.observed(group.contexts), group.contexts, group.complete
+                )
                 # one transmitter PC per group: encoded in the driver's
                 # TaintSpec; recovering it from the first context's label-free
                 # structure is brittle, so providers put it in group via slot
@@ -443,7 +513,7 @@ class SynthLC:
     def _decision_taint_cover(tindex: _TaintIndex, decision: Decision, dynamic: bool) -> bool:
         """The SS V-C1 cover: src ##1 (exact dst & tainted destination)."""
         src, dst = decision.src, decision.dst
-        for visits, tainted, t_inflight, flush_tainted in tindex.traces:
+        for visits, tainted, t_inflight, flush_tainted in tindex.distinct:
             horizon = len(visits)
             for t in range(horizon - 1):
                 if src not in visits[t]:

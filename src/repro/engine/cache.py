@@ -298,7 +298,9 @@ class ProofCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
+                # json.dump always runs the pure-Python encoder; dumps
+                # takes the C one and writes the same bytes
+                handle.write(json.dumps(entry))
             os.replace(tmp, path)
         except OSError:
             try:

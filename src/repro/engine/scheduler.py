@@ -481,6 +481,7 @@ class JobScheduler:
                 # in the proof cache, so a rerun over the same cache_dir
                 # replays them and executes only the rest
                 manifest.interrupted = True
+                manifest.wall_seconds = time.perf_counter() - started
                 log.event(
                     "run_interrupted",
                     jobs_done=len(results_by_id),

@@ -19,6 +19,10 @@ the target signals: every retained node's transitive support is retained,
 so simulation and bit-blasting of the slice agree cycle-for-cycle with
 the full design on all in-cone signals.
 
+:func:`observed_netlist` takes the same cone as a netlist for
+simulation: every primary input kept, and only the given names
+observed, so a simulator's rows carry those columns alone.
+
 :func:`coi_supports` gives the register and input part of every named
 signal's cone at once -- one topological pass plus a bit-mask closure
 over the register graph -- for callers that need many cones' supports
@@ -38,7 +42,14 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 from .netlist import Netlist
 from .nodes import Node
 
-__all__ = ["CoiSlice", "coi_cone", "coi_slice", "coi_supports", "observable_names"]
+__all__ = [
+    "CoiSlice",
+    "coi_cone",
+    "coi_slice",
+    "coi_supports",
+    "observable_names",
+    "observed_netlist",
+]
 
 
 def _register_frontier(next_node: Node) -> Iterable[Node]:
@@ -234,21 +245,7 @@ def coi_slice(netlist: Netlist, targets: Iterable[str]) -> CoiSlice:
 
     order = [node for node in netlist.order if node.uid in cone]
     inputs = [node for node in netlist.inputs if node.uid in cone]
-    registers = [
-        (reg, next_node)
-        for reg, next_node in netlist.registers
-        if reg.q.uid in cone
-    ]
-    for reg, next_node in registers:
-        if next_node.uid not in cone:
-            # closure invariant: an in-cone register's next-state function
-            # is in-cone.  A violation means the sequential frontier was
-            # computed wrong; slicing anyway would silently free the
-            # register, so fail loudly instead.
-            raise ValueError(
-                "COI closure broken: register %r kept without its "
-                "next-state cone" % reg.name
-            )
+    registers = _cone_registers(netlist, cone)
     named = {
         name: node for name, node in netlist.named.items() if node.uid in cone
     }
@@ -279,6 +276,56 @@ def coi_slice(netlist: Netlist, targets: Iterable[str]) -> CoiSlice:
         dropped_cells=dropped_cells,
         kept_registers=len(registers),
         dropped_registers=dropped_regs,
+    )
+
+
+def _cone_registers(netlist: Netlist, cone: FrozenSet[int]):
+    """The ``(register, next-state root)`` pairs whose ``q`` is in ``cone``."""
+    registers = [
+        (reg, next_node)
+        for reg, next_node in netlist.registers
+        if reg.q.uid in cone
+    ]
+    for reg, next_node in registers:
+        if next_node.uid not in cone:
+            # closure invariant: an in-cone register's next-state function
+            # is in-cone.  A violation means the sequential frontier was
+            # computed wrong; slicing anyway would silently free the
+            # register, so fail loudly instead.
+            raise ValueError(
+                "COI closure broken: register %r kept without its "
+                "next-state cone" % reg.name
+            )
+    return registers
+
+
+def observed_netlist(netlist: Netlist, names: Iterable[str]) -> Netlist:
+    """The sequential cone of ``names``, as a netlist that observes them alone.
+
+    The cone is :func:`coi_slice`'s, so simulating the result gives every
+    named signal the values it takes in ``netlist``, cycle for cycle.  Two
+    things differ from that slice: every primary input stays, in
+    ``inputs`` and ``order``, so a driver may still drive any of them and
+    the input tuple keeps its layout; and the named signals are exactly
+    ``names``, in that order, with no outputs, so a simulator's rows hold
+    those columns and no others.  Raises KeyError for names not in
+    ``netlist.named`` or ``outputs``.
+    """
+    names = tuple(dict.fromkeys(names))  # stable de-dup
+    cone = coi_cone(netlist, names)
+    return Netlist(
+        name=netlist.name,
+        order=[
+            node for node in netlist.order
+            if node.uid in cone or node.op == "input"
+        ],
+        inputs=list(netlist.inputs),
+        registers=_cone_registers(netlist, cone),
+        named={
+            name: netlist.named[name] if name in netlist.named else netlist.outputs[name]
+            for name in names
+        },
+        outputs={},
     )
 
 

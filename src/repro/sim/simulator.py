@@ -161,8 +161,10 @@ def _memo_blocks(netlist: Netlist, pinned) -> List[Tuple[list, list]]:
 
     A cell's support is the set of atoms (:func:`_is_atom`) it reads,
     kept as a bit mask over the atoms; ``-1`` marks a support wider than
-    ``_MAX_KEY_BITS``.  A key's block is every cell whose support fits in
-    it, less the cells of blocks taken before; its frontier is the
+    ``_MAX_KEY_BITS``.  A support that holds a register or input holds
+    none of its slices: the cone computes those from it.  A key's block
+    is every cell whose support fits in the key and the slices of its
+    atoms, less the cells of blocks taken before; its frontier is the
     block's cells that are in ``pinned`` or read by a cell outside it.
     Blocks are taken greedily, largest first, while they have at least
     ``_MIN_BLOCK_CELLS`` cells and a frontier under half of them.
@@ -179,6 +181,18 @@ def _memo_blocks(netlist: Netlist, pinned) -> List[Tuple[list, list]]:
     support: Dict[int, int] = {}
     readers: Dict[int, int] = {}  # uid -> union of its readers' supports
     cells: Dict[int, list] = {}  # support -> its cells
+    # a register's or input's atom bit -> the bits of its slice atoms
+    slices_of: Dict[int, int] = {}
+    wholes = 0  # the keys of slices_of
+    trimmed: Dict[int, int] = {}  # support -> it less its wholes' slices
+
+    def slices_in(key):
+        """The slice atoms of the registers and inputs in ``key``."""
+        found = 0
+        for bit in _bits(key & wholes):
+            found |= slices_of[bit]
+        return found
+
     for node in netlist.order:
         if node.op == "const":
             support[node.uid] = 0
@@ -189,10 +203,19 @@ def _memo_blocks(netlist: Netlist, pinned) -> List[Tuple[list, list]]:
                 mask = support[node.uid] = 1 << len(atoms)
                 width_of[mask] = node.width
                 atoms.append(node)
+                whole = support[node.args[0].uid] if node.op == "slice" else 0
+                if whole > 0:
+                    slices_of[whole] = slices_of.get(whole, 0) | mask
+                    wholes |= whole
         else:
             mask = 0
             for arg in node.args:
                 mask |= support[arg.uid]
+            if mask > 0 and mask & wholes:
+                trim = trimmed.get(mask)
+                if trim is None:
+                    trim = trimmed[mask] = mask & ~slices_in(mask)
+                mask = trim
             if mask > 0:
                 width = width_of.get(mask)
                 if width is None:
@@ -220,7 +243,7 @@ def _memo_blocks(netlist: Netlist, pinned) -> List[Tuple[list, list]]:
             prefixes.add(prefix)
 
     def inside(key):
-        bits = _bits(key)
+        bits = _bits(key | slices_in(key))
         found = []
         stack = [(0, 0)]
         while stack:
@@ -249,7 +272,10 @@ def _memo_blocks(netlist: Netlist, pinned) -> List[Tuple[list, list]]:
         if count < _MIN_BLOCK_CELLS:
             break
         members = [node for mask in masks for node in cells[mask]]
-        frontier = sum(1 for node in members if readers.get(node.uid, 0) | key != key)
+        covered = key | slices_in(key)
+        frontier = sum(
+            1 for node in members if readers.get(node.uid, 0) | covered != covered
+        )
         if 2 * frontier < count:
             taken.update(masks)
             blocks.append(([atoms[bit.bit_length() - 1] for bit in _bits(key)], members))

@@ -688,12 +688,24 @@ class InterruptingStats(PropertyStats):
             raise KeyboardInterrupt()
 
 
+@dataclass(frozen=True)
+class NappingEchoJob(EchoJob):
+    """An :class:`EchoJob` that takes ``NAP_SECONDS`` to run."""
+
+    def execute(self):
+        time.sleep(NAP_SECONDS)
+        return super().execute()
+
+
+NAP_SECONDS = 0.05
+
+
 class TestGracefulInterrupt:
     def test_rerun_after_interrupt_executes_only_unstored_jobs(
         self, tmp_path
     ):
         cache_dir = str(tmp_path / "cache")
-        jobs = [EchoJob(name="k%d" % i, group="g%d" % i) for i in range(3)]
+        jobs = [NappingEchoJob(name="k%d" % i, group="g%d" % i) for i in range(3)]
         engine = JobScheduler(EngineConfig(jobs=1, cache_dir=cache_dir))
         with pytest.raises(KeyboardInterrupt):
             # Ctrl-C lands while k1's verdict folds: k0 is stored, k1 not
@@ -701,6 +713,8 @@ class TestGracefulInterrupt:
         manifest = engine.last_manifest
         assert manifest.interrupted is True
         assert manifest.to_dict()["interrupted"] is True
+        # the interrupted run's wall time covers the two jobs it ran
+        assert manifest.wall_seconds >= 2 * NAP_SECONDS
         assert manifest.cache_stores == 1
         assert ProofCache(cache_dir).entries() == 1
         # a plain rerun over the same cache replays the stored job and

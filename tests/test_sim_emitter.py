@@ -7,6 +7,11 @@ replaced -- one local per node, in topological order -- kept as the
 reference: both must give identical ``(next_state, obs)`` on every
 design and every (state, input) pair drawn here.  Each pair list runs
 twice through one compile, so the second pass reads warm memos.
+
+SynthLC simulates a slice of the IFT netlist that observes only what
+its covers read (``SynthLC.observed``).  The full IFT netlist is that
+slice's reference: every taint context's rows on the slice must be its
+full rows projected onto the slice's names, cycle for cycle.
 """
 
 import glob
@@ -17,20 +22,25 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.rtl.coi as coi_mod
 import repro.sim.simulator as simulator_mod
-from repro.core.synthlc import ASSUMPTIONS, instrument_design
-from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core
+from repro.core.synthlc import ASSUMPTIONS, OPERANDS, SynthLC, instrument_design
+from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core, isa
 from repro.designs.cache import CacheContextProvider, build_cache
 from repro.designs.core import CoreConfig
 from repro.designs.variants import build_cva6_mul, build_cva6_op
-from repro.fuzz import build_design, sample_spec
+from repro.fuzz import CampaignConfig, build_design, sample_spec
 from repro.fuzz.campaign import load_reproducer
 from repro.mc.enumerative import simulate_context
 from repro.rtl import Module, elaborate
+from repro.rtl.coi import observed_netlist
 from repro.sim import Simulator
 from repro.sim.simulator import compile_netlist
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "fuzz_corpus", "*.json")))
+# the e2e fuzz-oracle workload's corpus: the first 28 designs of the
+# seed-7 campaign.  The reproducers above elaborate to no cell at all.
+E2E_FUZZ_SEEDS = [7 * 1000003 + i for i in range(28)]
 # the e2e benchmark's smoke-scale upath family
 SMOKE_FAMILY = ContextFamilyConfig(
     horizon=32, neighbors=("DIV",), iuv_values=(0, 15), neighbor_values=(0,),
@@ -170,8 +180,37 @@ def memos(step):
     return [names["_m%d" % i] for i in range(count)]
 
 
+def key_atoms(step, netlist):
+    """The key atoms of every block in ``step``'s compile, by block index."""
+    names = step.__globals__
+    by_uid = {node.uid: node for node in netlist.order}
+    keys = []
+    for index in range(len(memos(step))):
+        code = names["_c%d" % index].__code__
+        keys.append([by_uid[int(arg[1:])] for arg in code.co_varnames[:code.co_argcount]])
+    return keys
+
+
 @pytest.fixture(scope="module")
-def netlists():
+def smoke_taint():
+    """A SynthLC tool on the xlen=4 core, and every context of the smoke
+    taint family's runs with DIV the transponder: LW and DIV the
+    transmitters, under each assumption, each operand they read."""
+    provider = CoreContextProvider(xlen=4, config=SMOKE_TAINT_FAMILY)
+    contexts = [
+        context
+        for transmitter in ("LW", "DIV")
+        for assumption in ASSUMPTIONS
+        for operand in OPERANDS
+        if getattr(isa.BY_NAME[transmitter], "reads_" + operand)
+        for group in provider.taint_groups("DIV", transmitter, assumption, operand)
+        for context in group.contexts
+    ]
+    return SynthLC(build_core(CoreConfig(xlen=4)), provider), contexts
+
+
+@pytest.fixture(scope="module")
+def netlists(smoke_taint):
     designs = {
         "core": build_core(CoreConfig(xlen=4)),
         "cache": build_cache(),
@@ -181,6 +220,8 @@ def netlists():
     out = {name: design.netlist for name, design in designs.items()}
     for name, design in designs.items():
         out[name + "-ift"] = instrument_design(design).netlist
+    tool, contexts = smoke_taint
+    out["core-ift-observed"] = tool.observed(contexts)
     return out
 
 
@@ -194,21 +235,37 @@ def test_design_matches_reference(netlists, name):
     assert first_disagreement(netlist, pairs) is None
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: os.path.basename(p)[:-5])
-def test_fuzz_corpus_design_matches_reference(path):
-    netlist = build_design(load_reproducer(path)).netlist
+def corpus_netlist(item):
+    """A reproducer's netlist, or the campaign design of a seed."""
+    if isinstance(item, int):
+        return build_design(sample_spec(item, CampaignConfig().profile)).netlist
+    return build_design(load_reproducer(item)).netlist
+
+
+def corpus_id(item):
+    return "seed-%d" % item if isinstance(item, int) else os.path.basename(item)[:-5]
+
+
+@pytest.mark.parametrize("item", CORPUS + E2E_FUZZ_SEEDS, ids=corpus_id)
+def test_fuzz_corpus_design_matches_reference(item):
+    netlist = corpus_netlist(item)
     assert first_disagreement(netlist, random_pairs(netlist, 200)) is None
 
 
 def test_fuzz_corpus_matches_reference_at_block_floor_two(monkeypatch):
     monkeypatch.setattr(simulator_mod, "_MIN_BLOCK_CELLS", 2)
-    for path in CORPUS:
-        netlist = build_design(load_reproducer(path)).netlist
-        assert first_disagreement(netlist, random_pairs(netlist, 200)) is None, path
+    for item in CORPUS + E2E_FUZZ_SEEDS:
+        netlist = corpus_netlist(item)
+        assert first_disagreement(netlist, random_pairs(netlist, 200)) is None, item
 
 
 def test_corpus_is_complete():
     assert len(CORPUS) == 16
+    # the reproducers hold no cell; the campaign designs do
+    assert sum(corpus_netlist(path).num_cells for path in CORPUS) == 0
+    cells = [corpus_netlist(seed).num_cells for seed in E2E_FUZZ_SEEDS]
+    assert sum(1 for count in cells if count) == 27
+    assert sum(cells) == 498
 
 
 def test_only_the_low_floor_blocks_generated_designs(monkeypatch):
@@ -291,7 +348,7 @@ def test_smoke_leakage_taint_family_pairs_match_reference(netlists):
 
 @pytest.mark.parametrize("name", [
     "core", "cache", "cva6-mul", "cva6-op",
-    "core-ift", "cache-ift", "cva6-mul-ift", "cva6-op-ift",
+    "core-ift", "cache-ift", "cva6-mul-ift", "cva6-op-ift", "core-ift-observed",
 ])
 def test_memo_keys_fit_sixteen_bits(netlists, name):
     netlist = netlists[name]
@@ -299,9 +356,72 @@ def test_memo_keys_fit_sixteen_bits(netlists, name):
     for state, inputs in random_pairs(netlist, 60):
         step(state, inputs)
     filled = memos(step)
-    if name in ("core", "core-ift"):
+    if name in ("core", "core-ift", "core-ift-observed"):
         assert filled
     assert all(memo and max(memo) < 1 << 16 for memo in filled)
+    # a key holding a register or input holds none of its slices: the
+    # cone computes them from it
+    for atoms in key_atoms(step, netlist):
+        wholes = {atom.uid for atom in atoms if atom.op != "slice"}
+        assert not [atom for atom in atoms if atom.op == "slice" and atom.args[0].uid in wholes]
+
+
+def projection_mismatch(full, observed, contexts):
+    """The first ``(context, cycle)`` whose row on ``observed`` is not its
+    row on ``full`` projected onto ``observed``'s names, or None.
+
+    Also returns the cycles each netlist elided, per context.
+    """
+    full_sim, sim = Simulator(full), Simulator(observed)
+    columns = [full_sim.observable_index(name) for name in sim.observable_names]
+    elided = []
+    for context in dict.fromkeys(contexts):
+        full_rows = simulate_context(full_sim, context)
+        rows = simulate_context(sim, context)
+        assert len(rows) == len(full_rows)
+        for cycle, (row, full_row) in enumerate(zip(rows, full_rows)):
+            if row != tuple(full_row[i] for i in columns):
+                return (context, cycle), elided
+        elided.append((repeats(full_rows), repeats(rows)))
+    return None, elided
+
+
+def repeats(rows):
+    """The cycles whose row is the previous cycle's row object: elided."""
+    return {t for t in range(1, len(rows)) if rows[t] is rows[t - 1]}
+
+
+def test_observed_taint_rows_match_full_projection(smoke_taint):
+    tool, contexts = smoke_taint
+    full, observed = tool.ift.netlist, tool.observed(contexts)
+    assert (observed.num_cells, len(observed.registers), len(observed.named)) == (5475, 220, 93)
+    assert (full.num_cells, len(full.registers)) == (6679, 244)
+    assert [node.name for node in observed.inputs] == [node.name for node in full.inputs]
+    mismatch, elided = projection_mismatch(full, observed, contexts)
+    assert mismatch is None
+    # elided cycles are compared too: the slice elides wherever the full
+    # netlist does, and the family holds some
+    assert all(full_cycles <= cycles for full_cycles, cycles in elided)
+    assert any(cycles for _, cycles in elided)
+
+
+def test_planted_frozen_taint_register_is_caught(smoke_taint, monkeypatch):
+    # a slice that keeps the operand's taint register but freezes it:
+    # its next-state is its own q, so taint is never introduced
+    real = coi_mod._cone_registers
+
+    def freeze_operand_taint(netlist, cone):
+        return [
+            (reg, reg.q if reg.name == "iss_rs1v__t" else next_node)
+            for reg, next_node in real(netlist, cone)
+        ]
+
+    monkeypatch.setattr(coi_mod, "_cone_registers", freeze_operand_taint)
+    tool, contexts = smoke_taint
+    planted = observed_netlist(tool.ift.netlist, tool.observed(contexts).named)
+    assert "iss_rs1v__t" in {reg.name for reg, _ in planted.registers}
+    mismatch, _ = projection_mismatch(tool.ift.netlist, planted, contexts)
+    assert mismatch is not None
 
 
 def test_interrupted_cone_stores_no_entry(netlists):
