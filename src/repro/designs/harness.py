@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..mc.enumerative import ReactiveContext
+from ..sim.simulator import Trace, compiled
 from . import isa
 
 __all__ = [
@@ -342,6 +343,75 @@ def _word_positions(netlist) -> Tuple[List[int], List[int]]:
     return positions
 
 
+# the signals run_program's loop reads each cycle
+_RUN_READS = ("fetch_ready", "pipe_quiesce", "commit_fire", "commit_pc")
+
+
+def _run_slice(netlist):
+    """``netlist`` sliced to :data:`_RUN_READS` (DESIGN §5q).
+
+    Raises ValueError if the slice drops an ``arf_w*`` or ``amem_w*``
+    register, whose final value a run returns.
+    """
+    from ..rtl.coi import observed_netlist
+
+    sliced = observed_netlist(netlist, _RUN_READS)
+    kept = {reg.name for reg, _ in sliced.registers}
+    lost = [
+        reg.name for reg, _ in netlist.registers
+        if reg.name.startswith(("arf_w", "amem_w")) and reg.name not in kept
+    ]
+    if lost:
+        raise ValueError(
+            "the slice of %s observing %s drops %s, which run_program returns"
+            % (netlist.name, ", ".join(_RUN_READS), ", ".join(lost))
+        )
+    return sliced
+
+
+class _RunPlan:
+    """What :func:`run_program` steps on one netlist, and where it reads."""
+
+    def __init__(self, netlist):
+        entry = compiled(netlist)
+        self.step = entry.step
+        self.names = entry.observable_names
+        self.reads = tuple(self.names.index(name) for name in _RUN_READS)
+        self.reset = tuple(reg.reset for reg, _ in netlist.registers)
+        self.reg_index = {reg.name: i for i, (reg, _) in enumerate(netlist.registers)}
+        inputs = [node.name for node in netlist.inputs]
+        self.idle = (0,) * len(inputs)
+        self.valid = inputs.index("in_valid")
+        self.instr = inputs.index("in_instr")
+        self.arf, self.mem = _word_positions(netlist)
+
+    def feeds(self, program: Sequence[int]) -> List[tuple]:
+        """Each word's input tuple: ``in_valid`` high, ``in_instr`` the word."""
+        values = list(self.idle)
+        values[self.valid] = 1
+        out = []
+        for word in program:
+            values[self.instr] = word
+            out.append(tuple(values))
+        return out
+
+
+# netlist -> {record_trace: its _RunPlan}, held weakly like the word positions
+_RUN_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _run_plan(netlist, record_trace: bool) -> _RunPlan:
+    plans = _RUN_PLANS.get(netlist)
+    if plans is None:
+        plans = _RUN_PLANS[netlist] = {}
+    plan = plans.get(record_trace)
+    if plan is None:
+        plan = plans[record_trace] = _RunPlan(
+            netlist if record_trace else _run_slice(netlist)
+        )
+    return plan
+
+
 def run_program(
     sim,
     program: Sequence[int],
@@ -352,59 +422,57 @@ def run_program(
 ) -> ProgramRun:
     """Feed ``program`` through the fetch handshake and run to quiescence.
 
-    ``sim`` is a :class:`repro.sim.Simulator` over a core netlist.  The
-    driver replays each word until ``fetch_ready`` accepts it (the same
-    handshake :func:`program_driver_factory` implements) and stops at the
-    first ``pipe_quiesce`` observation after the last accept.  Per-
+    ``sim`` is a :class:`repro.sim.Simulator` over a core netlist; only
+    its ``netlist`` is read.  The run steps that netlist's slice observing
+    the four signals the loop reads (DESIGN §5q), whose ARF and memory
+    words are the core's, and leaves ``sim`` alone: after a run,
+    ``sim.state`` is not the run's final state.  ``record_trace=True``
+    steps the whole core instead, since a trace holds every observable.
+
+    The driver replays each word until ``fetch_ready`` accepts it (the
+    same handshake :func:`program_driver_factory` implements) and stops
+    at the first ``pipe_quiesce`` observation after the last accept.  Per-
     instruction retire timestamps come from the commit port: the cycle
     each ``commit_pc`` is observed with ``commit_fire`` high.
     """
-    overrides = {}
+    plan = _run_plan(sim.netlist, record_trace)
+    state = plan.reset
     if arf_init is not None:
-        overrides = {
-            "arf_w%d" % i: v for i, v in enumerate(arf_init) if i
-        }
-    sim.reset(overrides)
-    program = list(program)
-
+        values = list(state)
+        for i, value in enumerate(arf_init):
+            if i:
+                values[plan.reg_index["arf_w%d" % i]] = value
+        state = tuple(values)
+    feeds = plan.feeds(program)
+    length = len(feeds)
+    step, idle, names = plan.step, plan.idle, plan.names
+    i_ready, i_quiesce, i_fire, i_pc = plan.reads
+    trace = Trace(names) if record_trace else None
     retire: Dict[int, int] = {}
-    trace = None
-    if record_trace:
-        from ..sim import Trace
-
-        trace = Trace(sim.observable_names)
-    names = sim.observable_names
-    i_ready = sim.observable_index("fetch_ready")
-    i_quiesce = sim.observable_index("pipe_quiesce")
-    i_fire = sim.observable_index("commit_fire")
-    i_pc = sim.observable_index("commit_pc")
     ptr = 0
     last_accept = -1
-    cycles = None
     for t in range(max_cycles):
-        inputs = None
-        if ptr < len(program):
-            inputs = {"in_valid": 1, "in_instr": program[ptr]}
-        obs = sim.step_tuple(inputs)
+        state, obs = step(state, feeds[ptr] if ptr < length else idle)
         if trace is not None:
             trace.append(dict(zip(names, obs)))
-        if ptr < len(program) and obs[i_ready]:
+        if ptr < length and obs[i_ready]:
             ptr += 1
             last_accept = t
         if obs[i_fire]:
             retire.setdefault(obs[i_pc], t)
-        if ptr >= len(program) and t > last_accept and obs[i_quiesce]:
-            cycles = t
+        if ptr >= length and t > last_accept and obs[i_quiesce]:
             break
-    if cycles is None:
+    else:
         raise RuntimeError(
             "program did not quiesce within %d cycles" % max_cycles
         )
-    arf_positions, mem_positions = _word_positions(sim.netlist)
-    state = sim.state
-    arf = [state[i] for i in arf_positions]
-    mem = [state[i] for i in mem_positions]
-    return ProgramRun(arf=arf, mem=mem, cycles=cycles, retire=retire, trace=trace)
+    return ProgramRun(
+        arf=[state[i] for i in plan.arf],
+        mem=[state[i] for i in plan.mem],
+        cycles=t,
+        retire=retire,
+        trace=trace,
+    )
 
 
 # ------------------------------------------------- seeded sequence sampling

@@ -8,6 +8,8 @@ config -- and every worker rebuilds (and memoizes) the objects locally.  Builder
 are deterministic, so a spec names exactly one elaborated netlist and one
 context family; the parent additionally pins the netlist's canonical
 fingerprint into the spec so the proof cache can detect any divergence.
+A job run inline, in the process that made it, uses the live design its
+fingerprint was computed from instead of rebuilding it.
 
 Three concrete job types are defined:
 
@@ -24,6 +26,9 @@ All follow the scheduler's job protocol: ``job_id``, ``execute()``,
 
 from __future__ import annotations
 
+import copy
+import os
+import weakref
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -103,6 +108,23 @@ def _built_design(spec: DesignSpec):
 
         return build_cva6_op(OpPackConfig(**_unparams(spec.params)))
     raise ValueError("unknown design kind %r" % spec.kind)
+
+
+# (process id, design spec, netlist hash) -> the live design the hash was
+# computed from, held weakly.  A job run inline uses it instead of
+# rebuilding the design from its recipe; a worker process has another
+# pid, so it rebuilds.
+_LIVE: "weakref.WeakValueDictionary[tuple, Any]" = weakref.WeakValueDictionary()
+
+
+def _register_live(spec: DesignSpec, netlist_hash: str, design) -> None:
+    _LIVE[os.getpid(), spec, netlist_hash] = design
+
+
+def _live_design(spec: DesignSpec, netlist_hash: str):
+    """The live design registered for ``spec`` and ``netlist_hash`` in
+    this process, or None."""
+    return _LIVE.get((os.getpid(), spec, netlist_hash))
 
 
 def infer_design_spec(design) -> DesignSpec:
@@ -208,7 +230,9 @@ class SynthesisJob:
         from ..core.rtl2mupath import Rtl2MuPath, Rtl2MuPathConfig
         from ..mc.stats import PropertyStats
 
-        design = self.design_spec.build()
+        design = _live_design(self.design_spec, self.netlist_hash)
+        if design is None:
+            design = self.design_spec.build()
         provider = self.provider_spec.build()
         stats = PropertyStats(label=self.job_id)
         config = Rtl2MuPathConfig(**_unparams(self.config_params))
@@ -258,6 +282,7 @@ def synthesis_jobs_for(tool, iuv_names: Sequence[str]) -> List[SynthesisJob]:
     # COI-aware key: only the observable slice of the netlist is hashed,
     # so RTL edits outside every property cone keep cached proofs valid
     netlist_hash = observable_fingerprint(tool.netlist)
+    _register_live(design_spec, netlist_hash, tool.design)
     duv_pls = (
         tuple(sorted(tool._duv_pls)) if tool._duv_pls is not None else None
     )
@@ -307,14 +332,23 @@ class SynthLCJob:
 
     def execute(self):
         from ..core.decisions import Decision
-        from ..core.synthlc import ASSUMPTIONS
+        from ..core.synthlc import ASSUMPTIONS, SynthLC
         from ..mc.stats import PropertyStats
 
-        tool = _built_synthlc(
-            self.design_spec, self.provider_spec, self.extra_persistent
-        )
         stats = PropertyStats(label=self.job_id)
-        tool.stats = stats
+        design = _live_design(self.design_spec, self.netlist_hash)
+        if design is None:
+            # the worker's jobs share one tool: each runs a copy
+            tool = copy.copy(_built_synthlc(
+                self.design_spec, self.provider_spec, self.extra_persistent
+            ))
+            tool.stats = stats
+        else:
+            # reuses the instrumentation the caller's tool holds
+            tool = SynthLC(
+                design, self.provider_spec.build(), stats=stats,
+                extra_persistent=self.extra_persistent,
+            )
         decision_list = [
             Decision(src=src, dst=frozenset(dst)) for src, dst in self.decisions
         ]
@@ -583,6 +617,7 @@ def synthlc_jobs_for(tool, work_items) -> List[SynthLCJob]:
     # function of (netlist, metadata), both fixed by the design spec.
     # COI-aware (observable slice only), like the synthesis jobs.
     netlist_hash = observable_fingerprint(tool.design.netlist)
+    _register_live(design_spec, netlist_hash, tool.design)
     extra = tuple(sorted(tool.extra_persistent))
     jobs = []
     for p_name, t_name, assumption, operand, decision_list in work_items:

@@ -176,9 +176,10 @@ def check_sequence(
 ) -> Optional[PerfMismatch]:
     """Differential check of one sequence; None means exact agreement.
 
-    ``sim`` is a reusable :class:`repro.sim.Simulator` over
-    ``design.netlist`` (reset per call).  Classification re-runs the
-    simulation with trace recording only when a divergence needs it.
+    ``sim`` names the netlist: a :class:`repro.sim.Simulator` over
+    ``design.netlist``, of which :func:`run_program` reads only
+    ``netlist``.  Classification re-runs the simulation with trace
+    recording only when a divergence needs it.
     """
     program = list(program)
     arf_init = list(arf_init)

@@ -443,16 +443,24 @@ def compile_netlist(netlist: Netlist):
     return namespace["_step"], observable_names
 
 
+# netlist object -> its simulation_key, held weakly like _BY_NETLIST
+_KEYS: "weakref.WeakKeyDictionary[Netlist, str]" = weakref.WeakKeyDictionary()
+
+
 def simulation_key(netlist: Netlist) -> str:
     """Content key of everything simulation derives from ``netlist``.
 
     :func:`~repro.rtl.netlist.netlist_fingerprint` plus the observable
     order that :func:`compile_netlist` emits, which the fingerprint does
     not hash.  Equal keys mean equal step functions and equal rows.
+    Hashed once per netlist object.
     """
-    h = hashlib.sha256(netlist_fingerprint(netlist).encode("utf-8"))
-    h.update("\n".join(_observable_names(netlist)).encode("utf-8"))
-    return h.hexdigest()
+    key = _KEYS.get(netlist)
+    if key is None:
+        h = hashlib.sha256(netlist_fingerprint(netlist).encode("utf-8"))
+        h.update("\n".join(_observable_names(netlist)).encode("utf-8"))
+        key = _KEYS[netlist] = h.hexdigest()
+    return key
 
 
 class CompiledNetlist:

@@ -9,6 +9,9 @@ draining, and store-to-load ordering all at once.
 The reference interpreter and the program-to-quiescence runner live in
 :mod:`repro.designs.harness` (they are shared with the fuzz and perf
 oracles); this suite exercises them against the default 8-bit core.
+``run_program`` steps a slice of the core that observes only what its
+loop reads (DESIGN §5q); :func:`reference_run` keeps the loop that steps
+the whole core, and the parity tests below hold the two equal.
 """
 
 import pytest
@@ -18,15 +21,16 @@ from repro.designs import (
     STRAIGHT_LINE_POOL,
     build_core,
     golden_model,
+    harness,
     isa,
     run_program,
     sample_sequence,
 )
 from repro.designs.core import CoreConfig
-from repro.designs.harness import _word_positions
-from repro.designs.variants import build_cva6_mul
-from repro.rtl import Module, elaborate
-from repro.sim import Simulator
+from repro.designs.harness import ProgramRun, _word_positions
+from repro.designs.variants import build_cva6_mul, build_fixed_core
+from repro.rtl import Module, Netlist, coi, elaborate
+from repro.sim import Simulator, Trace
 
 MEM_WORDS = 4
 
@@ -74,12 +78,145 @@ def test_seeded_sequences_match_golden_model(cosim_design, cosim_sim):
         assert run.mem == want_mem, seed
 
 
+def reference_run(sim, program, arf_init=None, *, max_cycles=4000, record_trace=False):
+    """``run_program``'s reference: ``sim`` itself, the whole core, stepped
+    through ``step_tuple`` with an input dict per cycle; ``sim.state`` is
+    the run's final state afterwards."""
+    overrides = {}
+    if arf_init is not None:
+        overrides = {"arf_w%d" % i: v for i, v in enumerate(arf_init) if i}
+    sim.reset(overrides)
+    program = list(program)
+    retire = {}
+    trace = Trace(sim.observable_names) if record_trace else None
+    names = sim.observable_names
+    i_ready = sim.observable_index("fetch_ready")
+    i_quiesce = sim.observable_index("pipe_quiesce")
+    i_fire = sim.observable_index("commit_fire")
+    i_pc = sim.observable_index("commit_pc")
+    ptr = 0
+    last_accept = -1
+    cycles = None
+    for t in range(max_cycles):
+        inputs = None
+        if ptr < len(program):
+            inputs = {"in_valid": 1, "in_instr": program[ptr]}
+        obs = sim.step_tuple(inputs)
+        if trace is not None:
+            trace.append(dict(zip(names, obs)))
+        if ptr < len(program) and obs[i_ready]:
+            ptr += 1
+            last_accept = t
+        if obs[i_fire]:
+            retire.setdefault(obs[i_pc], t)
+        if ptr >= len(program) and t > last_accept and obs[i_quiesce]:
+            cycles = t
+            break
+    if cycles is None:
+        raise RuntimeError("program did not quiesce within %d cycles" % max_cycles)
+    arf_positions, mem_positions = _word_positions(sim.netlist)
+    return ProgramRun(
+        arf=[sim.state[i] for i in arf_positions],
+        mem=[sim.state[i] for i in mem_positions],
+        cycles=cycles,
+        retire=retire,
+        trace=trace,
+    )
+
+
+CORES = {
+    "core-xlen4": (lambda: build_core(CoreConfig(xlen=4)), 4),
+    "core-xlen8": (build_core, 8),
+    "cva6-mul": (build_cva6_mul, 8),
+    "fixed": (build_fixed_core, 8),
+}
+
+
+def _outcome(run, sim, program, arf_init, record_trace=False):
+    """What a run returns, or the message it raised."""
+    try:
+        got = run(sim, program, arf_init, record_trace=record_trace)
+    except RuntimeError as exc:
+        return str(exc)
+    trace = got.trace.cycles if record_trace else None
+    return got.cycles, got.retire, got.arf, got.mem, trace
+
+
+def _first_mismatch(core, seeds, record_trace=False):
+    """The first seed whose ``sample_sequence`` program runs differently
+    on ``run_program`` and on :func:`reference_run`, or None."""
+    build, xlen = CORES[core]
+    sim = Simulator(build().netlist)
+    for seed in seeds:
+        program, arf_init = sample_sequence(seed, xlen=xlen)
+        if _outcome(run_program, sim, program, arf_init, record_trace) != _outcome(
+            reference_run, sim, program, arf_init, record_trace
+        ):
+            return seed
+    return None
+
+
+@pytest.mark.parametrize("core", sorted(CORES))
+def test_sliced_runs_match_the_full_core(core):
+    """Cycles, retire maps, ARF and memory words, or the raise, over 300
+    seeded programs, store -> load -> store ones included."""
+    assert _first_mismatch(core, range(300)) is None
+
+
+@pytest.mark.parametrize("core", sorted(CORES))
+def test_recorded_traces_match_the_full_core(core):
+    assert _first_mismatch(core, range(40), record_trace=True) is None
+
+
+def test_a_run_that_never_quiesces_raises_on_both_loops():
+    """The core's known store -> load -> store deadlock."""
+    sim = Simulator(build_core(CoreConfig(xlen=4)).netlist)
+    program = [isa.encode(name) for name in ("SB", "LW", "SW")]
+    for run in (run_program, reference_run):
+        with pytest.raises(RuntimeError, match="did not quiesce within 4000 cycles"):
+            run(sim, program, [0] * 8)
+
+
+def test_planted_slice_dropping_a_word_is_caught(monkeypatch):
+    real = coi.observed_netlist
+
+    def dropping(netlist, names):
+        sliced = real(netlist, names)
+        return Netlist(
+            sliced.name, sliced.order, sliced.inputs,
+            [(reg, nxt) for reg, nxt in sliced.registers if reg.name != "arf_w3"],
+            sliced.named, sliced.outputs,
+        )
+
+    monkeypatch.setattr(coi, "observed_netlist", dropping)
+    sim = Simulator(build_core(CoreConfig(xlen=4)).netlist)
+    program, arf_init = sample_sequence(0, xlen=4)
+    with pytest.raises(ValueError, match="drops arf_w3"):
+        run_program(sim, program, arf_init)
+
+
+def test_planted_misplaced_instruction_input_is_caught(monkeypatch):
+    real = harness._RunPlan.feeds
+
+    def misplaced(plan, program):
+        i = plan.instr
+        return [
+            feed[:i] + (feed[i + 1], feed[i]) + feed[i + 2:]
+            for feed in real(plan, program)
+        ]
+
+    monkeypatch.setattr(harness._RunPlan, "feeds", misplaced)
+    assert _first_mismatch("core-xlen4", range(300)) is not None
+
+
 @pytest.mark.parametrize("build, xlen", [
     (lambda: build_core(CoreConfig(xlen=4)), 4),
     (build_core, 8),
     (build_cva6_mul, 8),
 ], ids=["core-xlen4", "core-xlen8", "cva6-mul"])
 def test_program_run_reads_the_state_dict_words(build, xlen):
+    """The words a run returns are the full core's final registers of
+    those names, read from the reference run's ``state_dict()``."""
     sim = Simulator(build().netlist)
     checked = 0
     for seed in range(40):
@@ -87,6 +224,7 @@ def test_program_run_reads_the_state_dict_words(build, xlen):
         if sum(isa.decode(word).spec.cls == "store" for word in program) > 1:
             continue  # steer clear of the store -> load -> store deadlock
         run = run_program(sim, program, arf_init)
+        reference_run(sim, program, arf_init)
         state = sim.state_dict()
         arf = sorted(name for name in state if name.startswith("arf_w"))
         mem = sorted(name for name in state if name.startswith("amem_w"))

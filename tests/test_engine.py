@@ -674,6 +674,71 @@ class TestSynthLCEngine:
         assert manifest.reconciles(tool.stats)
 
 
+# ------------------------------------------------ inline jobs: the live design
+@pytest.fixture
+def build_core_calls(monkeypatch):
+    """Every ``build_core`` call, from empty recipe memos."""
+    from repro.designs import core as core_module
+    from repro.engine import specs
+
+    specs._built_design.cache_clear()
+    specs._built_synthlc.cache_clear()
+    calls = []
+    real = core_module.build_core
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core_module, "build_core", counting)
+    yield calls
+    specs._built_design.cache_clear()
+    specs._built_synthlc.cache_clear()
+
+
+class TestInlineJobsUseTheLiveDesign:
+    """A job run inline runs on the design its netlist hash came from;
+    the jobs=2 parity tests above cover the workers' recipe rebuilds."""
+
+    def test_inline_synthesis_builds_no_core(self, serial, build_core_calls):
+        _, serial_results = serial
+        tool = make_tool()
+        results = tool.synthesize_all(
+            ["ADD"], engine=JobScheduler(EngineConfig(jobs=1))
+        )
+        assert build_core_calls == []
+        assert results["ADD"] == serial_results["ADD"]
+
+    def test_inline_synthlc_builds_no_core(self, synthlc_serial, build_core_calls):
+        design, provider, work, ref_tool, ref = synthlc_serial
+        tool = SynthLC(design, provider)
+        out = tool.classify(
+            work, transmitters=["DIV"], engine=JobScheduler(EngineConfig(jobs=1))
+        )
+        assert build_core_calls == []
+        assert out.tags_by_decision == ref.tags_by_decision
+        assert tool.stats.count == ref_tool.stats.count
+
+    def test_recipe_job_leaves_the_shared_tool_alone(
+        self, synthlc_serial, build_core_calls
+    ):
+        from repro.engine import specs
+
+        design, provider, work, _ref_tool, _ref = synthlc_serial
+        tool = SynthLC(design, provider)
+        items = tool._work_items(work, ["DIV"], ["DIV"])
+        # a hash no live design is registered under: the recipe path
+        job = replace(specs.synthlc_jobs_for(tool, items)[0], netlist_hash="recipe")
+        shared = specs._built_synthlc(
+            job.design_spec, job.provider_spec, job.extra_persistent
+        )
+        before = shared.stats
+        _value, results = job.execute()
+        assert len(build_core_calls) == 1 and results
+        assert shared.stats is before and before.count == 0
+        assert tool.stats.count == 0
+
+
 # ------------------------------------------------- recovery: rerun over cache
 class InterruptingStats(PropertyStats):
     """Simulates Ctrl-C landing mid-fold, after ``after`` results."""
