@@ -119,9 +119,10 @@ def test_ablation_static_flush(bench_core, rep_mupath_results):
     """Assumption 3's taint flush: without it, taint from a long-retired
     transmitter lingers and the static classification becomes vacuous
     (everything dynamic shows up static)."""
-    from repro.designs.harness import program_driver_factory, slot_pc, TaintSpec
+    from repro.designs.harness import program_context, slot_pc, TaintSpec
     from repro.designs import isa
     from repro.core.synthlc import instrument_design
+    from repro.mc import simulate_context
     from repro.sim import Simulator
 
     ift = instrument_design(bench_core)
@@ -134,16 +135,13 @@ def test_ablation_static_flush(bench_core, rep_mupath_results):
         if with_flush:
             script.append(("flush",))
         script.append(("feed", (add,)))
-        driver = program_driver_factory(
-            script, taint=TaintSpec(pc=slot_pc(0), rs1=True), instrumented=True
-        )()
-        sim.reset({"arf_w4": 8, "arf_w5": 3})
-        prev = None
-        tainted = 0
+        context = program_context(
+            script, {"arf_w4": 8, "arf_w5": 3}, horizon=40,
+            taint=TaintSpec(pc=slot_pc(0), rs1=True), instrumented=True,
+        )
+        last = simulate_context(sim, context)[-1]
         names = [n for n in sim.observable_names if n.endswith("__tainted")]
-        for t in range(40):
-            prev = sim.step(driver(t, prev))
-        return sum(prev[n] for n in names)
+        return sum(last[sim.observable_index(n)] for n in names)
 
     with_flush = residual_taint(True)
     without_flush = residual_taint(False)

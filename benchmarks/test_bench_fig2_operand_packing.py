@@ -11,7 +11,8 @@ import pytest
 from repro.core import UhbGraph, extract_path
 from repro.core.decisions import extract_decisions
 from repro.designs import isa
-from repro.designs.variants import build_cva6_op, oppack_driver_factory
+from repro.designs.variants import build_cva6_op, oppack_context
+from repro.mc import simulate_context
 from repro.sim import Simulator
 
 from conftest import print_banner
@@ -22,13 +23,8 @@ ADD1 = isa.encode("ADD", rd=6, rs1=4, rs2=5)
 
 def _run(design, overrides, horizon=12):
     sim = Simulator(design.netlist)
-    sim.reset(overrides)
-    driver = oppack_driver_factory([(ADD0, ADD1)])()
-    prev = None
-    cycles = []
-    for t in range(horizon):
-        prev = sim.step(driver(t, prev))
-        cycles.append(prev)
+    rows = simulate_context(sim, oppack_context([(ADD0, ADD1)], overrides, horizon=horizon))
+    cycles = [dict(zip(sim.observable_names, row)) for row in rows]
     return extract_path(cycles, design.metadata.pls, iuv_pc=8, iuv="ADD")
 
 

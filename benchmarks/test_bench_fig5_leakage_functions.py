@@ -78,7 +78,8 @@ def test_fig5_add_id_on_cva6op():
     from repro.core.decisions import extract_decisions
     from repro.core.mhb import extract_path
     from repro.designs import isa
-    from repro.designs.variants import build_cva6_op, oppack_driver_factory
+    from repro.designs.variants import build_cva6_op, oppack_context
+    from repro.mc import simulate_context
     from repro.sim import Simulator
 
     design = build_cva6_op()
@@ -87,13 +88,11 @@ def test_fig5_add_id_on_cva6op():
     add0 = isa.encode("ADD", rd=3, rs1=1, rs2=2)
     add1 = isa.encode("ADD", rd=6, rs1=4, rs2=5)
     for w4 in (2, 0xC8):  # narrow (packs) vs wide (stalls)
-        sim.reset({"arf_w1": 3, "arf_w2": 5, "arf_w4": w4, "arf_w5": 7})
-        driver = oppack_driver_factory([(add0, add1)])()
-        prev = None
-        cycles = []
-        for t in range(12):
-            prev = sim.step(driver(t, prev))
-            cycles.append(prev)
+        context = oppack_context(
+            [(add0, add1)], {"arf_w1": 3, "arf_w2": 5, "arf_w4": w4, "arf_w5": 7},
+            horizon=12,
+        )
+        cycles = [dict(zip(sim.observable_names, row)) for row in simulate_context(sim, context)]
         paths.append(extract_path(cycles, design.metadata.pls, iuv_pc=8, iuv="ADD"))
     decisions = extract_decisions("ADD", paths)
 

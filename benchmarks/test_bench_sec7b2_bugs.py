@@ -15,9 +15,10 @@ from repro.designs import (
     CoreContextProvider,
     build_core,
     isa,
-    program_driver_factory,
+    program_context,
 )
 from repro.designs.variants import build_fixed_core
+from repro.mc import simulate_context
 from repro.sim import Simulator
 
 from conftest import print_banner
@@ -77,15 +78,9 @@ def test_sec7b2_jal_2byte_only(bench_core, fixed_core):
 
     def committed(design):
         sim = Simulator(design.netlist)
-        sim.reset()
         word = isa.encode("JAL", rd=3, rs1=0, rs2=2)
-        driver = program_driver_factory([("feed", (word,))])()
-        prev = None
-        outcomes = []
-        for t in range(14):
-            prev = sim.step(driver(t, prev))
-            outcomes.append(prev["commit_fire"])
-        return any(outcomes)
+        rows = simulate_context(sim, program_context([("feed", (word,))], horizon=14))
+        return any(row[sim.observable_index("commit_fire")] for row in rows)
 
     print_banner("SS VII-B2 -- JAL 2-byte-only alignment check")
     buggy, fixed = committed(bench_core), committed(fixed_core)
@@ -100,16 +95,12 @@ def test_sec7b2_branch_exception_operand_independent(bench_core, fixed_core):
 
     def excp(design, r1, r2):
         sim = Simulator(design.netlist)
-        sim.reset({"arf_w1": r1, "arf_w2": r2})
         word = isa.encode("BEQ", rs1=1, rs2=2)  # target pc+2: misaligned
-        driver = program_driver_factory([("feed", (word,))])()
-        prev = None
-        seen = False
-        for t in range(14):
-            prev = sim.step(driver(t, prev))
-            seen = seen or bool(prev["pl_scbExcp_occ0"] or prev["pl_scbExcp_occ1"]
-                                or prev["pl_scbExcp_occ2"] or prev["pl_scbExcp_occ3"])
-        return seen
+        context = program_context(
+            [("feed", (word,))], {"arf_w1": r1, "arf_w2": r2}, horizon=14
+        )
+        occupied = [sim.observable_index("pl_scbExcp_occ%d" % i) for i in range(4)]
+        return any(row[i] for row in simulate_context(sim, context) for i in occupied)
 
     print_banner("SS VII-B2 -- branch misaligned-target exception vs outcome")
     rows = [
@@ -128,16 +119,13 @@ def test_sec7b2_scoreboard_counter_bug(bench_core, fixed_core):
 
     def peak(design):
         sim = Simulator(design.netlist)
-        sim.reset({"arf_w4": 128, "arf_w5": 3})
         div = isa.encode("DIV", rd=6, rs1=4, rs2=5)
         fill = isa.encode("ADD", rd=0, rs1=0, rs2=0)
-        driver = program_driver_factory([("feed", (div, fill, fill, fill))])()
-        prev = None
-        best = 0
-        for t in range(40):
-            prev = sim.step(driver(t, prev))
-            best = max(best, prev["scb_used"])
-        return best
+        context = program_context(
+            [("feed", (div, fill, fill, fill))], {"arf_w4": 128, "arf_w5": 3}, horizon=40
+        )
+        used = sim.observable_index("scb_used")
+        return max(row[used] for row in simulate_context(sim, context))
 
     print_banner("SS VII-B2 -- scoreboard counter-width bug")
     buggy, fixed = peak(bench_core), peak(fixed_core)

@@ -15,10 +15,11 @@ from repro.designs import (
     CoreContextProvider,
     build_core,
     isa,
-    program_driver_factory,
+    program_context,
 )
 from repro.designs.variants import build_fixed_core
 from repro.core import Rtl2MuPath
+from repro.mc import simulate_context
 from repro.sim import Simulator
 
 
@@ -60,13 +61,11 @@ def main():
     fill = isa.encode("ADD", rd=0, rs1=0, rs2=0)
     for name, design in (("buggy", buggy), ("fixed", fixed)):
         sim = Simulator(design.netlist)
-        sim.reset({"arf_w4": 128, "arf_w5": 3})
-        driver = program_driver_factory([("feed", (div, fill, fill, fill))])()
-        prev = None
-        peak = 0
-        for t in range(40):
-            prev = sim.step(driver(t, prev))
-            peak = max(peak, prev["scb_used"])
+        context = program_context(
+            [("feed", (div, fill, fill, fill))], {"arf_w4": 128, "arf_w5": 3}, horizon=40
+        )
+        used = sim.observable_index("scb_used")
+        peak = max(row[used] for row in simulate_context(sim, context))
         print(
             "  %s core: peak scoreboard occupancy %d / %d entries"
             % (name, peak, design.config.scb_entries)

@@ -27,7 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..designs.harness import program_driver_factory
+from ..designs.harness import program_context
+from ..mc.enumerative import simulate_context
 from ..sim.simulator import Simulator
 from .pl import DesignMetadata
 
@@ -77,14 +78,11 @@ class ScSafeViolation:
 def _observation_trace(netlist, metadata, program, overrides, horizon):
     receiver = UPathReceiver(metadata)
     sim = Simulator(netlist)
-    sim.reset(overrides)
-    driver = program_driver_factory([("feed", tuple(program))])()
-    prev = None
-    trace = []
-    for t in range(horizon):
-        prev = sim.step(driver(t, prev))
-        trace.append(receiver.observe(prev))
-    return trace
+    context = program_context([("feed", tuple(program))], overrides, horizon=horizon)
+    names = sim.observable_names
+    return [
+        receiver.observe(dict(zip(names, row))) for row in simulate_context(sim, context)
+    ]
 
 
 def check_sc_safe(

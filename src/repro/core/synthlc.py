@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .. import obs
 from ..designs import isa
 from ..ift.cellift import IftConfig, IftDesign, instrument_ift
-from ..mc.enumerative import TraceDB
+from ..mc.enumerative import RELEASES, TraceDB
 from ..mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from ..mc.stats import PropertyStats
 from ..rtl.netlist import Netlist
@@ -376,23 +376,22 @@ class SynthLC:
         )
 
     # ------------------------------------------------------------ internals
-    def observed(self, contexts) -> Netlist:
-        """The IFT netlist sliced to what the covers and the drivers read.
+    def observed(self) -> Netlist:
+        """The IFT netlist sliced to what the covers and the stimulus read.
 
-        The covers read :func:`_cover_reads`; the drivers of ``contexts``
-        read their ``feedback_signals`` (those the netlist has).  A COI
-        slice simulates every signal it keeps exactly (DESIGN SS5q), so
-        rows over it are the full netlist's rows on those columns.
+        The covers read :func:`_cover_reads`; the stimulus loop reads the
+        release signals (:data:`~repro.mc.enumerative.RELEASES`) that the
+        netlist has.  A COI slice simulates every signal it keeps exactly
+        (DESIGN SS5q), so rows over it are the full netlist's rows on
+        those columns.
         """
         from ..rtl.coi import observed_netlist
 
         netlist = self.ift.netlist
-        names = dict.fromkeys(self._reads)
-        for context in contexts:
-            for name in getattr(context, "feedback_signals", ()):
-                if name in netlist.named or name in netlist.outputs:
-                    names[name] = None
-        names = tuple(names)
+        present = netlist.named.keys() | netlist.outputs.keys()
+        names = tuple(dict.fromkeys(
+            self._reads + tuple(name for name in RELEASES if name in present)
+        ))
         by_names = _OBSERVED.setdefault(netlist, {})
         sliced = by_names.get(names)
         if sliced is None:
@@ -462,13 +461,11 @@ class SynthLC:
         groups = self.provider.taint_groups(p_name, t_name, assumption, operand)
         for group in groups:
             with obs.span("phase.elaborate"):
-                db = TraceDB(
-                    self.observed(group.contexts), group.contexts, group.complete
-                )
-                # one transmitter PC per group: encoded in the driver's
-                # TaintSpec; recovering it from the first context's label-free
-                # structure is brittle, so providers put it in group via slot
-                # convention:
+                db = TraceDB(self.observed(), group.contexts, group.complete)
+                # one transmitter PC per group: encoded in the contexts'
+                # taint constants; recovering it from the first context's
+                # label-free structure is brittle, so providers put it in
+                # group via slot convention:
                 t_pc = getattr(group, "taint_pc", None)
                 if t_pc is None:
                     # transmitter occupies the non-IUV slot in two-slot programs

@@ -2,8 +2,8 @@
 
 from . import isa
 from .core import CoreConfig, CoreDesign, build_core
-from .variants import build_cva6_mul, build_cva6_op, build_fixed_core, OpPackConfig
-from .cache import CacheConfig, CacheContextProvider, CacheDesign, build_cache
+from .variants import build_cva6_mul, build_cva6_op, build_fixed_core, oppack_context, OpPackConfig
+from .cache import CacheConfig, CacheContextProvider, CacheDesign, build_cache, cache_context
 from .harness import (
     ContextFamilyConfig,
     ContextGroup,
@@ -14,7 +14,7 @@ from .harness import (
     TaintSpec,
     golden_model,
     golden_steps,
-    program_driver_factory,
+    program_context,
     run_program,
     sample_sequence,
     slot_pc,
@@ -29,15 +29,17 @@ __all__ = [
     "build_cva6_op",
     "build_fixed_core",
     "OpPackConfig",
+    "oppack_context",
     "CacheConfig",
     "CacheContextProvider",
     "CacheDesign",
     "build_cache",
+    "cache_context",
     "ContextFamilyConfig",
     "ContextGroup",
     "CoreContextProvider",
     "TaintSpec",
-    "program_driver_factory",
+    "program_context",
     "slot_pc",
     "STRAIGHT_LINE_POOL",
     "OPERAND_CLASSES",

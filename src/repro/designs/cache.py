@@ -25,21 +25,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..rtl.module import Module
 from ..rtl.netlist import elaborate
 from ..rtl.nodes import mux, zext
 from ..core.pl import DesignMetadata, MicroFsm, PerformingLocation, PlSlot
-from ..mc.enumerative import ReactiveContext
-from .harness import ContextGroup, TaintSpec, slot_pc
+from ..mc.enumerative import Context
+from .harness import ContextGroup, TaintSpec, slot_pc, taint_inputs
 
 __all__ = [
     "CacheConfig",
     "CacheDesign",
     "build_cache",
-    "CacheDriver",
-    "cache_driver_factory",
+    "cache_context",
     "CacheContextProvider",
 ]
 
@@ -315,74 +314,31 @@ def build_cache(config: Optional[CacheConfig] = None) -> CacheDesign:
     return CacheDesign(netlist=netlist, metadata=metadata, config=cfg)
 
 
-@dataclass(frozen=True)
-class CacheDriver:
-    """Reactive-driver factory feeding (is_store, addr, data) requests.
+def cache_context(requests, *, horizon: int, taint: Optional[TaintSpec] = None,
+                  instrumented: bool = False, label: str = "") -> Context:
+    """The cache context feeding ``requests``, (is_store, addr, data) items.
 
-    A value, like :class:`~repro.designs.harness.ProgramDriver`: calling
-    it returns a fresh per-run driver.  Request i is tagged with PC
-    ``slot_pc(i)``.  ``requests`` items may also be the string "quiesce"
-    (wait for pipe_quiesce) or "flush" (pulse taint_flush -- Assumption 3).
+    Request i is tagged with PC ``slot_pc(i)`` and driven until
+    ``fetch_ready`` accepts it.  An item may also be "quiesce" (wait for
+    ``pipe_quiesce``) or "flush" (pulse ``taint_flush`` -- Assumption 3),
+    with the meaning of :func:`~repro.designs.harness.program_context`.
     """
-
-    requests: Tuple
-    taint: Optional[TaintSpec] = None
-    instrumented: bool = False
-
-    def __call__(self):
-        requests, taint, instrumented = self.requests, self.taint, self.instrumented
-        state = {"phase": 0, "driving": False, "issued": 0}
-
-        def driver(t, prev_obs):
-            inputs = {}
-            if taint is not None:
-                inputs["taint_pc"] = taint.pc
-                inputs["taint_rs1"] = 1 if taint.rs1 else 0
-                inputs["taint_rs2"] = 1 if taint.rs2 else 0
-            if instrumented:
-                inputs["taint_intro"] = 1
-                inputs["taint_flush"] = 0
-            if state["driving"] and prev_obs is not None and prev_obs["fetch_ready"]:
-                state["phase"] += 1
-                state["issued"] += 1
-            state["driving"] = False
-            while state["phase"] < len(requests):
-                item = requests[state["phase"]]
-                if item == "quiesce":
-                    # at least one waited cycle: don't accept the stale
-                    # pre-request quiescent observation
-                    if (
-                        state.get("waited")
-                        and prev_obs is not None
-                        and prev_obs.get("pipe_quiesce")
-                    ):
-                        state["phase"] += 1
-                        state["waited"] = False
-                        continue
-                    state["waited"] = True
-                    return inputs
-                if item == "flush":
-                    if instrumented:
-                        inputs["taint_flush"] = 1
-                    state["phase"] += 1
-                    return inputs
-                is_store, addr, data_v = item
-                inputs["req_valid"] = 1
-                inputs["req_is_store"] = 1 if is_store else 0
-                inputs["req_addr"] = addr
-                inputs["req_data"] = data_v
-                inputs["req_pc"] = slot_pc(state["issued"])
-                state["driving"] = True
-                return inputs
-            return inputs
-
-        return driver
-
-
-def cache_driver_factory(requests, taint: Optional[TaintSpec] = None,
-                         instrumented: bool = False) -> CacheDriver:
-    """The :class:`CacheDriver` feeding ``requests``."""
-    return CacheDriver(tuple(requests), taint, instrumented)
+    steps = []
+    issued = 0
+    for item in requests:
+        if item == "quiesce":
+            steps.append(({}, "pipe_quiesce"))
+        elif item == "flush":
+            steps.append(({"taint_flush": 1} if instrumented else {}, None))
+        else:
+            is_store, addr, data = item
+            steps.append(({
+                "req_valid": 1, "req_is_store": int(is_store), "req_addr": addr,
+                "req_data": data, "req_pc": slot_pc(issued),
+            }, "fetch_ready"))
+            issued += 1
+    return Context.scripted({}, steps, horizon,
+                            idle=taint_inputs(taint, instrumented), label=label)
 
 
 class CacheContextProvider:
@@ -400,12 +356,8 @@ class CacheContextProvider:
         return (0, 1, cfg.sets, cfg.sets + 1, 2 * cfg.sets, (1 << cfg.xlen) - 1)
 
     def _context(self, requests, label, taint=None):
-        return ReactiveContext.make(
-            {},
-            cache_driver_factory(requests, taint=taint, instrumented=self.instrumented),
-            horizon=self.horizon,
-            label=label,
-        )
+        return cache_context(requests, horizon=self.horizon, taint=taint,
+                             instrumented=self.instrumented, label=label)
 
     def mupath_groups(self, iuv_name: str) -> List[ContextGroup]:
         """``iuv_name`` in {"LD", "ST"}: request type under verification."""

@@ -6,8 +6,9 @@ instructions" (SS V-B).  The paper's artifact makes this tractable with
 *restricted execution assumptions* (Appendix I-F/G: the DIV experiment
 issues the IUV right after reset and surrounds it with instructions drawn
 from a small set).  This module provides the equivalent machinery for our
-enumerative engine: reactive program drivers that feed instruction streams
-through the fetch handshake, and context-family generators that sweep
+enumerative engine: program contexts whose scripts feed instruction
+streams through the fetch handshake, and context-family generators that
+sweep
 
 * the IUV's operand values (covering every divider-latency class, both
   multiplier zero-skip arms, all page-offset relations, taken and
@@ -26,15 +27,13 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..mc.enumerative import ReactiveContext
+from ..mc.enumerative import Context, drive
 from ..sim.simulator import Trace, compiled
 from . import isa
 
 __all__ = [
     "TaintSpec",
-    "ScriptItem",
-    "ProgramDriver",
-    "program_driver_factory",
+    "program_context",
     "ContextFamilyConfig",
     "ContextGroup",
     "CoreContextProvider",
@@ -68,98 +67,49 @@ class TaintSpec:
     rs2: bool = False
 
 
-# Script items: ("feed", (word, ...)) | ("wait_quiesce",) | ("flush",) | ("idle", n)
-ScriptItem = Tuple
+def taint_inputs(taint: Optional[TaintSpec], instrumented: bool) -> Dict[str, int]:
+    """The taint constants, which a context holds on every cycle."""
+    inputs: Dict[str, int] = {}
+    if taint is not None:
+        inputs.update(taint_pc=taint.pc, taint_rs1=int(taint.rs1), taint_rs2=int(taint.rs2))
+    if instrumented:
+        inputs.update(taint_intro=1, taint_flush=0)
+    return inputs
 
 
-@dataclass(frozen=True)
-class ProgramDriver:
-    """Reactive-driver factory executing ``script``.
-
-    A value: the driver it builds is a pure function of these fields, so
-    contexts holding equal drivers compare, hash and pickle by value.
-    Calling it returns a fresh per-run driver ``f(t, prev_obs) -> inputs``
-    that replays each instruction until the fetch interface accepts it
-    (``fetch_ready`` observed high while driving ``in_valid``), waits for
-    pipeline quiescence on ``wait_quiesce`` items, and pulses
-    ``taint_flush`` for one cycle on ``flush`` items (Assumption 3).
-    """
-
-    script: Tuple[ScriptItem, ...]
-    taint: Optional[TaintSpec] = None
-    instrumented: bool = False
-
-    def __call__(self):
-        script, taint, instrumented = self.script, self.taint, self.instrumented
-        state = {"phase": 0, "ptr": 0, "idle": 0, "driving": False}
-
-        def driver(t, prev_obs):
-            inputs: Dict[str, int] = {}
-            if taint is not None:
-                inputs["taint_pc"] = taint.pc
-                inputs["taint_rs1"] = 1 if taint.rs1 else 0
-                inputs["taint_rs2"] = 1 if taint.rs2 else 0
-            if instrumented:
-                inputs["taint_intro"] = 1
-                inputs["taint_flush"] = 0
-
-            # did the previous cycle's instruction get accepted?
-            if state["driving"] and prev_obs is not None and prev_obs["fetch_ready"]:
-                state["ptr"] += 1
-            state["driving"] = False
-
-            while state["phase"] < len(script):
-                item = script[state["phase"]]
-                kind = item[0]
-                if kind == "feed":
-                    words = item[1]
-                    if state["ptr"] >= len(words):
-                        state["phase"] += 1
-                        state["ptr"] = 0
-                        continue
-                    inputs["in_valid"] = 1
-                    inputs["in_instr"] = words[state["ptr"]]
-                    state["driving"] = True
-                    return inputs
-                if kind == "wait_quiesce":
-                    # require at least one waited cycle: the observation lags
-                    # the drive by a cycle, so the pre-feed quiescent state
-                    # must not satisfy the wait
-                    if (
-                        state.get("waited")
-                        and prev_obs is not None
-                        and prev_obs.get("pipe_quiesce")
-                    ):
-                        state["phase"] += 1
-                        state["waited"] = False
-                        continue
-                    state["waited"] = True
-                    return inputs
-                if kind == "flush":
-                    if instrumented:
-                        inputs["taint_flush"] = 1
-                    state["phase"] += 1
-                    return inputs
-                if kind == "idle":
-                    if state["idle"] >= item[1]:
-                        state["idle"] = 0
-                        state["phase"] += 1
-                        continue
-                    state["idle"] += 1
-                    return inputs
-                raise ValueError("unknown script item %r" % (item,))
-            return inputs
-
-        return driver
-
-
-def program_driver_factory(
-    script: Sequence[ScriptItem],
+def program_context(
+    script: Sequence[tuple],
+    overrides: Optional[Dict[str, int]] = None,
+    *,
+    horizon: int,
     taint: Optional[TaintSpec] = None,
     instrumented: bool = False,
-) -> ProgramDriver:
-    """The :class:`ProgramDriver` executing ``script``."""
-    return ProgramDriver(tuple(script), taint, instrumented)
+    label: str = "",
+) -> Context:
+    """The core context running ``script`` from reset with ``overrides``.
+
+    Script items: ``("feed", (word, ...))`` drives each word on the fetch
+    port until ``fetch_ready`` accepts it; ``("wait_quiesce",)`` idles
+    until a cycle of its own shows ``pipe_quiesce``, so for at least one
+    cycle; ``("flush",)`` pulses ``taint_flush`` for one cycle
+    (Assumption 3; an idle cycle when not instrumented); ``("idle", n)``
+    idles for ``n`` cycles.  An unknown item raises ValueError.
+    """
+    steps = []
+    for item in script:
+        kind = item[0]
+        if kind == "feed":
+            steps += [({"in_valid": 1, "in_instr": word}, "fetch_ready") for word in item[1]]
+        elif kind == "wait_quiesce":
+            steps.append(({}, "pipe_quiesce"))
+        elif kind == "flush":
+            steps.append(({"taint_flush": 1} if instrumented else {}, None))
+        elif kind == "idle":
+            steps += [({}, None)] * item[1]
+        else:
+            raise ValueError("unknown script item %r" % (item,))
+    return Context.scripted(overrides or {}, steps, horizon,
+                            idle=taint_inputs(taint, instrumented), label=label)
 
 
 # ------------------------------------------------------- program execution
@@ -343,7 +293,7 @@ def _word_positions(netlist) -> Tuple[List[int], List[int]]:
     return positions
 
 
-# the signals run_program's loop reads each cycle
+# the signals run_program reads from each row
 _RUN_READS = ("fetch_ready", "pipe_quiesce", "commit_fire", "commit_pc")
 
 
@@ -376,7 +326,9 @@ class _RunPlan:
         entry = compiled(netlist)
         self.step = entry.step
         self.names = entry.observable_names
-        self.reads = tuple(self.names.index(name) for name in _RUN_READS)
+        self.ready, self.quiesce, self.fire, self.pc = (
+            self.names.index(name) for name in _RUN_READS
+        )
         self.reset = tuple(reg.reset for reg, _ in netlist.registers)
         self.reg_index = {reg.name: i for i, (reg, _) in enumerate(netlist.registers)}
         inputs = [node.name for node in netlist.inputs]
@@ -424,14 +376,15 @@ def run_program(
 
     ``sim`` is a :class:`repro.sim.Simulator` over a core netlist; only
     its ``netlist`` is read.  The run steps that netlist's slice observing
-    the four signals the loop reads (DESIGN §5q), whose ARF and memory
+    the four signals the run reads (DESIGN §5q), whose ARF and memory
     words are the core's, and leaves ``sim`` alone: after a run,
     ``sim.state`` is not the run's final state.  ``record_trace=True``
     steps the whole core instead, since a trace holds every observable.
 
-    The driver replays each word until ``fetch_ready`` accepts it (the
-    same handshake :func:`program_driver_factory` implements) and stops
-    at the first ``pipe_quiesce`` observation after the last accept.  Per-
+    Each word is a script step released by ``fetch_ready``, as in
+    :func:`program_context`; the run stops at the first ``pipe_quiesce``
+    row after the last accept and raises RuntimeError on a cycle that
+    would repeat forever instead, or after ``max_cycles``.  Per-
     instruction retire timestamps come from the commit port: the cycle
     each ``commit_pc`` is observed with ``commit_fire`` high.
     """
@@ -443,33 +396,22 @@ def run_program(
             if i:
                 values[plan.reg_index["arf_w%d" % i]] = value
         state = tuple(values)
-    feeds = plan.feeds(program)
-    length = len(feeds)
-    step, idle, names = plan.step, plan.idle, plan.names
-    i_ready, i_quiesce, i_fire, i_pc = plan.reads
-    trace = Trace(names) if record_trace else None
+    script = [(feed, plan.ready) for feed in plan.feeds(program)]
+    rows, state = drive(plan.step, state, script, plan.idle, max_cycles, quiesce=plan.quiesce)
+    fire, pc = plan.fire, plan.pc
     retire: Dict[int, int] = {}
-    ptr = 0
-    last_accept = -1
-    for t in range(max_cycles):
-        state, obs = step(state, feeds[ptr] if ptr < length else idle)
-        if trace is not None:
-            trace.append(dict(zip(names, obs)))
-        if ptr < length and obs[i_ready]:
-            ptr += 1
-            last_accept = t
-        if obs[i_fire]:
-            retire.setdefault(obs[i_pc], t)
-        if ptr >= length and t > last_accept and obs[i_quiesce]:
-            break
-    else:
-        raise RuntimeError(
-            "program did not quiesce within %d cycles" % max_cycles
-        )
+    for t, row in enumerate(rows):
+        if row[fire]:
+            retire.setdefault(row[pc], t)
+    trace = None
+    if record_trace:
+        trace = Trace(plan.names)
+        for row in rows:
+            trace.append(dict(zip(plan.names, row)))
     return ProgramRun(
         arf=[state[i] for i in plan.arf],
         mem=[state[i] for i in plan.mem],
-        cycles=t,
+        cycles=len(rows) - 1,
         retire=retire,
         trace=trace,
     )
@@ -577,7 +519,7 @@ class ContextGroup:
     """Contexts sharing one IUV placement (hence one IUV PC)."""
 
     iuv_pc: int
-    contexts: List[ReactiveContext]
+    contexts: List[Context]
     complete: bool
     label: str = ""
     taint_pc: Optional[int] = None  # transmitter slot PC (taint runs only)
@@ -611,14 +553,10 @@ class CoreContextProvider:
             "arf_w%d" % self.NB_RS2: w2,
         }
 
-    def _context(self, script, overrides, label, taint=None) -> ReactiveContext:
-        return ReactiveContext.make(
-            overrides,
-            program_driver_factory(
-                script, taint=taint, instrumented=self.config.instrumented
-            ),
-            horizon=self.config.horizon,
-            label=label,
+    def _context(self, script, overrides, label, taint=None) -> Context:
+        return program_context(
+            script, overrides, horizon=self.config.horizon, taint=taint,
+            instrumented=self.config.instrumented, label=label,
         )
 
     # --------------------------------------------------------------- uPATH runs

@@ -22,6 +22,7 @@ from ..rtl.module import Module
 from ..rtl.netlist import Netlist, elaborate
 from ..rtl.nodes import mux, zext
 from ..core.pl import DesignMetadata, MicroFsm, PerformingLocation, PlSlot
+from ..mc.enumerative import Context
 from . import isa
 from .core import CoreConfig, CoreDesign, build_core
 
@@ -30,7 +31,7 @@ __all__ = [
     "build_fixed_core",
     "OpPackConfig",
     "build_cva6_op",
-    "oppack_driver_factory",
+    "oppack_context",
 ]
 
 
@@ -260,31 +261,17 @@ def build_cva6_op(config: Optional[OpPackConfig] = None) -> CoreDesign:
     return CoreDesign(netlist=netlist, metadata=metadata, config=cfg)
 
 
-def oppack_driver_factory(pairs):
-    """Reactive driver feeding instruction pairs to CVA6-OP.
+def oppack_context(pairs, overrides: Optional[Dict[str, int]] = None, *,
+                   horizon: int, label: str = "") -> Context:
+    """The CVA6-OP context feeding instruction pairs from reset.
 
-    ``pairs``: sequence of (instr0_word, instr1_word_or_None).
+    ``pairs``: sequence of (instr0_word, instr1_word_or_None); each pair
+    is driven until ``fetch_ready`` accepts it.
     """
-    pairs = tuple(pairs)
-
-    def factory():
-        state = {"ptr": 0, "driving": False}
-
-        def driver(t, prev_obs):
-            if state["driving"] and prev_obs is not None and prev_obs["fetch_ready"]:
-                state["ptr"] += 1
-            state["driving"] = False
-            inputs = {}
-            if state["ptr"] < len(pairs):
-                w0, w1 = pairs[state["ptr"]]
-                inputs["in_valid0"] = 1
-                inputs["in_instr0"] = w0
-                if w1 is not None:
-                    inputs["in_valid1"] = 1
-                    inputs["in_instr1"] = w1
-                state["driving"] = True
-            return inputs
-
-        return driver
-
-    return factory
+    steps = []
+    for w0, w1 in pairs:
+        inputs = {"in_valid0": 1, "in_instr0": w0}
+        if w1 is not None:
+            inputs.update(in_valid1=1, in_instr1=w1)
+        steps.append((inputs, "fetch_ready"))
+    return Context.scripted(overrides or {}, steps, horizon, label=label)

@@ -14,7 +14,7 @@ undetermined.
 
 from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from .stats import PropertyStats
-from .enumerative import Context, EnumerativeEngine, ReactiveContext, TraceDB
+from .enumerative import Context, EnumerativeEngine, TraceDB, simulate_context
 from .bmc import BmcContext, SymbolicContextSpec
 from .kinduction import prove_unreachable_kinduction
 from .portfolio import PortfolioEngine
@@ -26,9 +26,9 @@ __all__ = [
     "CheckResult",
     "PropertyStats",
     "Context",
-    "ReactiveContext",
     "EnumerativeEngine",
     "TraceDB",
+    "simulate_context",
     "BmcContext",
     "SymbolicContextSpec",
     "prove_unreachable_kinduction",

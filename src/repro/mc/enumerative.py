@@ -36,7 +36,7 @@ import itertools
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..props.query import Query
@@ -48,7 +48,7 @@ from .stats import PropertyStats
 
 __all__ = [
     "Context",
-    "ReactiveContext",
+    "RELEASES",
     "TraceDB",
     "ProductFamily",
     "EnumerativeEngine",
@@ -56,93 +56,122 @@ __all__ = [
 ]
 
 
+#: the signals a script step can wait on: the fetch port's acceptance of
+#: the word (or request) it drives, and pipeline quiescence
+RELEASES = ("fetch_ready", "pipe_quiesce")
+
+
+def _pairs(assignment: Dict[str, int]) -> Tuple[Tuple[str, int], ...]:
+    return tuple(sorted(assignment.items()))
+
+
 @dataclass(frozen=True)
 class Context:
-    """One concrete execution context.
+    """One concrete execution context: a reset state, an input script and
+    a horizon.
 
     ``reset_overrides`` assigns initial values to architectural registers
-    (the paper's "only architectural state is symbolically initialized");
-    ``input_sequence`` drives the DUV's primary inputs cycle by cycle.
+    (the paper's "only architectural state is symbolically initialized").
+    ``script`` is a tuple of steps ``(assignment, release)``.  A step
+    drives its assignment (sorted ``(input, value)`` pairs, over the
+    ``idle`` inputs) every cycle until a cycle whose own row has the
+    ``release`` signal high, or for one cycle when ``release`` is None;
+    the next step starts on the following cycle.  After the last step
+    the ``idle`` inputs hold until ``horizon``.  A context holds no
+    callable, so contexts compare, hash and pickle by value, and equal
+    contexts simulate to equal rows.
     """
 
     reset_overrides: Tuple[Tuple[str, int], ...]
-    input_sequence: Tuple[Tuple[Tuple[str, int], ...], ...]
-    label: str = ""
-
-    @staticmethod
-    def make(reset_overrides: Dict[str, int], inputs: Sequence[Dict[str, int]], label=""):
-        return Context(
-            reset_overrides=tuple(sorted(reset_overrides.items())),
-            input_sequence=tuple(
-                tuple(sorted(cycle.items())) for cycle in inputs
-            ),
-            label=label,
-        )
-
-
-@dataclass(frozen=True)
-class ReactiveContext:
-    """A context whose inputs react to observations (e.g. fetch handshakes).
-
-    ``driver_factory()`` returns a fresh callable ``f(t, prev_obs) -> dict``
-    invoked once per cycle; ``prev_obs`` is the previous cycle's observation
-    dict (None at t=0), letting program drivers replay instructions until
-    the DUV's fetch interface accepts them.  The design harnesses' driver
-    factories are frozen dataclasses whose drivers are pure functions of
-    their fields, so their contexts compare, hash and pickle by value and
-    equal contexts simulate to equal rows.
-    """
-
-    reset_overrides: Tuple[Tuple[str, int], ...]
-    driver_factory: Callable[[], Callable]
+    script: Tuple[Tuple[Tuple[Tuple[str, int], ...], Optional[str]], ...]
     horizon: int
+    idle: Tuple[Tuple[str, int], ...] = ()
     label: str = ""
-    # the named signals the driver reads from prev_obs; keeping this list
-    # small avoids materializing every observable as a dict each cycle
-    feedback_signals: Tuple[str, ...] = ("fetch_ready", "pipe_quiesce")
 
     @staticmethod
-    def make(reset_overrides: Dict[str, int], driver_factory, horizon: int, label="",
-             feedback_signals=("fetch_ready", "pipe_quiesce")):
-        return ReactiveContext(
-            reset_overrides=tuple(sorted(reset_overrides.items())),
-            driver_factory=driver_factory,
-            horizon=horizon,
-            label=label,
-            feedback_signals=tuple(feedback_signals),
-        )
+    def make(reset_overrides: Dict[str, int], inputs: Iterable[Dict[str, int]], label=""):
+        """The open-loop context driving ``inputs``, one dict per cycle."""
+        steps = [(cycle, None) for cycle in inputs]
+        return Context.scripted(reset_overrides, steps, len(steps), label=label)
+
+    @staticmethod
+    def scripted(reset_overrides: Dict[str, int],
+                 steps: Iterable[Tuple[Dict[str, int], Optional[str]]],
+                 horizon: int, idle: Optional[Dict[str, int]] = None, label=""):
+        """The context driving ``steps``, ``(input dict, release)`` pairs
+        whose release is one of :data:`RELEASES` or None."""
+        script = tuple((_pairs(inputs), release) for inputs, release in steps)
+        for _, release in script:
+            if release is not None and release not in RELEASES:
+                raise ValueError("unknown release signal %r" % (release,))
+        return Context(_pairs(reset_overrides), script, horizon, _pairs(idle or {}), label)
 
 
-def simulate_context(simulator: Simulator, context) -> List[Tuple[int, ...]]:
+def drive(step, state: tuple, script: Sequence[Tuple[tuple, Optional[int]]],
+          idle: tuple, horizon: int, quiesce: Optional[int] = None):
+    """The stimulus loop: run a packed script over a compiled step.
+
+    ``script`` holds ``(input tuple, release column or None)`` pairs and
+    ``idle`` the input tuple after the last step, with the step rule of
+    :class:`Context`.  Returns ``(rows, state)``, the rows and the state
+    after the last row.  A cycle whose step returns its own state and
+    neither releases a step nor stops the run repeats forever: its row
+    pads the rest of the horizon.  With ``quiesce`` (a column), the run
+    instead stops at the first row after the last release that has it
+    high, and such a cycle raises ``RuntimeError``, as does reaching
+    ``horizon`` first.
+    """
+    rows = []
+    n = len(script)
+    i = 0
+    inputs, release = script[0] if n else (idle, None)
+    for t in range(horizon):
+        after, row = step(state, inputs)
+        rows.append(row)
+        if i < n:
+            if release is None or row[release]:
+                i += 1
+                inputs, release = script[i] if i < n else (idle, None)
+                state = after
+                continue
+        elif quiesce is not None and row[quiesce]:
+            return rows, after
+        if after == state:
+            if quiesce is not None:
+                raise RuntimeError(
+                    "program did not quiesce: cycle %d repeats cycle %d forever"
+                    % (t + 1, t)
+                )
+            rows += [row] * (horizon - t - 1)
+            return rows, state
+        state = after
+    if quiesce is not None:
+        raise RuntimeError("program did not quiesce within %d cycles" % horizon)
+    return rows, state
+
+
+def simulate_context(simulator: Simulator, context: Context) -> List[Tuple[int, ...]]:
     """Reset ``simulator`` and drive one context through it, returning rows.
 
     Shared between :class:`TraceDB` (which builds views for many queries)
     and cover-witness replay (:mod:`repro.cert`), which re-drives the
     same stimulus through a *fresh* simulator so its check is independent
-    of the rows the original verdict was read from.
+    of the rows the original verdict was read from.  The simulator is
+    left in the run's final state.
     """
     simulator.reset(dict(context.reset_overrides))
-    if isinstance(context, ReactiveContext):
-        # hand the driver a minimal dict of its declared feedback
-        # signals instead of materializing every observable
-        feedback = []
-        for name in context.feedback_signals:
-            try:
-                feedback.append((name, simulator.observable_index(name)))
-            except KeyError:  # a netlist need not expose every signal
-                pass
-        driver = context.driver_factory()
-        rows = []
-        prev_obs = None
-        for t in range(context.horizon):
-            row = simulator.step_tuple(driver(t, prev_obs))
-            rows.append(row)
-            prev_obs = {name: row[i] for name, i in feedback}
-        return rows
-    return [
-        simulator.step_tuple(dict(cycle_inputs))
-        for cycle_inputs in context.input_sequence
+    idle = dict(context.idle)
+    script = [
+        (simulator.pack_inputs({**idle, **dict(assignment)}),
+         None if release is None else simulator.observable_index(release))
+        for assignment, release in context.script
     ]
+    rows, simulator.state = drive(
+        compiled(simulator.netlist).step, simulator.state, script,
+        simulator.pack_inputs(idle), context.horizon,
+    )
+    simulator.cycle = context.horizon
+    return rows
 
 
 class TraceDB:

@@ -38,6 +38,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from .. import obs
 from ..designs import isa
 from ..designs.harness import default_value_set, slot_pc
+from ..mc.enumerative import drive
 
 __all__ = [
     "PERF_MODEL_VERSION",
@@ -245,11 +246,12 @@ class _ProbeBench:
     IUV_RD, IUV_RS1, IUV_RS2 = 3, 1, 2
 
     def __init__(self, design):
-        from ..sim import Simulator
+        from ..sim.simulator import Simulator, compiled
 
         self.design = design
         self.config = design.config
         self.sim = Simulator(design.netlist)
+        self._step = compiled(design.netlist).step
         self._i_ready = self.sim.observable_index("fetch_ready")
         self._i_quiesce = self.sim.observable_index("pipe_quiesce")
         self._slot_index = []
@@ -262,27 +264,24 @@ class _ProbeBench:
                 ))
 
     def run(self, program, overrides, max_cycles=200):
-        """Run to quiescence; returns per-cycle {pl: set-of-pcs} rows."""
-        self.sim.reset(overrides)
+        """Run to quiescence, as :func:`~repro.designs.harness.run_program`
+        does; returns per-cycle {pl: set-of-pcs} rows."""
+        sim = self.sim
+        sim.reset(overrides)
+        script = [
+            (sim.pack_inputs({"in_valid": 1, "in_instr": word}), self._i_ready)
+            for word in program
+        ]
+        tuples, _ = drive(self._step, sim.state, script, sim.pack_inputs(None),
+                          max_cycles, quiesce=self._i_quiesce)
         rows = []
-        ptr = 0
-        last_accept = -1
-        for t in range(max_cycles):
-            inputs = None
-            if ptr < len(program):
-                inputs = {"in_valid": 1, "in_instr": program[ptr]}
-            tup = self.sim.step_tuple(inputs)
+        for tup in tuples:
             row = {}
             for name, i_occ, i_pc in self._slot_index:
                 if tup[i_occ]:
                     row.setdefault(name, set()).add(tup[i_pc])
             rows.append(row)
-            if ptr < len(program) and tup[self._i_ready]:
-                ptr += 1
-                last_accept = t
-            if ptr >= len(program) and t > last_accept and tup[self._i_quiesce]:
-                return rows
-        raise RuntimeError("probe program did not quiesce")
+        return rows
 
     def extract(self, rows, pc):
         """Run-length sets of the instruction at ``pc`` along ``rows``."""

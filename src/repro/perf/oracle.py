@@ -181,6 +181,12 @@ def check_sequence(
     ``netlist``.  Classification re-runs the simulation with trace
     recording only when a divergence needs it.
     """
+    return _check_sequence(design, sim, model, program, arf_init, seed)[0]
+
+
+def _check_sequence(design, sim, model, program, arf_init, seed):
+    """:func:`check_sequence`'s mismatch, and the prediction it made
+    (None when the predictor raised)."""
     program = list(program)
     arf_init = list(arf_init)
     try:
@@ -197,7 +203,12 @@ def check_sequence(
             divergent_slot=None,
             divergent_pc=None,
             detail="predictor error: %s" % exc,
-        )
+        ), None
+    return _compare(design, sim, model, program, arf_init, seed, predicted), predicted
+
+
+def _compare(design, sim, model, program, arf_init, seed, predicted):
+    """The mismatch between ``predicted`` and the RTL run, or None."""
     run = run_program(sim, program, arf_init)
     steps = predicted.steps
 
@@ -492,18 +503,15 @@ def run_perf_campaign(
             )
             seq_started = time.monotonic()
             with obs.span("perf.sequence", seed=seq_seed, length=len(program)):
-                mismatch = check_sequence(
-                    design, sim, model, program, arf_init, seed=seq_seed
+                mismatch, predicted = _check_sequence(
+                    design, sim, model, program, arf_init, seq_seed
                 )
                 # stall accounting feeds the timing-variability report
-                try:
-                    predicted = predict_program(model, program, arf_init)
+                if predicted is not None:
                     for cls, count in predicted.stalls.items():
                         if count:
                             stall_totals[cls] = stall_totals.get(cls, 0) + count
                             _STALLS.inc(count, hazard=cls)
-                except PredictError:
-                    pass
             _SEQ_SECONDS.observe(time.monotonic() - seq_started)
             result.sequences += 1
             if mismatch is None:

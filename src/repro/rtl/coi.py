@@ -305,7 +305,7 @@ def observed_netlist(netlist: Netlist, names: Iterable[str]) -> Netlist:
     The cone is :func:`coi_slice`'s, so simulating the result gives every
     named signal the values it takes in ``netlist``, cycle for cycle.  Two
     things differ from that slice: every primary input stays, in
-    ``inputs`` and ``order``, so a driver may still drive any of them and
+    ``inputs`` and ``order``, so a context may still drive any of them and
     the input tuple keeps its layout; and the named signals are exactly
     ``names``, in that order, with no outputs, so a simulator's rows hold
     those columns and no others.  Raises KeyError for names not in

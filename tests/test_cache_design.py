@@ -2,13 +2,16 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro.designs.cache import (
     CacheConfig,
     CacheContextProvider,
     build_cache,
-    cache_driver_factory,
+    cache_context,
 )
 from repro.designs.harness import slot_pc
+from repro.mc import simulate_context
 from repro.sim import Simulator
 
 
@@ -23,14 +26,8 @@ def cache_sim(cache_design):
 
 
 def run(design, sim, requests, horizon=36):
-    sim.reset()
-    driver = cache_driver_factory(requests)()
-    prev = None
-    trace = []
-    for t in range(horizon):
-        prev = sim.step(driver(t, prev))
-        trace.append(prev)
-    return trace
+    rows = simulate_context(sim, cache_context(requests, horizon=horizon))
+    return [dict(zip(sim.observable_names, row)) for row in rows]
 
 
 def visits(design, trace, pc):
@@ -79,11 +76,8 @@ class TestLoads:
         assert ("mshr",) in seq
 
     def test_fill_data_comes_from_backing_memory(self, cache_design, cache_sim):
-        cache_sim.reset({"bmem_w1": 0x7E})
-        driver = cache_driver_factory([(False, 1, 0)])()
-        prev = None
-        for t in range(20):
-            prev = cache_sim.step(driver(t, prev))
+        context = cache_context([(False, 1, 0)], horizon=20)
+        simulate_context(cache_sim, replace(context, reset_overrides=(("bmem_w1", 0x7E),)))
         # way 0 of set 1 now holds the backing value
         assert cache_sim.state_dict()["data_s1_w0"] == 0x7E
 

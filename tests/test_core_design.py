@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.designs import CoreConfig, build_core, isa, program_driver_factory, slot_pc
+from repro.designs import CoreConfig, build_core, isa, program_context, slot_pc
 from repro.designs.variants import build_cva6_mul, build_fixed_core
+from repro.mc import simulate_context
 from repro.sim import Simulator
 
 
@@ -13,14 +14,8 @@ def sim(core_design):
 
 
 def run(design, sim, script, overrides, horizon=44):
-    sim.reset(overrides)
-    driver = program_driver_factory(script)()
-    prev = None
-    trace = []
-    for t in range(horizon):
-        prev = sim.step(driver(t, prev))
-        trace.append(prev)
-    return trace
+    rows = simulate_context(sim, program_context(script, overrides, horizon=horizon))
+    return [dict(zip(sim.observable_names, row)) for row in rows]
 
 
 def visits(design, trace, pc):

@@ -416,7 +416,7 @@ def engine_disagreements(design):
             out.append(("product", "len"))
         if distinct_rows(product) != distinct_rows(full):
             out.append(("product", "distinct_views"))
-        if any(product.sequence(i) != [dict(cycle) for cycle in context.input_sequence]
+        if any(product.sequence(i) != [dict(cycle) for cycle, _ in context.script]
                for i, context in enumerate(full.contexts)):
             out.append(("product", "sequence"))
         out += [("product",) + d for d in

@@ -1,69 +1,94 @@
-"""Context-provider and program-driver tests."""
+"""Context-provider and program-script tests."""
 
 import pytest
 
 from repro.designs import (
     ContextFamilyConfig,
     CoreContextProvider,
-    build_core,
     isa,
-    program_driver_factory,
+    program_context,
     slot_pc,
 )
 from repro.designs.harness import TaintSpec, default_value_set, small_value_set
+from repro.mc import Context, simulate_context
+from repro.rtl import Module, elaborate
 from repro.sim import Simulator
+
+PORT = ("in_valid", "in_instr", "taint_pc", "taint_rs1", "taint_rs2",
+        "taint_intro", "taint_flush")
+
+
+def port_netlist(ready_from=0):
+    """A core's stimulus port that observes its own inputs: ``fetch_ready``
+    rises at cycle ``ready_from`` and ``pipe_quiesce`` is always high."""
+    m = Module("port")
+    for name in PORT:
+        m.name_signal(name, m.input(name, 16))
+    count = m.reg("count", 4, reset=0)
+    count.next = count.q + 1
+    m.name_signal("fetch_ready", m.const(ready_from, 4).ult(count.q + 1))
+    m.name_signal("pipe_quiesce", m.const(1, 1))
+    return elaborate(m)
+
+
+def columns(context, ready_from=0):
+    """Each of the port's inputs, per cycle, as ``context`` drives it."""
+    sim = Simulator(port_netlist(ready_from))
+    rows = simulate_context(sim, context)
+    return {name: [row[sim.observable_index(name)] for row in rows] for name in PORT}
 
 
 class TestDriver:
     def test_replays_until_accepted(self):
-        word = isa.encode("ADD", rd=3, rs1=1, rs2=2)
-        driver = program_driver_factory([("feed", (word, word))])()
-        # cycle 0: drives word; pretend not accepted
-        inputs = driver(0, None)
-        assert inputs["in_valid"] == 1
-        inputs = driver(1, {"fetch_ready": 0})
-        assert inputs["in_instr"] == word  # same slot replayed
-        inputs = driver(2, {"fetch_ready": 1})
-        assert inputs["in_valid"] == 1  # second slot now
+        first, second = isa.encode("ADD", rd=3, rs1=1, rs2=2), isa.encode("SUB")
+        context = program_context([("feed", (first, second))], horizon=6)
+        # fetch_ready is low for cycles 0 and 1: the first word is driven
+        # until cycle 2 accepts it, and the second word on cycle 3
+        got = columns(context, ready_from=2)
+        assert got["in_instr"] == [first, first, first, second, 0, 0]
+        assert got["in_valid"] == [1, 1, 1, 1, 0, 0]
 
     def test_idle_phase(self):
         word = isa.encode("ADD")
-        driver = program_driver_factory([("idle", 2), ("feed", (word,))])()
-        assert "in_valid" not in driver(0, None)
-        assert "in_valid" not in driver(1, {"fetch_ready": 1})
-        assert driver(2, {"fetch_ready": 1})["in_valid"] == 1
+        context = program_context([("idle", 2), ("feed", (word,))], horizon=4)
+        assert columns(context)["in_valid"] == [0, 0, 1, 0]
 
     def test_quiesce_requires_waited_cycle(self):
+        # pipe_quiesce is high from reset, yet the wait takes one cycle:
+        # its release is read from a row of its own
         word = isa.encode("ADD")
-        driver = program_driver_factory([("wait_quiesce",), ("feed", (word,))])()
-        # first call: stale quiescent observation must NOT advance the phase
-        inputs = driver(0, None)
-        assert "in_valid" not in inputs
-        inputs = driver(1, {"fetch_ready": 1, "pipe_quiesce": 1})
-        assert inputs["in_valid"] == 1
+        context = program_context([("wait_quiesce",), ("feed", (word,))], horizon=3)
+        assert columns(context)["in_valid"] == [0, 1, 0]
 
     def test_flush_pulse(self):
-        driver = program_driver_factory([("flush",), ("idle", 1)], instrumented=True)()
-        assert driver(0, None)["taint_flush"] == 1
-        assert driver(1, None)["taint_flush"] == 0
+        context = program_context([("flush",), ("idle", 1)], horizon=3, instrumented=True)
+        assert columns(context)["taint_flush"] == [1, 0, 0]
+        plain = program_context([("flush",), ("idle", 1)], horizon=3)
+        assert columns(plain)["taint_flush"] == [0, 0, 0]
 
     def test_taint_inputs(self):
         spec = TaintSpec(pc=12, rs1=True)
-        driver = program_driver_factory([("idle", 1)], taint=spec, instrumented=True)()
-        inputs = driver(0, None)
-        assert inputs["taint_pc"] == 12
-        assert inputs["taint_rs1"] == 1 and inputs["taint_rs2"] == 0
-        assert inputs["taint_intro"] == 1
+        word = isa.encode("ADD")
+        context = program_context(
+            [("idle", 1), ("feed", (word,))], horizon=3, taint=spec, instrumented=True
+        )
+        got = columns(context)
+        # the taint constants hold on every cycle, fed words included
+        assert got["taint_pc"] == [12] * 3
+        assert got["taint_rs1"] == [1] * 3 and got["taint_rs2"] == [0] * 3
+        assert got["taint_intro"] == [1] * 3
+        assert got["in_valid"] == [0, 1, 0]
 
     def test_uninstrumented_omits_controls(self):
-        driver = program_driver_factory([("idle", 1)])()
-        inputs = driver(0, None)
-        assert "taint_intro" not in inputs
+        context = program_context([("idle", 1)], horizon=2)
+        assert context.idle == ()
+        assert columns(context)["taint_intro"] == [0, 0]
 
     def test_unknown_item_rejected(self):
-        driver = program_driver_factory([("bogus",)])()
-        with pytest.raises(ValueError):
-            driver(0, None)
+        with pytest.raises(ValueError, match="unknown script item"):
+            program_context([("feed", (1,)), ("bogus",)], horizon=4)
+        with pytest.raises(ValueError, match="unknown release"):
+            Context.scripted({}, [({}, "commit_fire")], horizon=4)
 
 
 class TestValueSets:

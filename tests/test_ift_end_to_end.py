@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.synthlc import instrument_design
-from repro.designs import isa, program_driver_factory, slot_pc
+from repro.designs import isa, program_context, slot_pc
 from repro.designs.harness import TaintSpec
+from repro.mc import simulate_context
 from repro.sim import Simulator
 
 
@@ -23,17 +24,12 @@ def ift_core(core_design):
 
 def run_tainted(core_design, ift, program, overrides, taint_pc, horizon=40):
     sim = Simulator(ift.netlist)
-    sim.reset(overrides)
     taint = TaintSpec(pc=taint_pc, rs1=True, rs2=True)
-    driver = program_driver_factory(
-        [("feed", tuple(program))], taint=taint, instrumented=True
-    )()
-    prev = None
-    rows = []
-    for t in range(horizon):
-        prev = sim.step(driver(t, prev))
-        rows.append(prev)
-    return rows
+    context = program_context(
+        [("feed", tuple(program))], overrides, horizon=horizon, taint=taint,
+        instrumented=True,
+    )
+    return [dict(zip(sim.observable_names, row)) for row in simulate_context(sim, context)]
 
 
 def occupancy_profiles(core_design, rows, pc):

@@ -13,7 +13,6 @@ from repro.mc import (
     Context,
     EnumerativeEngine,
     PropertyStats,
-    ReactiveContext,
     SymbolicContextSpec,
     TraceDB,
     prove_unreachable_kinduction,
@@ -21,8 +20,9 @@ from repro.mc import (
 from repro.props import Eventually, Query, Sequence, VisitedCover, eq, sig
 
 
-def fsm_design():
-    """0 -> 1 (on go) -> 2 -> 0; state 3 unreachable."""
+def fsm_design(quiesce_signal=False):
+    """0 -> 1 (on go) -> 2 -> 0; state 3 unreachable.  ``quiesce_signal``
+    also names state 0 ``pipe_quiesce``."""
     m = Module("fsm")
     go = m.input("go", 1)
     st = m.reg("st", 2, reset=0)
@@ -34,6 +34,8 @@ def fsm_design():
     for i in range(4):
         m.name_signal("s%d" % i, st.q.eq(i))
     m.name_signal("state", st.q)
+    if quiesce_signal:
+        m.name_signal("pipe_quiesce", st.q.eq(0))
     return elaborate(m)
 
 
@@ -90,22 +92,18 @@ class TestEnumerative:
             Query("s", Sequence(sig("s2"), sig("s1")))
         ).outcome == UNREACHABLE
 
-    def test_reactive_context(self, fsm):
-        # drive go only once the FSM is observed in state 0 (always true at
-        # reset); exercises the driver feedback path
-        def factory():
-            def driver(t, prev_obs):
-                if prev_obs is None or prev_obs["s0"]:
-                    return {"go": 1}
-                return {"go": 0}
-
-            return driver
-
-        db = TraceDB(
-            fsm,
-            [ReactiveContext.make({}, factory, horizon=6, feedback_signals=("s0",))],
-            complete=False,
+    def test_reactive_context(self):
+        # pulse go, wait until the FSM is back in state 0 (its release
+        # signal here), then pulse go again: the wait step holds for as
+        # many cycles as the FSM takes
+        fsm = fsm_design(quiesce_signal=True)
+        context = Context.scripted(
+            {}, [({"go": 1}, None), ({}, "pipe_quiesce"), ({"go": 1}, None)], horizon=6
         )
+        db = TraceDB(fsm, [context], complete=False)
+        assert [view.word("state", t) for view in db.views for t in range(6)] == [
+            0, 1, 2, 0, 0, 1,
+        ]
         result = EnumerativeEngine(db).check(Query("r", Eventually(sig("s2"))))
         assert result.outcome == REACHABLE
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mc import Context, PropertyStats, ReactiveContext
+from repro.mc import Context, PropertyStats
 from repro.mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 
 
@@ -17,11 +17,6 @@ class TestContextDataclasses:
     def test_reset_overrides_sorted(self):
         a = Context.make({"b": 2, "a": 1}, [])
         assert a.reset_overrides == (("a", 1), ("b", 2))
-
-    def test_reactive_defaults(self):
-        ctx = ReactiveContext.make({}, lambda: (lambda t, prev: {}), horizon=4)
-        assert ctx.feedback_signals == ("fetch_ready", "pipe_quiesce")
-        assert ctx.horizon == 4
 
 
 class TestPropertyStats:

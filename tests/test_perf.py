@@ -268,6 +268,37 @@ class TestCampaign:
         assert result.unclassified == 0
         assert "exact cycle agreement" in result.summary()
 
+    def test_campaign_predicts_each_sequence_once(self, tmp_path, monkeypatch):
+        """The stall accounting reuses ``check_sequence``'s prediction."""
+        import repro.perf.oracle as oracle
+
+        design, _, model = _compiled("cva6-mul")
+        programs = []
+        real = oracle.predict_program
+
+        def counting(model, program, arf_init):
+            programs.append(list(program))
+            return real(model, program, arf_init)
+
+        monkeypatch.setattr(oracle, "predict_program", counting)
+        result = run_perf_campaign(
+            design, model,
+            PerfCampaignConfig(seed=1, budget_seconds=30.0, max_sequences=20,
+                               out_dir=str(tmp_path), shrink=False),
+        )
+        monkeypatch.undo()
+        assert result.sequences == len(programs) == 20
+        stalls = {}
+        for index in range(20):
+            program, arf_init = sample_sequence(
+                oracle._SEED_STRIDE + index, xlen=model.xlen, nregs=model.nregs
+            )
+            assert program == programs[index]
+            for cls, count in predict_program(model, program, arf_init).stalls.items():
+                if count:
+                    stalls[cls] = stalls.get(cls, 0) + count
+        assert stalls and result.predicted_stalls == stalls
+
     def test_buggy_campaign_reports_and_writes_reproducers(self, tmp_path):
         design, _, model = _compiled("core")
         mutated = mutate_latency(model, "MUL", +1)

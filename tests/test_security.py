@@ -13,20 +13,19 @@ from repro.designs import isa
 
 class TestReceiver:
     def test_observation_erases_instruction_identity(self, core_design):
+        from repro.designs import program_context
+        from repro.mc import simulate_context
         from repro.sim import Simulator
-        from repro.designs import program_driver_factory
 
         receiver = UPathReceiver(core_design.metadata)
         sim = Simulator(core_design.netlist)
-        sim.reset({"arf_w1": 3})
-        driver = program_driver_factory(
-            [("feed", (isa.encode("ADD", rd=3, rs1=1, rs2=2),))]
-        )()
-        prev = None
-        observations = []
-        for t in range(10):
-            prev = sim.step(driver(t, prev))
-            observations.append(receiver.observe(prev))
+        context = program_context(
+            [("feed", (isa.encode("ADD", rd=3, rs1=1, rs2=2),))], {"arf_w1": 3}, horizon=10
+        )
+        observations = [
+            receiver.observe(dict(zip(sim.observable_names, row)))
+            for row in simulate_context(sim, context)
+        ]
         # the IF slot shows up as a PL#signal entry, no PC anywhere
         assert any(any(e.startswith("IF#") for e in obs) for obs in observations)
         assert all("pc" not in e for obs in observations for e in obs)

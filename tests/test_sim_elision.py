@@ -1,14 +1,17 @@
-"""Fixed-point elision in ``Simulator.step_tuple``.
+"""Fixed-point elision in ``Simulator.step_tuple`` and the stimulus loop.
 
 Once a step returns the state it was given, later calls with that state
 object and equal inputs replay the remembered row instead of running the
-step function.  Rows must equal a direct step loop's, a changed input
-must re-step, ``reset`` must forget the fixed point, and ``cycle`` must
-count every call.
+step function; the stimulus loop behind ``simulate_context`` pads the
+rest of the horizon with a fixed point's row when no step is released.
+Rows must equal a direct step loop's, a changed input must re-step,
+``reset`` must forget the fixed point, and ``cycle`` must count every
+call.
 """
 
 import pytest
 
+import repro.mc.enumerative as enumerative
 from repro.core.synthlc import instrument_design
 from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core
 from repro.designs.cache import CacheContextProvider, build_cache
@@ -58,27 +61,61 @@ def counted(sim):
     return calls
 
 
+def counted_drive(monkeypatch):
+    """Wrap the step that ``simulate_context``'s loop calls; returns the
+    list each call appends to."""
+    calls = []
+    real = enumerative.drive
+
+    def drive(step, *args, **kwargs):
+        def counting(state, inputs):
+            calls.append(inputs)
+            return step(state, inputs)
+
+        return real(counting, *args, **kwargs)
+
+    monkeypatch.setattr(enumerative, "drive", drive)
+    return calls
+
+
+def input_blind_drive(step, state, script, idle, horizon, quiesce=None):
+    """Planted bug: pads with the first fixed point's row, even when that
+    row releases a step and the inputs change."""
+    rows = []
+    i = 0
+    for t in range(horizon):
+        inputs, release = script[i] if i < len(script) else (idle, None)
+        after, row = step(state, inputs)
+        rows.append(row)
+        if after == state:
+            return rows + [row] * (horizon - t - 1), state
+        if i < len(script) and (release is None or row[release]):
+            i += 1
+        state = after
+    return rows, state
+
+
 def direct_rows(netlist, context):
-    """``context``'s rows from a plain loop over the compiled step."""
-    step = compiled(netlist).step
-    names = compiled(netlist).observable_names
+    """``context``'s rows from a plain loop over the compiled step: every
+    cycle stepped, the script's step rule spelled out."""
+    entry = compiled(netlist)
     overrides = dict(context.reset_overrides)
     state = tuple(overrides.get(reg.name, reg.reset) for reg, _ in netlist.registers)
-    feedback = [(n, names.index(n)) for n in context.feedback_signals if n in names]
-    driver = context.driver_factory()
+    steps = list(context.script)
     rows = []
-    prev_obs = None
     for t in range(context.horizon):
-        inputs = driver(t, prev_obs)
-        state, row = step(state, tuple(inputs.get(node.name, 0) for node in netlist.inputs))
+        assignment, release = steps[0] if steps else ((), None)
+        inputs = {**dict(context.idle), **dict(assignment)}
+        state, row = entry.step(state, tuple(inputs.get(node.name, 0) for node in netlist.inputs))
         rows.append(row)
-        prev_obs = {name: row[i] for name, i in feedback}
+        if steps and (release is None or row[entry.observable_names.index(release)]):
+            steps.pop(0)
     return rows
 
 
-def mismatches(simulator_cls, netlist, contexts):
+def mismatches(netlist, contexts):
     """Contexts whose simulated rows differ from the direct loop's."""
-    sim = simulator_cls(netlist)
+    sim = Simulator(netlist)
     return [
         context for context in dict.fromkeys(contexts)
         if simulate_context(sim, context) != direct_rows(netlist, context)
@@ -140,11 +177,11 @@ class TestElision:
         # one call finds the fixed point, then each enabled cycle steps
         assert len(calls) == 4 and sim.cycle == len(ENABLE_ROWS)
 
-    def test_quiescing_core_context_skips_its_tail(self, core):
+    def test_quiescing_core_context_skips_its_tail(self, core, monkeypatch):
         provider = CoreContextProvider(xlen=4, config=SMOKE_FAMILY)
         context = provider.mupath_groups("ADD")[0].contexts[0]
         sim = Simulator(core.netlist)
-        calls = counted(sim)
+        calls = counted_drive(monkeypatch)
         rows = simulate_context(sim, context)
         assert len(rows) == sim.cycle == context.horizon
         assert 0 < len(calls) < context.horizon
@@ -189,22 +226,23 @@ class TestElision:
 class TestRowsMatchDirectLoop:
     def test_static_taint_script(self, static_taint):
         netlist, contexts = static_taint
-        assert mismatches(Simulator, netlist, contexts) == []
+        assert mismatches(netlist, contexts) == []
 
     def test_smoke_core_family(self, core):
         provider = CoreContextProvider(xlen=4, config=SMOKE_FAMILY)
         for iuv in ("ADD", "DIV"):
             contexts = [c for g in provider.mupath_groups(iuv) for c in g.contexts]
-            assert mismatches(Simulator, core.netlist, contexts) == []
+            assert mismatches(core.netlist, contexts) == []
 
     def test_smoke_cache_family(self):
         contexts = [
             c for g in CacheContextProvider(horizon=40).mupath_groups("LD") for c in g.contexts
         ]
-        assert mismatches(Simulator, build_cache().netlist, contexts) == []
+        assert mismatches(build_cache().netlist, contexts) == []
 
-    def test_planted_input_blind_replay_is_caught(self, static_taint):
+    def test_planted_input_blind_replay_is_caught(self, static_taint, monkeypatch):
         netlist, contexts = static_taint
-        assert mismatches(IgnoresInputs, netlist, contexts)
+        monkeypatch.setattr(enumerative, "drive", input_blind_drive)
+        assert mismatches(netlist, contexts)
         assert _enable_rows(IgnoresInputs(_counter())) != ENABLE_ROWS
 

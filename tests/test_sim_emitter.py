@@ -22,6 +22,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.mc.enumerative as enumerative
 import repro.rtl.coi as coi_mod
 import repro.sim.simulator as simulator_mod
 from repro.core.synthlc import ASSUMPTIONS, OPERANDS, SynthLC, instrument_design
@@ -142,18 +143,24 @@ def random_pairs(netlist, count, seed=0):
 
 
 def reached_pairs(netlist, contexts):
-    """Every (state, inputs) a Simulator steps while driving ``contexts``."""
+    """Every (state, inputs) ``simulate_context`` steps while driving
+    ``contexts``."""
     pairs = {}
+    real = enumerative.drive
+
+    def drive(step, *args, **kwargs):
+        def recording(state, inputs):
+            pairs[state, inputs] = None
+            return step(state, inputs)
+
+        return real(recording, *args, **kwargs)
+
     sim = Simulator(netlist)
-    step = sim._step_fn
-
-    def recording(state, inputs):
-        pairs[state, inputs] = None
-        return step(state, inputs)
-
-    sim._step_fn = recording
-    for context in dict.fromkeys(contexts):
-        simulate_context(sim, context)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerative, "drive", drive)
+        for context in dict.fromkeys(contexts):
+            simulate_context(sim, context)
+    assert pairs
     return list(pairs)
 
 
@@ -221,7 +228,7 @@ def netlists(smoke_taint):
     for name, design in designs.items():
         out[name + "-ift"] = instrument_design(design).netlist
     tool, contexts = smoke_taint
-    out["core-ift-observed"] = tool.observed(contexts)
+    out["core-ift-observed"] = tool.observed()
     return out
 
 
@@ -393,7 +400,7 @@ def repeats(rows):
 
 def test_observed_taint_rows_match_full_projection(smoke_taint):
     tool, contexts = smoke_taint
-    full, observed = tool.ift.netlist, tool.observed(contexts)
+    full, observed = tool.ift.netlist, tool.observed()
     assert (observed.num_cells, len(observed.registers), len(observed.named)) == (5475, 220, 93)
     assert (full.num_cells, len(full.registers)) == (6679, 244)
     assert [node.name for node in observed.inputs] == [node.name for node in full.inputs]
@@ -418,7 +425,7 @@ def test_planted_frozen_taint_register_is_caught(smoke_taint, monkeypatch):
 
     monkeypatch.setattr(coi_mod, "_cone_registers", freeze_operand_taint)
     tool, contexts = smoke_taint
-    planted = observed_netlist(tool.ift.netlist, tool.observed(contexts).named)
+    planted = observed_netlist(tool.ift.netlist, tool.observed().named)
     assert "iss_rs1v__t" in {reg.name for reg, _ in planted.registers}
     mismatch, _ = projection_mismatch(tool.ift.netlist, planted, contexts)
     assert mismatch is not None

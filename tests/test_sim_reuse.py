@@ -14,12 +14,12 @@ import repro.mc.enumerative as enumerative
 import repro.sim.simulator as simulator_module
 from repro.core import Rtl2MuPath
 from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core, isa
-from repro.designs.cache import CacheContextProvider, cache_driver_factory
+from repro.designs.cache import CacheContextProvider, cache_context
 from repro.designs.core import CoreConfig
-from repro.designs.harness import TaintSpec, program_driver_factory
+from repro.designs.harness import TaintSpec, program_context
 from repro.engine import EngineConfig, JobScheduler
 from repro.fuzz.metamorphic import canonical_mupaths
-from repro.mc import ReactiveContext, TraceDB
+from repro.mc import TraceDB
 from repro.mc.enumerative import simulate_context
 from repro.rtl.netlist import Netlist, netlist_fingerprint
 from repro.sim import Simulator
@@ -33,24 +33,19 @@ IUVS = ("ADD", "DIV")
 
 
 def _core_context(script=None, overrides=None, taint=None, instrumented=False,
-                  horizon=24, feedback=("fetch_ready", "pipe_quiesce")):
+                  horizon=24):
     word = isa.encode("ADD", rd=3, rs1=1, rs2=2)
-    return ReactiveContext.make(
+    return program_context(
+        [("feed", (word,))] if script is None else script,
         {"arf_w1": 1, "arf_w2": 2} if overrides is None else overrides,
-        program_driver_factory(
-            [("feed", (word,))] if script is None else script,
-            taint=taint, instrumented=instrumented,
-        ),
-        horizon=horizon, label="ctx", feedback_signals=feedback,
+        horizon=horizon, taint=taint, instrumented=instrumented, label="ctx",
     )
 
 
 def _cache_context(requests=((False, 1, 1), "quiesce", (True, 1, 2)),
                    taint=None, instrumented=False):
-    return ReactiveContext.make(
-        {}, cache_driver_factory(requests, taint=taint, instrumented=instrumented),
-        horizon=40, label="ctx",
-    )
+    return cache_context(requests, horizon=40, taint=taint,
+                         instrumented=instrumented, label="ctx")
 
 
 # ------------------------------------------------------- value-typed contexts
@@ -77,7 +72,6 @@ class TestValueContexts:
             _core_context(script=[("feed", (word,))]),
             _core_context(overrides={"arf_w1": 2, "arf_w2": 2}),
             _core_context(horizon=25),
-            _core_context(feedback=("fetch_ready",)),
         ]
         for variant in variants:
             assert variant != base

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.designs import isa
-from repro.designs.variants import OpPackConfig, build_cva6_op, oppack_driver_factory
+from repro.designs.variants import OpPackConfig, build_cva6_op, oppack_context
+from repro.mc import simulate_context
 from repro.sim import Simulator
 
 
@@ -18,14 +19,8 @@ def op_sim(op_design):
 
 
 def run(design, sim, pairs, overrides, horizon=12):
-    sim.reset(overrides)
-    driver = oppack_driver_factory(pairs)()
-    prev = None
-    trace = []
-    for t in range(horizon):
-        prev = sim.step(driver(t, prev))
-        trace.append(prev)
-    return trace
+    rows = simulate_context(sim, oppack_context(pairs, overrides, horizon=horizon))
+    return [dict(zip(sim.observable_names, row)) for row in rows]
 
 
 def visits(design, trace, pc):
