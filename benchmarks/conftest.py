@@ -144,8 +144,11 @@ def _benchmark_gate(benchmark):
     one timed test with several shape-assertion tests over the same
     session fixtures; this autouse fixture statically pulls the benchmark
     fixture into every test and feeds it a no-op measurement when the
-    test body did not register one itself.
+    test body did not register one itself.  The check reads whether the
+    test used the fixture, not its stats: under ``--benchmark-disable`` a
+    used fixture holds no stats, and a second use raises
+    ``FixtureAlreadyUsed``.
     """
     yield
-    if benchmark.stats is None:
+    if benchmark._mode is None:
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -25,6 +25,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..mc.enumerative import Context, drive
@@ -95,6 +96,15 @@ def program_context(
     (Assumption 3; an idle cycle when not instrumented); ``("idle", n)``
     idles for ``n`` cycles.  An unknown item raises ValueError.
     """
+    steps, idle = _program_script(tuple(script), taint, instrumented)
+    return Context(tuple(sorted((overrides or {}).items())), steps, horizon, idle, label)
+
+
+@lru_cache(maxsize=1024)
+def _program_script(script: tuple, taint: Optional[TaintSpec], instrumented: bool):
+    """The ``(script, idle)`` pair of :func:`program_context`, built once
+    per distinct program: a context family sweeps operand overrides over
+    a few programs."""
     steps = []
     for item in script:
         kind = item[0]
@@ -108,8 +118,8 @@ def program_context(
             steps += [({}, None)] * item[1]
         else:
             raise ValueError("unknown script item %r" % (item,))
-    return Context.scripted(overrides or {}, steps, horizon,
-                            idle=taint_inputs(taint, instrumented), label=label)
+    built = Context.scripted({}, steps, 0, idle=taint_inputs(taint, instrumented))
+    return built.script, built.idle
 
 
 # ------------------------------------------------------- program execution

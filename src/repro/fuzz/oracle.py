@@ -26,11 +26,14 @@ four check families, each mapping onto the paper's three-verdict lattice
     disagreement.
 
 ``kinduction``
-    k-induction runs with *free* inputs -- a superset of the alphabet
-    space.  Its UNREACHABLE is therefore a global claim that no engine
-    may contradict with REACHABLE; its REACHABLE (a base-case witness)
-    only contradicts an alphabet-bounded UNREACHABLE when the alphabets
-    actually cover every input value.
+    k-induction with *free* inputs -- a superset of the alphabet space
+    -- proved through one :class:`~repro.mc.incremental.InductionPool`
+    per design, the prover DUV PL pruning runs (COI slicing on).  Its
+    UNREACHABLE is therefore a global claim that no engine may
+    contradict with REACHABLE; its REACHABLE (a base-case witness) only
+    contradicts an alphabet-bounded UNREACHABLE when the alphabets
+    actually cover every input value.  The legacy per-property prover
+    is held to the pool by ``tests/test_parity_incremental.py``.
 
 UNDETERMINED agrees with anything by construction -- it is the lattice
 bottom, an engine declining to answer -- but every occurrence is counted
@@ -48,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..mc.bmc import BmcContext, SymbolicContextSpec
 from ..mc.enumerative import Context, EnumerativeEngine, ProductFamily, TraceDB
+from ..mc.incremental import InductionPool
 from ..mc.kinduction import prove_unreachable_kinduction
 from ..mc.outcomes import REACHABLE, UNDETERMINED, UNREACHABLE
 from ..mc.portfolio import PortfolioEngine
@@ -364,6 +368,8 @@ def _check_engines(design, count, sequence, product, config, report, span):
         for inp in design.live_inputs
     )
 
+    # one proof context per design, as DUV PL pruning proves
+    pool = InductionPool()
     kind_cache: Dict[str, object] = {}
     for query in _queries(design):
         report.checks += 1
@@ -386,6 +392,7 @@ def _check_engines(design, count, sequence, product, config, report, span):
                     netlist, sig(probe),
                     k=min(KINDUCTION_K, config.horizon),
                     conflict_budget=CONFLICT_BUDGET,
+                    pool=pool,
                 )
             kres = kind_cache[probe]
             report.count_verdict("kinduction", kres.outcome)

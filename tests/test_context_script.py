@@ -33,7 +33,7 @@ from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core, 
 from repro.designs.cache import CacheContextProvider, build_cache
 from repro.designs.core import CoreConfig
 from repro.designs.variants import build_cva6_op, oppack_context
-from repro.mc.enumerative import drive, simulate_context
+from repro.mc.enumerative import Context, drive, simulate_context
 from repro.rtl import Module, elaborate, mux
 from repro.sim import Simulator
 from repro.sim.simulator import compiled
@@ -333,6 +333,45 @@ def test_cache_taint_families_on_the_cache_ift_netlist(cache):
 
 def test_cva6_op_pairs():
     assert first_mismatch(build_cva6_op().netlist, oppack_family()) is None
+
+
+# ------------------------------------------------------------- script memo
+def scripted_program_context(script, overrides=None, *, horizon, taint=None,
+                             instrumented=False, label=""):
+    """``program_context`` without its per-program memo: every context
+    built through ``Context.scripted``."""
+    steps = []
+    for item in script:
+        if item[0] == "feed":
+            steps += [({"in_valid": 1, "in_instr": word}, "fetch_ready") for word in item[1]]
+        elif item[0] == "wait_quiesce":
+            steps.append(({}, "pipe_quiesce"))
+        elif item[0] == "flush":
+            steps.append(({"taint_flush": 1} if instrumented else {}, None))
+        else:
+            steps += [({}, None)] * item[1]
+    return Context.scripted(overrides or {}, steps, horizon,
+                            idle=_constants(taint, instrumented), label=label)
+
+
+def test_memoized_scripts_equal_per_context_builds(monkeypatch):
+    """The providers' contexts, whose scripts ``program_context`` builds
+    once per distinct program, equal by value the ones built context by
+    context, and equal scripts are one object."""
+    upath = CoreContextProvider(xlen=XLEN, config=SMOKE_FAMILY)
+    taint = CoreContextProvider(xlen=XLEN, config=TAINT_FAMILY)
+
+    def build():
+        return (mupath_contexts(upath, ("ADD", "DIV", "LW", "SW", "BEQ")),
+                taint_contexts(taint, [("LW", "DIV")]))
+
+    memo = build()
+    monkeypatch.setattr(harness, "program_context", scripted_program_context)
+    reference = build()
+    assert memo == reference
+    assert any(c.label.startswith("static") for c in memo[1])
+    for contexts in memo:
+        assert len({id(c.script) for c in contexts}) == len({(c.script, c.idle) for c in contexts})
 
 
 def test_quiesce_stop_rule():

@@ -11,6 +11,7 @@ import glob
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -33,9 +34,14 @@ from repro.fuzz.campaign import (
     run_campaign,
 )
 from repro.fuzz.metamorphic import TRANSFORMS
+from repro.mc import REACHABLE, UNREACHABLE
+from repro.mc.incremental import InductionPool
 from repro.sim.simulator import Simulator
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
+# the e2e fuzz-oracle workload's corpus: the first 28 designs of the
+# seed-7 campaign (86 k-induction probes)
+E2E_FUZZ_SEEDS = [7 * 1000003 + i for i in range(28)]
 
 _real_compile = simulator_mod.compile_netlist
 
@@ -127,6 +133,63 @@ class TestOracle:
         report = check_design(build_design(sample_spec(0)), config)
         assert report.ok
         assert not report.verdicts  # engine families never ran
+
+
+@pytest.fixture(scope="module")
+def e2e_corpus():
+    profile = CampaignConfig().profile
+    return [build_design(sample_spec(seed, profile)) for seed in E2E_FUZZ_SEEDS]
+
+
+class TestOracleInductionPool:
+    """The k-induction leg proves through ``InductionPool``, the prover
+    DUV PL pruning runs, with one pool per design."""
+
+    def test_planted_pool_flip_is_caught(self, e2e_corpus, monkeypatch):
+        real_prove = InductionPool.prove
+
+        def flipped(self, *args, **kwargs):
+            result = real_prove(self, *args, **kwargs)
+            if result.outcome == REACHABLE:  # MUTANT: a witness reads as a proof
+                return replace(result, outcome=UNREACHABLE)
+            return result
+
+        monkeypatch.setattr(InductionPool, "prove", flipped)
+        caught = []
+        for design in e2e_corpus:
+            report = check_design(design)
+            if report.disagreements:
+                first = report.disagreements[0]
+                assert first.kind == "verdict"
+                assert first.verdicts["kinduction"] == UNREACHABLE
+                caught.append(design.spec.name)
+        # a flipped witness contradicts the bounded engines wherever they
+        # reach the same probe: 22 of the 23 designs with a base-case witness
+        assert len(caught) == 22, caught
+
+    def test_one_pool_per_design_shared_by_its_probes(self, e2e_corpus,
+                                                      monkeypatch):
+        pools = []
+        real_prove = InductionPool.prove
+
+        def spy(self, *args, **kwargs):
+            pools.append(self)
+            return real_prove(self, *args, **kwargs)
+
+        monkeypatch.setattr(InductionPool, "prove", spy)
+        per_design = []
+        for design in e2e_corpus:
+            before = len(pools)
+            report = check_design(design)
+            assert report.ok, report.disagreements
+            proved = pools[before:]
+            assert len(proved) == sum(
+                count for key, count in report.verdicts.items()
+                if key.startswith("kinduction:"))
+            assert len({id(pool) for pool in proved}) <= 1
+            per_design += proved[:1]
+        assert len(pools) == 86
+        assert len({id(pool) for pool in per_design}) == len(per_design)
 
 
 class TestShrink:

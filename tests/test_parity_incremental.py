@@ -4,7 +4,9 @@ The incremental solve path (assumption-based property swapping on one
 growing proof context per design, cone-of-influence slicing before
 bit-blasting) is an optimization, never a semantics change.  This suite
 is the gate that makes that claim testable, across every design in
-``tests/fuzz_corpus/`` plus the xlen=4 core:
+``tests/fuzz_corpus/``, the 28 designs of the e2e fuzz-oracle corpus
+(the fuzz oracle's k-induction leg proves through the pool, so this
+suite is what checks the legacy path) plus the xlen=4 core:
 
 * **Leg A -- incremental, no COI** (`InductionPool(coi=False)` vs
   :func:`prove_unreachable_kinduction` without a pool): the formulas are
@@ -44,8 +46,8 @@ import pytest
 from repro.core import Rtl2MuPath, Rtl2MuPathConfig
 from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core
 from repro.engine import EngineConfig, JobScheduler
-from repro.fuzz.campaign import load_reproducer
-from repro.fuzz.gen import build_design
+from repro.fuzz.campaign import CampaignConfig, load_reproducer
+from repro.fuzz.gen import build_design, sample_spec
 from repro.fuzz.metamorphic import canonical_mupaths
 from repro.mc import (
     REACHABLE,
@@ -61,6 +63,9 @@ from repro.solver.sat import SatSolver
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+# the e2e fuzz-oracle workload's corpus: the first 28 designs of the
+# seed-7 campaign (the reproducers above elaborate to no cell at all)
+E2E_FUZZ_SEEDS = [7 * 1000003 + i for i in range(28)]
 
 #: legacy UNDETERMINED details that name a resource limit, not a design
 #: fact; only these may "shrink" to a definite verdict incrementally
@@ -73,14 +78,15 @@ STEP_SAT_DETAIL = "induction step SAT (k too small or property not inductive)"
 
 
 def _corpus_designs():
-    designs = []
-    for path in CORPUS:
-        design = build_design(load_reproducer(path))
-        if not design.netlist.registers:
-            continue  # induction over a combinational design is vacuous
-        designs.append((os.path.basename(path), design))
-    assert designs, "fuzz corpus missing or empty"
-    return designs
+    profile = CampaignConfig().profile
+    built = [(os.path.basename(path), build_design(load_reproducer(path)))
+             for path in CORPUS]
+    assert built, "fuzz corpus missing or empty"
+    for seed in E2E_FUZZ_SEEDS:
+        design = build_design(sample_spec(seed, profile))
+        built.append((design.spec.name, design))
+    # induction over a combinational design is vacuous
+    return [(name, design) for name, design in built if design.netlist.registers]
 
 
 _DESIGNS = _corpus_designs()
