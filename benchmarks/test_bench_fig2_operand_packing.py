@@ -13,6 +13,7 @@ from repro.core.decisions import extract_decisions
 from repro.designs import isa
 from repro.designs.variants import build_cva6_op, oppack_context
 from repro.mc import simulate_context
+from repro.props import ConcreteTraceView
 from repro.sim import Simulator
 
 from conftest import print_banner
@@ -24,8 +25,8 @@ ADD1 = isa.encode("ADD", rd=6, rs1=4, rs2=5)
 def _run(design, overrides, horizon=12):
     sim = Simulator(design.netlist)
     rows = simulate_context(sim, oppack_context([(ADD0, ADD1)], overrides, horizon=horizon))
-    cycles = [dict(zip(sim.observable_names, row)) for row in rows]
-    return extract_path(cycles, design.metadata.pls, iuv_pc=8, iuv="ADD")
+    view = ConcreteTraceView(rows, names=sim.observable_names)
+    return extract_path(view, design.metadata.pls, iuv_pc=8, iuv="ADD")
 
 
 def test_fig2_packed_vs_nonpacked(benchmark):

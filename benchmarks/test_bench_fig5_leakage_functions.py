@@ -80,6 +80,7 @@ def test_fig5_add_id_on_cva6op():
     from repro.designs import isa
     from repro.designs.variants import build_cva6_op, oppack_context
     from repro.mc import simulate_context
+    from repro.props import ConcreteTraceView
     from repro.sim import Simulator
 
     design = build_cva6_op()
@@ -92,8 +93,8 @@ def test_fig5_add_id_on_cva6op():
             [(add0, add1)], {"arf_w1": 3, "arf_w2": 5, "arf_w4": w4, "arf_w5": 7},
             horizon=12,
         )
-        cycles = [dict(zip(sim.observable_names, row)) for row in simulate_context(sim, context)]
-        paths.append(extract_path(cycles, design.metadata.pls, iuv_pc=8, iuv="ADD"))
+        view = ConcreteTraceView(simulate_context(sim, context), names=sim.observable_names)
+        paths.append(extract_path(view, design.metadata.pls, iuv_pc=8, iuv="ADD"))
     decisions = extract_decisions("ADD", paths)
 
     print_banner("Fig. 5 -- ADD_ID (operand packing on CVA6-OP)")

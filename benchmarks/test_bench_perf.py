@@ -109,9 +109,7 @@ def test_long_sequence_retire_accounting(bench_setup, benchmark):
     """The commit-port retire map stays per-instruction at 1k length."""
     design, sim, model, programs = bench_setup
     program, arf_init = programs[0]
-    run = run_program(sim, program, arf_init, max_cycles=50000,
-                      record_trace=True)
-    times = run.trace.retire_times()
-    assert len(times) == SEQ_LEN  # every slot's pc is unique and committed
+    run = run_program(sim, program, arf_init, max_cycles=50000)
+    assert len(run.retire) == SEQ_LEN  # every slot's pc is unique and committed
     pred = predict_program(model, program, arf_init)
-    assert pred.retire == times
+    assert pred.retire == run.retire

@@ -107,6 +107,7 @@ workflows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .cert import MODES
@@ -125,6 +126,31 @@ def _default_provider(xlen: int) -> CoreContextProvider:
             neighbor_values=(0, 1, 2, 255),
         ),
     )
+
+
+@contextlib.contextmanager
+def _telemetry(trace_path, metrics_path):
+    """Trace the block to ``trace_path`` (JSONL), and after it, however
+    it ends, dump the metrics registry to ``metrics_path``; either may
+    be None."""
+    from . import obs
+    from .engine.telemetry import TelemetryLog
+    from .obs.tracer import Tracer
+
+    log = tracer = None
+    if trace_path:
+        log = TelemetryLog(trace_path)
+        tracer = Tracer(sink=log.event)
+        obs.activate(tracer)
+    try:
+        yield
+    finally:
+        if tracer is not None:
+            obs.deactivate(tracer)
+            log.close()
+        if metrics_path:
+            with open(metrics_path, "w", encoding="utf-8") as handle:
+                handle.write(obs.get_registry().to_prometheus())
 
 
 def _synthesize(names):
@@ -194,7 +220,6 @@ def cmd_sc_safe(args):
 
 def cmd_synth_all(args):
     from .engine import EngineConfig, EngineError, JobScheduler
-    from .obs import get_registry
 
     names = list(args.instrs) or sorted(set(CLASS_REPRESENTATIVES.values()))
     known = {s.name for s in isa.INSTRUCTIONS}
@@ -220,68 +245,66 @@ def cmd_synth_all(args):
         keep_going=args.keep_going,
     )
     engine = JobScheduler(engine_config)
-    try:
-        if args.duv_prune:
-            # the paper's step 1 (DUV-level PL pruning, SS V-B1): cover
-            # scans for named PLs plus k-induction proofs for candidate
-            # (invalid-valuation) PLs.  Accounted in its own stats object
-            # so the engine manifest still reconciles with the synthesis
-            # phase's property totals alone.
-            from .mc.stats import PropertyStats
+    # the engine traces to --trace itself
+    with _telemetry(None, args.metrics):
+        try:
+            if args.duv_prune:
+                # the paper's step 1 (DUV-level PL pruning, SS V-B1): cover
+                # scans for named PLs plus k-induction proofs for candidate
+                # (invalid-valuation) PLs.  Accounted in its own stats object
+                # so the engine manifest still reconciles with the synthesis
+                # phase's property totals alone.
+                from .mc.stats import PropertyStats
 
-            duv_stats = PropertyStats(label="duv-reach")
-            synth_stats = tool.stats
-            tool.stats = duv_stats
-            try:
-                reachable = tool.duv_pl_reachability(names)
-            finally:
-                tool.stats = synth_stats
-            total = len(tool.metadata.pls) + len(tool.metadata.candidate_pls)
-            print(
-                "DUV PL pruning: %d/%d PLs reachable (%s)"
-                % (
-                    len(reachable),
-                    total,
-                    "incremental induction"
-                    if not args.no_incremental
-                    else "legacy per-property induction",
+                duv_stats = PropertyStats(label="duv-reach")
+                synth_stats = tool.stats
+                tool.stats = duv_stats
+                try:
+                    reachable = tool.duv_pl_reachability(names)
+                finally:
+                    tool.stats = synth_stats
+                total = len(tool.metadata.pls) + len(tool.metadata.candidate_pls)
+                print(
+                    "DUV PL pruning: %d/%d PLs reachable (%s)"
+                    % (
+                        len(reachable),
+                        total,
+                        "incremental induction"
+                        if not args.no_incremental
+                        else "legacy per-property induction",
+                    )
                 )
-            )
-            print(duv_stats.summary())
+                print(duv_stats.summary())
+                print()
+            results = tool.synthesize_all(names, engine=engine)
+        except EngineError as exc:
+            print("engine error: %s" % exc)
+            manifest = engine.last_manifest
+            if manifest is not None:
+                print(manifest.summary())
+            return 1
+        except KeyboardInterrupt:
+            # the scheduler already drained finished workers into the proof
+            # cache; tell the user how to pick the run back up
             print()
-        results = tool.synthesize_all(names, engine=engine)
-    except EngineError as exc:
-        print("engine error: %s" % exc)
-        manifest = engine.last_manifest
-        if manifest is not None:
-            print(manifest.summary())
-        return 1
-    except KeyboardInterrupt:
-        # the scheduler already drained finished workers into the proof
-        # cache; tell the user how to pick the run back up
-        print()
-        if args.cache_dir:
-            print(
-                "interrupted; finished jobs are in the proof cache -- rerun "
-                "the same command with --cache-dir %s to execute only the "
-                "rest" % args.cache_dir
-            )
-        else:
-            print(
-                "interrupted (no --cache-dir, so nothing was stored); rerun "
-                "with --cache-dir DIR to keep finished jobs across runs"
-            )
-        manifest = engine.last_manifest
-        if manifest is not None:
-            print(manifest.summary())
-        return 130
-    except OSError as exc:
-        print("error: %s" % exc)
-        return 1
-    finally:
-        if args.metrics:
-            with open(args.metrics, "w", encoding="utf-8") as handle:
-                handle.write(get_registry().to_prometheus())
+            if args.cache_dir:
+                print(
+                    "interrupted; finished jobs are in the proof cache -- rerun "
+                    "the same command with --cache-dir %s to execute only the "
+                    "rest" % args.cache_dir
+                )
+            else:
+                print(
+                    "interrupted (no --cache-dir, so nothing was stored); rerun "
+                    "with --cache-dir DIR to keep finished jobs across runs"
+                )
+            manifest = engine.last_manifest
+            if manifest is not None:
+                print(manifest.summary())
+            return 130
+        except OSError as exc:
+            print("error: %s" % exc)
+            return 1
     failed = []
     for name in names:
         result = results[name]
@@ -385,11 +408,7 @@ def cmd_fuzz(args):
     import json
     import os
 
-    from . import obs
-    from .engine.telemetry import TelemetryLog
     from .fuzz import CampaignConfig, OracleConfig, run_campaign
-    from .obs import get_registry
-    from .obs.tracer import Tracer
 
     config = CampaignConfig(
         seed=args.seed,
@@ -399,22 +418,8 @@ def cmd_fuzz(args):
         shrink=not args.no_shrink,
         oracle=OracleConfig(horizon=args.horizon),
     )
-    tracer = None
-    log = None
-    if args.trace:
-        log = TelemetryLog(args.trace)
-        tracer = Tracer(sink=log.event)
-        obs.activate(tracer)
-    try:
+    with _telemetry(args.trace, args.metrics):
         result = run_campaign(config)
-    finally:
-        if tracer is not None:
-            obs.deactivate(tracer)
-        if log is not None:
-            log.close()
-        if args.metrics:
-            with open(args.metrics, "w", encoding="utf-8") as handle:
-                handle.write(get_registry().to_prometheus())
     os.makedirs(config.out_dir, exist_ok=True)
     summary_path = os.path.join(config.out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as handle:
@@ -429,13 +434,9 @@ def cmd_perf(args):
     import json
     import os
 
-    from . import obs
     from .designs import build_core, build_cva6_mul, build_fixed_core
     from .designs.core import CoreConfig
     from .designs.harness import STRAIGHT_LINE_POOL
-    from .engine.telemetry import TelemetryLog
-    from .obs import get_registry
-    from .obs.tracer import Tracer
     from .perf import (
         PerfCampaignConfig,
         collect_upath_summaries,
@@ -456,27 +457,13 @@ def cmd_perf(args):
         max_sequences=args.max_sequences,
         shrink=not args.no_shrink,
     )
-    tracer = None
-    log = None
-    if args.trace:
-        log = TelemetryLog(args.trace)
-        tracer = Tracer(sink=log.event)
-        obs.activate(tracer)
-    try:
+    with _telemetry(args.trace, args.metrics):
         design = builders[args.design]()
         summaries = collect_upath_summaries(
             design, ["ADD", "MUL", "DIV", "DIVU", "LW", "SW"]
         )
         model = compile_model(design, summaries, names=STRAIGHT_LINE_POOL)
         result = run_perf_campaign(design, model, config)
-    finally:
-        if tracer is not None:
-            obs.deactivate(tracer)
-        if log is not None:
-            log.close()
-        if args.metrics:
-            with open(args.metrics, "w", encoding="utf-8") as handle:
-                handle.write(get_registry().to_prometheus())
     os.makedirs(config.out_dir, exist_ok=True)
     summary_path = os.path.join(config.out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as handle:

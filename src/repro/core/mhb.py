@@ -193,7 +193,7 @@ class UhbGraph:
 
 
 def extract_path(
-    trace,  # ConcreteTraceView, or a sequence of per-cycle dicts
+    trace,  # ConcreteTraceView
     pls,  # Dict[str, PerformingLocation]
     iuv_pc: int,
     iuv: str = "IUV",
@@ -201,23 +201,20 @@ def extract_path(
 ) -> CycleAccuratePath:
     """Build the concrete uPATH of instruction ``iuv_pc`` from a trace.
 
-    ``slot_index`` (from :func:`build_slot_index`) avoids re-resolving
-    signal positions when extracting many paths from one trace database.
+    ``trace`` is a :class:`~repro.props.views.ConcreteTraceView`: the
+    instruction visits a PL in a cycle when one of the PL's slots is
+    occupied with its PC.  ``slot_index`` (from :func:`build_slot_index`
+    over ``trace.index``) avoids re-resolving signal positions when
+    extracting many paths from one trace database.
     """
-    if hasattr(trace, "cycles"):
-        rows = trace.cycles
-        if slot_index is None:
-            slot_index = build_slot_index(pls, trace.index)
-    else:
-        rows = trace
-        if slot_index is None:
-            slot_index = build_slot_index(pls, None)
+    if slot_index is None:
+        slot_index = build_slot_index(pls, trace.index)
     visit_sets = []
     prev_row = visited = None
-    for row in rows:
-        # an elided cycle hands back the previous row object (DESIGN SS5m):
-        # its visit set is the previous one.  Equal but distinct rows
-        # still compute.
+    for row in trace.cycles:
+        # the stimulus loop pads a fixed point's tail with one row object
+        # (DESIGN SS5m): its visit set is the previous one.  Equal but
+        # distinct rows still compute.
         if row is not prev_row:
             visited = frozenset(
                 name

@@ -462,17 +462,7 @@ class SynthLC:
         for group in groups:
             with obs.span("phase.elaborate"):
                 db = TraceDB(self.observed(), group.contexts, group.complete)
-                # one transmitter PC per group: encoded in the contexts'
-                # taint constants; recovering it from the first context's
-                # label-free structure is brittle, so providers put it in
-                # group via slot convention:
-                t_pc = getattr(group, "taint_pc", None)
-                if t_pc is None:
-                    # transmitter occupies the non-IUV slot in two-slot programs
-                    t_pc = group.iuv_pc - 4 if assumption != "dynamic_younger" else group.iuv_pc + 4
-                    if assumption == "intrinsic":
-                        t_pc = group.iuv_pc
-                tindex = _TaintIndex(db, self.metadata, group.iuv_pc, t_pc)
+                tindex = _TaintIndex(db, self.metadata, group.iuv_pc, group.taint_pc)
             dynamic = assumption in ("dynamic_older", "dynamic_younger")
             with obs.span("phase.cover.taint"):
                 for decision in decision_list:

@@ -29,7 +29,8 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..mc.enumerative import Context, drive
-from ..sim.simulator import Trace, compiled
+from ..props.views import ConcreteTraceView
+from ..sim.simulator import compiled
 from . import isa
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "golden_steps",
     "GoldenStep",
     "ProgramRun",
+    "program_trace",
     "run_program",
     "sample_operand",
     "sample_sequence",
@@ -279,7 +281,7 @@ class ProgramRun:
     mem: List[int]
     cycles: int  # cycle index of the first post-program quiescent observation
     retire: Dict[int, int]  # committed PC -> commit-observation cycle
-    trace: Optional[object] = None  # repro.sim.Trace when recorded
+    trace: Optional[ConcreteTraceView] = None  # the whole core's rows, when recorded
 
 
 # netlist -> (ARF word positions, memory word positions) in its state
@@ -336,6 +338,7 @@ class _RunPlan:
         entry = compiled(netlist)
         self.step = entry.step
         self.names = entry.observable_names
+        self.index = {name: i for i, name in enumerate(self.names)}
         self.ready, self.quiesce, self.fire, self.pc = (
             self.names.index(name) for name in _RUN_READS
         )
@@ -374,6 +377,37 @@ def _run_plan(netlist, record_trace: bool) -> _RunPlan:
     return plan
 
 
+def _program_rows(plan: _RunPlan, program, arf_init, max_cycles: int):
+    """``program``'s rows on ``plan``'s netlist and the state after them.
+
+    The reset state with ``arf_init[i]`` in ``arf_w<i>`` for ``i > 0``,
+    each word a script step released by ``fetch_ready``, as in
+    :func:`program_context`, and the run stopped at the first
+    ``pipe_quiesce`` row after the last accept (:func:`drive`).
+    """
+    state = plan.reset
+    if arf_init is not None:
+        values = list(state)
+        for i, value in enumerate(arf_init):
+            if i:
+                values[plan.reg_index["arf_w%d" % i]] = value
+        state = tuple(values)
+    script = [(feed, plan.ready) for feed in plan.feeds(program)]
+    return drive(plan.step, state, script, plan.idle, max_cycles, quiesce=plan.quiesce)
+
+
+def program_trace(
+    netlist, program: Sequence[int], arf_init: Optional[Sequence[int]] = None,
+    *, max_cycles: int = 4000,
+) -> ConcreteTraceView:
+    """The trace ``run_program(..., record_trace=True)`` records on
+    ``netlist``, without the rest of its run: the perf model's probes
+    read μPATHs from it (:func:`repro.core.mhb.extract_path`)."""
+    plan = _run_plan(netlist, True)
+    rows, _ = _program_rows(plan, program, arf_init, max_cycles)
+    return ConcreteTraceView(rows, plan.names, plan.index)
+
+
 def run_program(
     sim,
     program: Sequence[int],
@@ -389,7 +423,9 @@ def run_program(
     the four signals the run reads (DESIGN §5q), whose ARF and memory
     words are the core's, and leaves ``sim`` alone: after a run,
     ``sim.state`` is not the run's final state.  ``record_trace=True``
-    steps the whole core instead, since a trace holds every observable.
+    steps the whole core instead and keeps its rows as ``trace``, a
+    :class:`~repro.props.views.ConcreteTraceView` over the core's
+    observable names.
 
     Each word is a script step released by ``fetch_ready``, as in
     :func:`program_context`; the run stops at the first ``pipe_quiesce``
@@ -399,31 +435,18 @@ def run_program(
     each ``commit_pc`` is observed with ``commit_fire`` high.
     """
     plan = _run_plan(sim.netlist, record_trace)
-    state = plan.reset
-    if arf_init is not None:
-        values = list(state)
-        for i, value in enumerate(arf_init):
-            if i:
-                values[plan.reg_index["arf_w%d" % i]] = value
-        state = tuple(values)
-    script = [(feed, plan.ready) for feed in plan.feeds(program)]
-    rows, state = drive(plan.step, state, script, plan.idle, max_cycles, quiesce=plan.quiesce)
+    rows, state = _program_rows(plan, program, arf_init, max_cycles)
     fire, pc = plan.fire, plan.pc
     retire: Dict[int, int] = {}
     for t, row in enumerate(rows):
         if row[fire]:
             retire.setdefault(row[pc], t)
-    trace = None
-    if record_trace:
-        trace = Trace(plan.names)
-        for row in rows:
-            trace.append(dict(zip(plan.names, row)))
     return ProgramRun(
         arf=[state[i] for i in plan.arf],
         mem=[state[i] for i in plan.mem],
         cycles=len(rows) - 1,
         retire=retire,
-        trace=trace,
+        trace=ConcreteTraceView(rows, plan.names, plan.index) if record_trace else None,
     )
 
 

@@ -100,7 +100,7 @@ def observable_fingerprint(netlist) -> str:
     """
     from ..rtl.coi import coi_slice, observable_names
 
-    sliced = coi_slice(netlist, observable_names(netlist)).netlist
+    sliced = coi_slice(netlist, observable_names(netlist))
     return netlist_fingerprint(sliced)
 
 

@@ -411,7 +411,7 @@ class InductionPool:
                     if supports[name][0] <= support[0]
                     and supports[name][1] <= support[1]
                 ]
-                target_netlist = coi_slice(netlist, enriched).netlist
+                target_netlist = coi_slice(netlist, enriched)
             ctx = IncrementalInductionContext(
                 target_netlist,
                 k,

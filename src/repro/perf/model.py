@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
+from ..core.mhb import CycleAccuratePath, extract_path
 from ..designs import isa
-from ..designs.harness import default_value_set, slot_pc
-from ..mc.enumerative import drive
+from ..designs.harness import default_value_set, program_trace, slot_pc
 
 __all__ = [
     "PERF_MODEL_VERSION",
@@ -240,90 +240,42 @@ class UPathSetSummary:
 # ------------------------------------------------------------------ probing
 
 
-class _ProbeBench:
-    """Reusable solo-program probe harness over one design's simulator."""
-
-    IUV_RD, IUV_RS1, IUV_RS2 = 3, 1, 2
-
-    def __init__(self, design):
-        from ..sim.simulator import Simulator, compiled
-
-        self.design = design
-        self.config = design.config
-        self.sim = Simulator(design.netlist)
-        self._step = compiled(design.netlist).step
-        self._i_ready = self.sim.observable_index("fetch_ready")
-        self._i_quiesce = self.sim.observable_index("pipe_quiesce")
-        self._slot_index = []
-        for name, pl in design.metadata.pls.items():
-            for slot in pl.slots:
-                self._slot_index.append((
-                    name,
-                    self.sim.observable_index(slot.occ_signal),
-                    self.sim.observable_index(slot.pc_signal),
-                ))
-
-    def run(self, program, overrides, max_cycles=200):
-        """Run to quiescence, as :func:`~repro.designs.harness.run_program`
-        does; returns per-cycle {pl: set-of-pcs} rows."""
-        sim = self.sim
-        sim.reset(overrides)
-        script = [
-            (sim.pack_inputs({"in_valid": 1, "in_instr": word}), self._i_ready)
-            for word in program
-        ]
-        tuples, _ = drive(self._step, sim.state, script, sim.pack_inputs(None),
-                          max_cycles, quiesce=self._i_quiesce)
-        rows = []
-        for tup in tuples:
-            row = {}
-            for name, i_occ, i_pc in self._slot_index:
-                if tup[i_occ]:
-                    row.setdefault(name, set()).add(tup[i_pc])
-            rows.append(row)
-        return rows
-
-    def extract(self, rows, pc):
-        """Run-length sets of the instruction at ``pc`` along ``rows``."""
-        from ..core.mhb import CycleAccuratePath
-
-        visits = [
-            frozenset(name for name, pcs in row.items() if pc in pcs)
-            for row in rows
-        ]
-        path = CycleAccuratePath.from_cycles("probe", visits)
-        return path
-
-    def probe_latency(self, name, v1, v2):
-        """Solo-run execution latency of ``name`` with operands (v1, v2).
-
-        Measured as ``first(scbFin) - issue_cycle - 1``: the μHB distance
-        from the issue-stage node to the write-back node less the
-        one-cycle completion→FIN edge.  1 for the ALU path, the counter
-        latency for mul/div, 0 for stores (they finish on STB entry).
-        """
-        word = isa.encode(name, rd=self.IUV_RD, rs1=self.IUV_RS1, rs2=self.IUV_RS2)
-        overrides = {
-            "arf_w%d" % self.IUV_RS1: v1,
-            "arf_w%d" % self.IUV_RS2: v2,
-        }
-        rows = self.run((word,), overrides)
-        pc = slot_pc(0)
-        t_issue = t_fin = None
-        for t, row in enumerate(rows):
-            if t_issue is None and pc in row.get("issue", ()):
-                t_issue = t
-            if t_fin is None and pc in row.get("scbFin", ()):
-                t_fin = t
-        if t_issue is None or t_fin is None:
-            raise RuntimeError("probe for %s never issued/finished" % name)
-        return t_fin - t_issue - 1, rows
+#: cycles a probe may run before it must quiesce
+_PROBE_CYCLES = 200
 
 
-def _calibrate(bench: _ProbeBench, name: str, values: Sequence[int]):
-    """Probe-sweep one instruction; returns (features, table, probed-set)."""
+def _iuv_word(name: str) -> int:
+    """The probed instruction: reads x1 and x2, writes x3."""
+    return isa.encode(name, rd=3, rs1=1, rs2=2)
+
+
+def _probe(design, program, arf_init, pc: int) -> CycleAccuratePath:
+    """The μPATH of the instruction at ``pc`` when ``program`` runs from
+    ``arf_init`` to quiescence on ``design``'s whole core."""
+    trace = program_trace(design.netlist, program, arf_init, max_cycles=_PROBE_CYCLES)
+    return extract_path(trace, design.metadata.pls, pc)
+
+
+def _probe_latency(design, name: str, v1: int, v2: int) -> int:
+    """Solo-run execution latency of ``name`` with operands (v1, v2).
+
+    Measured as ``first(scbFin) - first(issue) - 1``: the μHB distance
+    from the issue-stage node to the write-back node less the one-cycle
+    completion→FIN edge.  1 for the ALU path, the counter latency for
+    mul/div, 0 for stores (they finish on STB entry).
+    """
+    visits = _probe(design, (_iuv_word(name),), (0, v1, v2), slot_pc(0)).visits
+    t_issue = next((t for t, pls in enumerate(visits) if "issue" in pls), None)
+    t_fin = next((t for t, pls in enumerate(visits) if "scbFin" in pls), None)
+    if t_issue is None or t_fin is None:
+        raise RuntimeError("probe for %s never issued/finished" % name)
+    return t_fin - t_issue - 1
+
+
+def _calibrate(design, name: str, values: Sequence[int]):
+    """Probe-sweep one instruction; returns (features, table)."""
     spec = isa.BY_NAME[name]
-    xlen = bench.config.xlen
+    xlen = design.config.xlen
     sweep1 = values if spec.reads_rs1 else values[:1]
     sweep2 = values if spec.reads_rs2 else values[:1]
     # non-operand units are constant-latency: a representative probe pair
@@ -331,21 +283,20 @@ def _calibrate(bench: _ProbeBench, name: str, values: Sequence[int]):
     if spec.cls not in ("mul", "div"):
         sweep1 = sweep1[:2] or (0,)
         sweep2 = sweep2[:2] or (0,)
-    samples = {}
-    for v1, v2 in itertools.product(sweep1, sweep2):
-        lat, _ = bench.probe_latency(name, v1, v2)
-        feats = operand_features(v1, v2, xlen)
-        samples[(v1, v2)] = (feats, lat)
+    samples = [
+        (operand_features(v1, v2, xlen), _probe_latency(design, name, v1, v2))
+        for v1, v2 in itertools.product(sweep1, sweep2)
+    ]
     for features in _FEATURE_LADDER:
         table: Dict[Tuple[int, ...], int] = {}
         consistent = True
-        for feats, lat in samples.values():
+        for feats, lat in samples:
             key = tuple(feats[f] for f in features)
             if table.setdefault(key, lat) != lat:
                 consistent = False
                 break
         if consistent:
-            return features, table, frozenset(l for _, l in samples.values())
+            return features, table
     raise RuntimeError("no consistent feature set for %s" % name)  # pragma: no cover
 
 
@@ -362,58 +313,43 @@ def collect_upath_summaries(
     runs) all appear.  The result duck-types a ``MuPathResult`` for
     :func:`compile_model`.
     """
-    bench = _ProbeBench(design)
-    xlen = design.config.xlen
-    values = tuple(values or default_value_set(xlen))
+    values = tuple(values or default_value_set(design.config.xlen))
     out: Dict[str, UPathSetSummary] = {}
     with obs.span("perf.collect", design=design.netlist.name, iuvs=len(names)):
         for name in names:
             spec = isa.BY_NAME[name]
-            runs: Dict[str, set] = {}
-            contexts = 0
-
-            def _absorb(rows, pc):
-                nonlocal contexts
-                contexts += 1
-                path = bench.extract(rows, pc)
-                for pl in path.pl_set:
-                    runs.setdefault(pl, set()).update(path.run_lengths(pl))
-
-            word = isa.encode(
-                name, rd=bench.IUV_RD, rs1=bench.IUV_RS1, rs2=bench.IUV_RS2
-            )
+            word = _iuv_word(name)
+            # (program, x0..xN initial values, the probed instruction's pc)
+            probes = []
             sweep1 = values if spec.reads_rs1 else values[:1]
             sweep2 = values if spec.reads_rs2 else values[:1]
             if spec.cls not in ("mul", "div"):
                 sweep1 = sweep1[:3] or (0,)
                 sweep2 = sweep2[:3] or (0,)
             for v1, v2 in itertools.product(sweep1, sweep2):
-                rows = bench.run((word,), {"arf_w1": v1, "arf_w2": v2})
-                _absorb(rows, slot_pc(0))
+                probes.append(((word,), (0, v1, v2), slot_pc(0)))
             if spec.cls == "load":
                 # shadow the load behind an offset-matching store: the
                 # ldStall / LSQ states only appear in these variants.
                 # Both use imm=rs2-field=2 and the same base register
                 # value, so the page offsets coincide.
-                store = isa.encode("SW", rs1=4, rs2=bench.IUV_RS2)
+                store = isa.encode("SW", rs1=4, rs2=2)
                 for v1 in values[:4]:
-                    rows = bench.run(
-                        (store, word),
-                        {"arf_w1": v1, "arf_w2": 0, "arf_w4": v1, "arf_w5": 1},
-                    )
-                    _absorb(rows, slot_pc(1))
+                    probes.append(((store, word), (0, v1, 0, 0, v1, 1), slot_pc(1)))
             if spec.cls == "store":
                 # a trailing load contends for the memory port while the
                 # committed store drains (memRq / comSTB evidence)
                 load = isa.encode("LW", rd=6, rs1=4, rs2=0)
-                rows = bench.run(
-                    (word, load), {"arf_w1": 1, "arf_w2": 2, "arf_w4": 1}
-                )
-                _absorb(rows, slot_pc(0))
+                probes.append(((word, load), (0, 1, 2, 0, 1), slot_pc(0)))
+            runs: Dict[str, set] = {}
+            for program, arf_init, pc in probes:
+                path = _probe(design, program, arf_init, pc)
+                for pl in path.pl_set:
+                    runs.setdefault(pl, set()).update(path.run_lengths(pl))
             out[name] = UPathSetSummary(
                 iuv=name,
                 run_lengths={pl: frozenset(r) for pl, r in runs.items()},
-                contexts=contexts,
+                contexts=len(probes),
             )
     return out
 
@@ -451,7 +387,6 @@ def compile_model(
     listed explicitly).
     """
     cfg = design.config
-    bench = _ProbeBench(design)
     values = tuple(values or default_value_set(cfg.xlen))
     if names is None:
         names = sorted(upaths)
@@ -472,7 +407,7 @@ def compile_model(
             run_lengths = dict(upaths[source].run_lengths)
             unit = _unit_of(run_lengths, spec.cls)
             unit_pl = _UNIT_PL.get(unit)
-            features, table, _probed = _calibrate(bench, name, values)
+            features, table = _calibrate(design, name, values)
             if unit == "store":
                 # stores finish on STB entry: latency 0 by μHB structure
                 observed = frozenset({0})

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..core.mhb import CycleAccuratePath
+from ..core.mhb import extract_path
 from ..designs import isa
 from ..designs.harness import run_program, sample_sequence
 from ..fuzz.shrink import shrink_sequence
@@ -133,20 +133,6 @@ class PerfMismatch:
             "sim_runs": {k: list(v) for k, v in self.sim_runs.items()},
             "out_of_model": list(self.out_of_model),
         }
-
-
-def _trace_path(design, trace, pc: int) -> CycleAccuratePath:
-    """The concrete cycle-accurate μPATH of the instruction at ``pc``."""
-    visits = []
-    for row in trace.cycles:
-        here = set()
-        for name, pl in design.metadata.pls.items():
-            for slot in pl.slots:
-                if row.get(slot.occ_signal) and row.get(slot.pc_signal) == pc:
-                    here.add(name)
-                    break
-        visits.append(frozenset(here))
-    return CycleAccuratePath.from_cycles("pc%d" % pc, visits)
 
 
 def _divergence(predicted, run, steps) -> Tuple[Optional[int], str]:
@@ -272,7 +258,7 @@ def _compare(design, sim, model, program, arf_init, seed, predicted):
         synth = model.upath_run_lengths(step.name).get(timing.unit_pl)
         if synth is None:
             continue
-        path = _trace_path(design, traced.trace, step.pc)
+        path = extract_path(traced.trace, design.metadata.pls, step.pc)
         for run_len in path.run_lengths(timing.unit_pl):
             if run_len not in synth:
                 offender = (step, path, timing.unit_pl, run_len, synth)
@@ -309,7 +295,7 @@ def _compare(design, sim, model, program, arf_init, seed, predicted):
 
     div_step = steps[slot] if slot is not None else None
     div_path = (
-        _trace_path(design, traced.trace, div_step.pc)
+        extract_path(traced.trace, design.metadata.pls, div_step.pc)
         if div_step is not None
         else None
     )

@@ -9,10 +9,9 @@ into a VCD document, optionally restricted to the signals of interest
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from ..mc.outcomes import CheckResult
-from ..sim.simulator import Trace
 from ..sim.vcd import trace_to_vcd
 
 __all__ = ["witness_to_vcd", "witness_pl_timeline"]
@@ -30,10 +29,7 @@ def witness_to_vcd(
             % (result.query_name, result.outcome)
         )
     names = list(signals) if signals is not None else sorted(result.witness[0])
-    trace = Trace(names)
-    for obs in result.witness:
-        trace.append({name: obs.get(name, 0) for name in names})
-    return trace_to_vcd(trace, design=design)
+    return trace_to_vcd(names, result.witness, design=design)
 
 
 def witness_pl_timeline(result: CheckResult, metadata, iuv_pc: int) -> List[str]:

@@ -36,14 +36,12 @@ property's cone do not invalidate cached verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .netlist import Netlist
 from .nodes import Node
 
 __all__ = [
-    "CoiSlice",
     "coi_cone",
     "coi_slice",
     "coi_supports",
@@ -60,18 +58,6 @@ def _register_frontier(next_node: Node) -> Iterable[Node]:
     register's next-state root.
     """
     return (next_node,)
-
-
-@dataclass(frozen=True)
-class CoiSlice:
-    """A sliced netlist plus the reduction accounting."""
-
-    netlist: Netlist
-    targets: Tuple[str, ...]
-    kept_cells: int
-    dropped_cells: int
-    kept_registers: int
-    dropped_registers: int
 
 
 def coi_cone(netlist: Netlist, targets: Iterable[str]) -> FrozenSet[int]:
@@ -231,7 +217,7 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def coi_slice(netlist: Netlist, targets: Iterable[str]) -> CoiSlice:
+def coi_slice(netlist: Netlist, targets: Iterable[str]) -> Netlist:
     """Slice ``netlist`` to the sequential cone of the named ``targets``.
 
     The result preserves the original topological order (a subsequence of
@@ -240,7 +226,6 @@ def coi_slice(netlist: Netlist, targets: Iterable[str]) -> CoiSlice:
     survive.  The slice is closed: every argument of a retained node is
     retained, so it is directly usable by the simulator and bit-blaster.
     """
-    targets = tuple(dict.fromkeys(targets))  # stable de-dup
     cone = coi_cone(netlist, targets)
 
     order = [node for node in netlist.order if node.uid in cone]
@@ -261,7 +246,6 @@ def coi_slice(netlist: Netlist, targets: Iterable[str]) -> CoiSlice:
         outputs=outputs,
     )
     dropped_cells = netlist.num_cells - sliced.num_cells
-    dropped_regs = len(netlist.registers) - len(registers)
     if dropped_cells:
         from ..obs.metrics import REGISTRY
 
@@ -269,14 +253,7 @@ def coi_slice(netlist: Netlist, targets: Iterable[str]) -> CoiSlice:
             "repro_coi_cells_dropped_total",
             "combinational cells removed by cone-of-influence slicing",
         ).inc(dropped_cells, design=netlist.name)
-    return CoiSlice(
-        netlist=sliced,
-        targets=targets,
-        kept_cells=sliced.num_cells,
-        dropped_cells=dropped_cells,
-        kept_registers=len(registers),
-        dropped_registers=dropped_regs,
-    )
+    return sliced
 
 
 def _cone_registers(netlist: Netlist, cone: FrozenSet[int]):

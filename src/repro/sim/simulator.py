@@ -22,8 +22,7 @@ inputs; register updates take effect at the start of the next cycle
 Compiles are memoized per process by netlist *content*
 (:func:`simulation_key`), so every :class:`Simulator` over equal netlists
 -- two separate builds of one design, or a design rebuilt from a job
-recipe -- shares one step function.  A :class:`Simulator` skips the steps
-that would repeat a fixed-point transition (see ``step_tuple``).
+recipe -- shares one step function.
 """
 
 from __future__ import annotations
@@ -31,48 +30,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..rtl.netlist import Netlist, netlist_fingerprint
 
-__all__ = ["Simulator", "Trace", "compile_netlist", "compiled", "simulation_key"]
-
-
-class Trace:
-    """A recorded execution: per-cycle named-signal values."""
-
-    def __init__(self, signal_names):
-        self.signal_names = list(signal_names)
-        self.cycles: List[Dict[str, int]] = []
-
-    def append(self, observation):
-        self.cycles.append(observation)
-
-    def __len__(self):
-        return len(self.cycles)
-
-    def value(self, cycle, signal):
-        return self.cycles[cycle][signal]
-
-    def column(self, signal):
-        return [obs[signal] for obs in self.cycles]
-
-    def retire_times(
-        self, commit_signal: str = "commit_fire", pc_signal: str = "commit_pc"
-    ) -> Dict[int, int]:
-        """Per-instruction retire timestamps: committed PC -> cycle index.
-
-        On cores whose frontend numbers instructions by unique fetch PCs
-        (the case-study cores), this is the per-instruction cycle
-        accounting: each PC appears at most once on the commit port, so
-        the map records the cycle every retired instruction committed.
-        Flushed (never-committed) instructions are absent.
-        """
-        times: Dict[int, int] = {}
-        for cycle, obs in enumerate(self.cycles):
-            if obs.get(commit_signal):
-                times.setdefault(obs[pc_signal], cycle)
-        return times
+__all__ = ["Simulator", "compile_netlist", "compiled", "simulation_key"]
 
 
 # Deepest parenthesis nesting an inlined expression may reach; a deeper
@@ -500,13 +462,11 @@ def compiled(netlist: Netlist) -> CompiledNetlist:
 
 
 class Simulator:
-    """Steppable simulator with trace recording.
+    """A netlist's compiled step with its state, stepped one cycle a call.
 
-    ``step_tuple`` elides fixed-point transitions: once a step returns
-    the state it was given, later calls with that same state object and
-    equal inputs return the remembered row without running the step
-    function, which is a pure function of (state, inputs).  Elided rows
-    are one shared tuple, so consumers must not rely on row identity.
+    Runs of many cycles go through the stimulus loop instead
+    (:func:`repro.mc.enumerative.drive`), which stops stepping at a
+    fixed point.
     """
 
     def __init__(self, netlist: Netlist):
@@ -545,8 +505,6 @@ class Simulator:
         else:
             self.state = self._reset_values
         self.cycle = 0
-        # the fixed point step_tuple last saw: (state object, inputs, row)
-        self._fixed_state = self._fixed_inputs = self._fixed_obs = None
 
     def step(self, inputs: Optional[Dict[str, int]] = None):
         """Advance one cycle; returns the observation dict for this cycle."""
@@ -557,27 +515,9 @@ class Simulator:
 
         Tuple entries follow ``observable_names`` ordering.
         """
-        input_tuple = self.pack_inputs(inputs)
-        state = self.state
+        self.state, obs = self._step_fn(self.state, self.pack_inputs(inputs))
         self.cycle += 1
-        if state is self._fixed_state and input_tuple == self._fixed_inputs:
-            return self._fixed_obs
-        next_state, obs = self._step_fn(state, input_tuple)
-        if next_state == state:
-            # keep the old state object, so the next call can test identity
-            self._fixed_state = state
-            self._fixed_inputs = input_tuple
-            self._fixed_obs = obs
-        else:
-            self.state = next_state
         return obs
-
-    def run(self, input_seq: Sequence[Dict[str, int]]) -> Trace:
-        """Run from the current state over ``input_seq``; returns a Trace."""
-        trace = Trace(self.observable_names)
-        for inputs in input_seq:
-            trace.append(self.step(inputs))
-        return trace
 
     def state_dict(self):
         return dict(zip(self._reg_names, self.state))

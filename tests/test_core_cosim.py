@@ -29,8 +29,9 @@ from repro.designs import (
 from repro.designs.core import CoreConfig
 from repro.designs.harness import ProgramRun, _word_positions
 from repro.designs.variants import build_cva6_mul, build_fixed_core
+from repro.props import ConcreteTraceView
 from repro.rtl import Module, Netlist, coi, elaborate
-from repro.sim import Simulator, Trace
+from repro.sim import Simulator
 
 MEM_WORDS = 4
 
@@ -80,16 +81,16 @@ def test_seeded_sequences_match_golden_model(cosim_design, cosim_sim):
 
 def reference_run(sim, program, arf_init=None, *, max_cycles=4000, record_trace=False):
     """``run_program``'s reference: ``sim`` itself, the whole core, stepped
-    through ``step_tuple`` with an input dict per cycle; ``sim.state`` is
-    the run's final state afterwards."""
+    through ``step_tuple`` with an input dict per cycle, every row kept
+    when ``record_trace``; ``sim.state`` is the run's final state
+    afterwards."""
     overrides = {}
     if arf_init is not None:
         overrides = {"arf_w%d" % i: v for i, v in enumerate(arf_init) if i}
     sim.reset(overrides)
     program = list(program)
     retire = {}
-    trace = Trace(sim.observable_names) if record_trace else None
-    names = sim.observable_names
+    rows = []
     i_ready = sim.observable_index("fetch_ready")
     i_quiesce = sim.observable_index("pipe_quiesce")
     i_fire = sim.observable_index("commit_fire")
@@ -102,8 +103,7 @@ def reference_run(sim, program, arf_init=None, *, max_cycles=4000, record_trace=
         if ptr < len(program):
             inputs = {"in_valid": 1, "in_instr": program[ptr]}
         obs = sim.step_tuple(inputs)
-        if trace is not None:
-            trace.append(dict(zip(names, obs)))
+        rows.append(obs)
         if ptr < len(program) and obs[i_ready]:
             ptr += 1
             last_accept = t
@@ -120,7 +120,7 @@ def reference_run(sim, program, arf_init=None, *, max_cycles=4000, record_trace=
         mem=[sim.state[i] for i in mem_positions],
         cycles=cycles,
         retire=retire,
-        trace=trace,
+        trace=ConcreteTraceView(rows, names=sim.observable_names) if record_trace else None,
     )
 
 
@@ -141,7 +141,7 @@ def _outcome(run, sim, program, arf_init, record_trace=False):
     except RuntimeError as exc:
         message = str(exc)
         return "did not quiesce" if message.startswith("program did not quiesce") else message
-    trace = got.trace.cycles if record_trace else None
+    trace = (got.trace.names, got.trace.cycles) if record_trace else None
     return got.cycles, got.retire, got.arf, got.mem, trace
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.core.decisions import Decision, extract_decisions
 from repro.core.mhb import CycleAccuratePath, UhbGraph, extract_path
 from repro.core.pl import PerformingLocation, PlSlot
+from repro.props import ConcreteTraceView
 
 
 def path(*visit_sets):
@@ -98,12 +99,15 @@ class TestExtractPath:
             {"a_occ": 0, "a_pc": 4, "b_occ0": 1, "b_pc0": 4, "b_occ1": 0, "b_pc1": 0},
             {"a_occ": 1, "a_pc": 8, "b_occ0": 0, "b_pc0": 0, "b_occ1": 1, "b_pc1": 4},
         ]
-        p = extract_path(cycles, self.PLS, iuv_pc=4)
+        p = extract_path(ConcreteTraceView(cycles), self.PLS, iuv_pc=4)
         assert p.visits == (frozenset({"A"}), frozenset({"B"}), frozenset({"B"}))
+        # the same rows as tuples over their names read the same path
+        rows = [tuple(cycle.values()) for cycle in cycles]
+        assert extract_path(ConcreteTraceView(rows, names=list(cycles[0])), self.PLS, iuv_pc=4) == p
 
     def test_other_pc_ignored(self):
         cycles = [{"a_occ": 1, "a_pc": 8, "b_occ0": 0, "b_pc0": 0, "b_occ1": 0, "b_pc1": 0}]
-        p = extract_path(cycles, self.PLS, iuv_pc=4)
+        p = extract_path(ConcreteTraceView(cycles), self.PLS, iuv_pc=4)
         assert p.latency == 0
 
 

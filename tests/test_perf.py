@@ -15,9 +15,12 @@ The three layers under test:
 """
 
 import dataclasses
+import json
+import os
 
 import pytest
 
+from repro.core.mhb import CycleAccuratePath
 from repro.designs import build_core, build_cva6_mul, build_fixed_core
 from repro.designs.core import CoreConfig
 from repro.designs.harness import STRAIGHT_LINE_POOL, sample_sequence
@@ -35,6 +38,7 @@ from repro.perf import (
     shrink_mismatch,
     write_perf_reproducer,
 )
+from repro.perf import model as perf_model
 from repro.perf.model import replace_model
 from repro.sim import Simulator
 
@@ -49,13 +53,17 @@ DESIGN_BUILDERS = {
 _cache = {}
 
 
+def _calibrated(design):
+    """``design``'s perf model, from the calibration IUVs' probes."""
+    summaries = collect_upath_summaries(design, CALIBRATION_IUVS)
+    return compile_model(design, summaries, names=STRAIGHT_LINE_POOL)
+
+
 def _compiled(name):
     """(design, sim, model) for a corpus design, compiled once per run."""
     if name not in _cache:
         design = DESIGN_BUILDERS[name]()
-        summaries = collect_upath_summaries(design, CALIBRATION_IUVS)
-        model = compile_model(design, summaries, names=STRAIGHT_LINE_POOL)
-        _cache[name] = (design, Simulator(design.netlist), model)
+        _cache[name] = (design, Simulator(design.netlist), _calibrated(design))
     return _cache[name]
 
 
@@ -124,6 +132,51 @@ class TestGoldenTables:
         assert model.hazard("st_drain_port") is not None
         div_rule = model.hazard("structural", "div")
         assert div_rule.operand_dependent
+
+
+#: every compiled model of the designs below, ``to_dict()`` as JSON
+PINNED_MODELS = os.path.join(os.path.dirname(__file__), "fixtures", "perf_models.json")
+
+
+def _as_json(model):
+    """``model.to_dict()`` as its JSON fixture holds it."""
+    return json.loads(json.dumps(model.to_dict()))
+
+
+def _model_dict(name):
+    if name == "core-xlen8":
+        return _as_json(_calibrated(build_core(CoreConfig(xlen=8))))
+    return _as_json(_compiled("core" if name == "core-xlen4" else name)[2])
+
+
+class TestPinnedModels:
+    """Each compiled model whole: every latency table, observed-latency
+    set, hazard rule and source run length, against the models recorded
+    before the probes read their paths with ``extract_path``."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        with open(PINNED_MODELS, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("name", ["core-xlen4", "core-xlen8", "cva6-mul", "fixed"])
+    def test_compiled_model_matches_fixture(self, pinned, name):
+        assert _model_dict(name) == pinned[name]
+
+    def test_planted_late_issue_read_is_caught(self, pinned, monkeypatch):
+        """A probe that reads the issue visit one row late."""
+        real = perf_model.extract_path
+
+        def late_issue(*args, **kwargs):
+            visits = real(*args, **kwargs).visits + (frozenset(),)
+            return CycleAccuratePath.from_cycles("late", [
+                visit - {"issue"} | ({"issue"} if t and "issue" in visits[t - 1] else set())
+                for t, visit in enumerate(visits)
+            ])
+
+        monkeypatch.setattr(perf_model, "extract_path", late_issue)
+        model = _calibrated(DESIGN_BUILDERS["core"]())
+        assert _as_json(model) != pinned["core-xlen4"]
 
 
 class TestDifferentialAgreement:

@@ -1,10 +1,10 @@
-"""Simulator tests: compiled semantics, reset overrides, traces, VCD."""
+"""Simulator tests: compiled semantics, reset overrides, retire maps, VCD."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rtl import Module, elaborate, mux
-from repro.sim import Simulator, Trace, trace_to_vcd
+from repro.sim import Simulator, trace_to_vcd
 
 from repro.fuzz.gen import MASK, WIDTH, build_random_expr
 
@@ -84,46 +84,29 @@ def test_random_expression_matches_reference(seed, a, b):
 
 
 class TestTraceAndVcd:
-    def _make_trace(self):
-        trace = Trace(["sig", "bus"])
-        trace.append({"sig": 0, "bus": 3})
-        trace.append({"sig": 1, "bus": 3})
-        trace.append({"sig": 1, "bus": 7})
-        return trace
-
-    def test_trace_access(self):
-        trace = self._make_trace()
-        assert len(trace) == 3
-        assert trace.value(1, "sig") == 1
-        assert trace.column("bus") == [3, 3, 7]
+    NAMES = ["sig", "bus"]
+    CYCLES = [{"sig": 0, "bus": 3}, {"sig": 1, "bus": 3}, {"sig": 1, "bus": 7}]
 
     def test_vcd_structure(self):
-        vcd = trace_to_vcd(self._make_trace())
+        vcd = trace_to_vcd(self.NAMES, self.CYCLES)
         assert "$enddefinitions" in vcd
         assert "$var wire" in vcd
         assert vcd.count("#") >= 3  # timestamps
 
     def test_vcd_only_changes_emitted(self):
-        vcd = trace_to_vcd(self._make_trace())
+        vcd = trace_to_vcd(self.NAMES, self.CYCLES)
         # bus changes at cycles 0 and 2 only: two b-value lines
         assert sum(1 for line in vcd.splitlines() if line.startswith("b")) == 2
 
     def test_vcd_width_override(self):
-        vcd = trace_to_vcd(self._make_trace(), widths={"bus": 8})
+        vcd = trace_to_vcd(self.NAMES, self.CYCLES, widths={"bus": 8})
         assert "$var wire 8" in vcd
-
-    def test_run_records(self):
-        m = Module("c")
-        c = m.reg("x", 3)
-        c.next = c.q + 1
-        m.name_signal("x_val", c.q)
-        sim = Simulator(elaborate(m))
-        trace = sim.run([{}] * 4)
-        assert trace.column("x_val") == [0, 1, 2, 3]
 
 
 class TestRetireTimestamps:
-    """Per-instruction retire accounting via Trace.retire_times."""
+    """Per-instruction retire accounting via ``ProgramRun.retire``: the
+    cycle each PC shows on the commit port, read off the recorded rows
+    too."""
 
     @pytest.fixture(scope="class")
     def core(self):
@@ -147,11 +130,13 @@ class TestRetireTimestamps:
             isa.encode("ADDI", rd=3, rs1=0, rs2=3),
         ]
         run = self._run(core, program)
-        times = run.trace.retire_times()
+        times = run.retire
         cycles = [times[slot_pc(slot)] for slot in range(3)]
         # independent ALU ops stream through: one commit per cycle
         assert cycles == [cycles[0], cycles[0] + 1, cycles[0] + 2]
-        assert run.retire == times  # ProgramRun exposes the same map
+        trace = run.trace
+        assert [t for t in range(trace.horizon) if trace.bit("commit_fire", t)] == cycles
+        assert [trace.word("commit_pc", t) for t in cycles] == [slot_pc(s) for s in range(3)]
 
     def test_raw_stall_delays_consumer_retire(self, core):
         from repro.designs import isa, slot_pc
@@ -165,10 +150,10 @@ class TestRetireTimestamps:
             isa.encode("DIV", rd=2, rs1=3, rs2=3),  # no dependence
         ]
         gap_dep = (lambda t: t[slot_pc(1)] - t[slot_pc(0)])(
-            self._run(core, dep).trace.retire_times()
+            self._run(core, dep).retire
         )
         gap_indep = (lambda t: t[slot_pc(1)] - t[slot_pc(0)])(
-            self._run(core, indep).trace.retire_times()
+            self._run(core, indep).retire
         )
         # the dependent divide waits in ID for the ADDI to commit
         assert gap_dep > gap_indep
@@ -182,7 +167,7 @@ class TestRetireTimestamps:
             isa.encode("ADDI", rd=2, rs1=0, rs2=5),
         ]
         run = self._run(core, program)
-        times = run.trace.retire_times()
+        times = run.retire
         assert slot_pc(0) in times
         assert slot_pc(1) in times  # the branch itself commits
         assert slot_pc(2) not in times  # the squashed ADDI never does

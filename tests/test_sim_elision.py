@@ -1,12 +1,9 @@
-"""Fixed-point elision in ``Simulator.step_tuple`` and the stimulus loop.
+"""Fixed-point elision in the stimulus loop.
 
-Once a step returns the state it was given, later calls with that state
-object and equal inputs replay the remembered row instead of running the
-step function; the stimulus loop behind ``simulate_context`` pads the
-rest of the horizon with a fixed point's row when no step is released.
-Rows must equal a direct step loop's, a changed input must re-step,
-``reset`` must forget the fixed point, and ``cycle`` must count every
-call.
+The loop behind ``simulate_context`` pads the rest of the horizon with a
+fixed point's row when no step is released.  Rows must equal a direct
+step loop's, a design that never reaches a fixed point is stepped every
+cycle, and ``Simulator`` still rejects unknown names.
 """
 
 import pytest
@@ -16,7 +13,7 @@ from repro.core.synthlc import instrument_design
 from repro.designs import ContextFamilyConfig, CoreContextProvider, build_core
 from repro.designs.cache import CacheContextProvider, build_cache
 from repro.designs.core import CoreConfig
-from repro.mc.enumerative import simulate_context
+from repro.mc.enumerative import Context, simulate_context
 from repro.rtl import Module, elaborate, mux
 from repro.sim import Simulator
 from repro.sim.simulator import compiled
@@ -29,36 +26,6 @@ TAINT_FAMILY = ContextFamilyConfig(
     instrumented=True, horizon=32, neighbors=("DIV",), iuv_values=(0, 15),
     neighbor_values=(0, 15),
 )
-
-
-class _AnyInputs:
-    """Compares equal to every input tuple."""
-
-    def __eq__(self, other):
-        return True
-
-
-class IgnoresInputs(Simulator):
-    """Planted bug: replays the remembered row whatever the inputs."""
-
-    def step_tuple(self, inputs=None):
-        obs = super().step_tuple(inputs)
-        if self._fixed_state is not None:
-            self._fixed_inputs = _AnyInputs()
-        return obs
-
-
-def counted(sim):
-    """Wrap ``sim``'s step function; returns the list each call appends to."""
-    calls = []
-    step = sim._step_fn
-
-    def counting(state, inputs):
-        calls.append(inputs)
-        return step(state, inputs)
-
-    sim._step_fn = counting
-    return calls
 
 
 def counted_drive(monkeypatch):
@@ -122,14 +89,6 @@ def mismatches(netlist, contexts):
     ]
 
 
-# en = 0 five times, then 1 three times: the counter holds, then counts
-ENABLE_ROWS = [0] * 6 + [1, 2]
-
-
-def _enable_rows(sim):
-    return [sim.step_tuple({"en": en})[0] for en in (0,) * 5 + (1,) * 3]
-
-
 def _counter(enable=True):
     m = Module("c")
     c = m.reg("count", 4, reset=0)
@@ -160,23 +119,6 @@ def static_taint(core):
 
 
 class TestElision:
-    def test_quiescent_design_stops_stepping(self):
-        sim = Simulator(_counter())
-        calls = counted(sim)
-        rows = [sim.step_tuple({"en": 1}) for _ in range(3)]
-        rows += [sim.step_tuple({"en": 0}) for _ in range(10)]
-        # the first en=0 step finds the fixed point; the nine after it replay
-        assert len(calls) == 4
-        assert sim.cycle == 13
-        assert [row[0] for row in rows] == [0, 1, 2] + [3] * 10
-
-    def test_changed_input_after_quiescence_steps_again(self):
-        sim = Simulator(_counter())
-        calls = counted(sim)
-        assert _enable_rows(sim) == ENABLE_ROWS
-        # one call finds the fixed point, then each enabled cycle steps
-        assert len(calls) == 4 and sim.cycle == len(ENABLE_ROWS)
-
     def test_quiescing_core_context_skips_its_tail(self, core, monkeypatch):
         provider = CoreContextProvider(xlen=4, config=SMOKE_FAMILY)
         context = provider.mupath_groups("ADD")[0].contexts[0]
@@ -187,29 +129,14 @@ class TestElision:
         assert 0 < len(calls) < context.horizon
         assert rows == direct_rows(core.netlist, context)
 
-    def test_free_running_counter_never_elides(self):
-        sim = Simulator(_counter(enable=False))
-        calls = counted(sim)
-        rows = [sim.step_tuple() for _ in range(40)]
-        assert len(calls) == sim.cycle == 40
+    def test_free_running_counter_never_elides(self, monkeypatch):
+        netlist = _counter(enable=False)
+        context = Context.scripted({}, [], 40, label="count")
+        calls = counted_drive(monkeypatch)
+        rows = simulate_context(Simulator(netlist), context)
+        assert len(calls) == 40
         assert [row[0] for row in rows] == [t % 16 for t in range(40)]
-
-    def test_reset_clears_the_fixed_point(self):
-        sim = Simulator(_counter())
-        calls = counted(sim)
-        sim.step_tuple({"en": 0})
-        sim.step_tuple({"en": 0})
-        assert len(calls) == 1
-        sim.reset()  # back to the very state object the fixed point holds
-        assert sim.cycle == 0
-        assert sim.step_tuple({"en": 0}) == (0,)
-        assert len(calls) == 2
-        sim.reset({"count": 0})
-        assert sim.step_tuple({"en": 0}) == (0,)
-        assert len(calls) == 3
-        sim.reset({"count": 5})
-        assert sim.step_tuple({"en": 0}) == (5,)
-        assert len(calls) == 4 and sim.cycle == 1
+        assert rows == direct_rows(netlist, context)
 
     def test_reset_override_unknown_register_still_raises(self):
         with pytest.raises(KeyError):
@@ -244,5 +171,4 @@ class TestRowsMatchDirectLoop:
         netlist, contexts = static_taint
         monkeypatch.setattr(enumerative, "drive", input_blind_drive)
         assert mismatches(netlist, contexts)
-        assert _enable_rows(IgnoresInputs(_counter())) != ENABLE_ROWS
 
