@@ -12,7 +12,7 @@ and re-evaluates the property on the replayed trace.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..props.views import ConcreteTraceView
 

@@ -27,8 +27,8 @@ relevant for it; the Table I bench cross-checks this mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .rtl2mupath import MuPathResult
 from .synthlc import LeakageSignature, SynthLCResult

@@ -11,7 +11,7 @@ it is the squash/disappearance arm of flush-induced decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from .mhb import CycleAccuratePath
 

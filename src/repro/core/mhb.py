@@ -17,7 +17,7 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = ["CycleAccuratePath", "UhbNode", "UhbGraph", "extract_path"]

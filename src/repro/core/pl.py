@@ -23,7 +23,7 @@ Table II accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..props.exprs import CycleExpr, all_of, any_of, eq, sig
 

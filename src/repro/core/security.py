@@ -23,9 +23,8 @@ transmitter's unsafe operand produce detectably different ones.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Sequence
 
 from ..designs.harness import program_context
 from ..mc.enumerative import simulate_context
@@ -42,21 +41,23 @@ __all__ = [
 
 
 class UPathReceiver:
-    """R_uPATH: observes which PLs are occupied in each cycle."""
+    """R_uPATH: observes which PLs are occupied in each cycle.
 
-    def __init__(self, metadata: DesignMetadata):
-        self.metadata = metadata
-        self._slots = [
-            (name, slot.occ_signal)
+    Reads the stimulus loop's rows over ``observable_names``: each
+    slot's occupancy column is resolved once, here.
+    """
+
+    def __init__(self, metadata: DesignMetadata, observable_names: Sequence[str]):
+        index = {name: i for i, name in enumerate(observable_names)}
+        self._columns = [
+            ("%s#%s" % (name, slot.occ_signal), index[slot.occ_signal])
             for name, pl in metadata.pls.items()
             for slot in pl.slots
         ]
 
-    def observe(self, obs_row: Dict[str, int]) -> FrozenSet[str]:
+    def observe(self, row: Sequence[int]) -> FrozenSet[str]:
         """One cycle's observation: the set of occupied PL slots."""
-        return frozenset(
-            "%s#%s" % (name, occ) for name, occ in self._slots if obs_row[occ]
-        )
+        return frozenset(label for label, column in self._columns if row[column])
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,10 @@ class ScSafeViolation:
 
 
 def _observation_trace(netlist, metadata, program, overrides, horizon):
-    receiver = UPathReceiver(metadata)
     sim = Simulator(netlist)
+    receiver = UPathReceiver(metadata, sim.observable_names)
     context = program_context([("feed", tuple(program))], overrides, horizon=horizon)
-    names = sim.observable_names
-    return [
-        receiver.observe(dict(zip(names, row))) for row in simulate_context(sim, context)
-    ]
+    return [receiver.observe(row) for row in simulate_context(sim, context)]
 
 
 def check_sc_safe(

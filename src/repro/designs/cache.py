@@ -23,13 +23,12 @@ Channels this design exhibits, matching SS VII-A2:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..rtl.module import Module
 from ..rtl.netlist import elaborate
-from ..rtl.nodes import mux, zext
+from ..rtl.nodes import mux
 from ..core.pl import DesignMetadata, MicroFsm, PerformingLocation, PlSlot
 from ..mc.enumerative import Context
 from .harness import ContextGroup, TaintSpec, slot_pc, taint_inputs

@@ -16,7 +16,9 @@ structurally:
 * zero-skip multiplier variant (CVA6-MUL, Fig. 1): 1 cycle with a zero
   operand, 4 otherwise;
 * store-to-load page-offset stalling (SS IV-A, Fig. 4b): a load whose
-  address page offset matches a pending store stalls in LSQ/ldStall;
+  address page offset matches a pending store stalls in LSQ/ldStall
+  until no older store matches (younger stores dispatched meanwhile
+  are marked ``sstb*_yng`` and skipped);
 * committed-store-buffer drain stalling behind younger loads using the
   single memory port (the paper's novel ST_comSTB channel, Fig. 5);
 * mispredict flushes: conditional branches flush younger instructions as
@@ -36,12 +38,12 @@ and removable with ``CoreConfig(fixed_bugs=True)``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..rtl.module import Module
 from ..rtl.netlist import Netlist, elaborate
-from ..rtl.nodes import Node, cat, mux, sext, zext
+from ..rtl.nodes import cat, mux, zext
 from ..core.pl import DesignMetadata, MicroFsm, PerformingLocation, PlSlot
 from . import isa
 from .dputils import msb_index, signed_lt, unsigned_divide, var_shift_left, var_shift_right
@@ -240,6 +242,8 @@ def build_core(config: Optional[CoreConfig] = None) -> CoreDesign:
     sstb_pc = [m.reg("sstb%d_pc" % e, P) for e in range(NSTB)]
     sstb_addr = [m.reg("sstb%d_addr" % e, X) for e in range(NSTB)]
     sstb_data = [m.reg("sstb%d_data" % e, X) for e in range(NSTB)]
+    # the entry's store dispatched after the load now stalled in the LSU
+    sstb_yng = [m.reg("sstb%d_yng" % e, 1) for e in range(NSTB)]
     sstb_head = m.reg("sstb_head", max(1, (NSTB - 1).bit_length()))
     sstb_tail = m.reg("sstb_tail", max(1, (NSTB - 1).bit_length()))
 
@@ -433,11 +437,12 @@ def build_core(config: Optional[CoreConfig] = None) -> CoreDesign:
     # ============================================================ LSU: loads
     ld_addr_new = iss_rs1v.q + zext(iss_imm.q, X)
 
-    def _offset_match(addr):
+    def _offset_match(addr, older_only=False):
         match = m.const(0, 1)
         for e in range(NSTB):
+            valid = sstb_v[e].q & ~sstb_yng[e].q if older_only else sstb_v[e].q
             match = match | (
-                sstb_v[e].q & sstb_addr[e].q[0:OFF].eq(addr[0:OFF])
+                valid & sstb_addr[e].q[0:OFF].eq(addr[0:OFF])
             )
             match = match | (
                 cstb_v[e].q & cstb_addr[e].q[0:OFF].eq(addr[0:OFF])
@@ -457,7 +462,9 @@ def build_core(config: Optional[CoreConfig] = None) -> CoreDesign:
     ld_match_new = _offset_match(ld_addr_new)
     ld_goes_stall = disp_load & ld_match_new
     ld_goes_fin = disp_load & ~ld_match_new
-    ld_match_cur = _offset_match(ld_addr.q)
+    # a stalled load waits on older stores only: a younger store at its
+    # offset cannot commit before it, so waiting on one never ends
+    ld_match_cur = _offset_match(ld_addr.q, older_only=True)
     ld_unstall = ld_state.q.eq(1) & ~ld_match_cur
     ld_mem_now = ld_state.q.eq(2)  # accessing the single memory port
     ld_complete = ld_mem_now
@@ -724,6 +731,7 @@ def build_core(config: Optional[CoreConfig] = None) -> CoreDesign:
         sstb_pc[e].next = mux(alloc_here, iss_pc.q, sstb_pc[e].q)
         sstb_addr[e].next = mux(alloc_here, st_addr_new, sstb_addr[e].q)
         sstb_data[e].next = mux(alloc_here, iss_rs2v.q, sstb_data[e].q)
+        sstb_yng[e].next = ld_state.q.eq(1) & (alloc_here | sstb_yng[e].q)
     sstb_tail.next = mux(exc_flush, m.const(0, sstb_tail.width), mux(disp_store, sstb_tail.q + 1, sstb_tail.q))
     sstb_head.next = mux(exc_flush, m.const(0, sstb_head.width), mux(st_commit_fire, sstb_head.q + 1, sstb_head.q))
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..rtl.module import Module
 from ..rtl.nodes import Node, cat, mux, zext
 
 __all__ = [

@@ -24,13 +24,13 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..mc.enumerative import Context, drive
 from ..props.views import ConcreteTraceView
-from ..sim.simulator import compiled
+from ..sim.simulator import check_width, compiled
 from . import isa
 
 __all__ = [
@@ -344,6 +344,7 @@ class _RunPlan:
         )
         self.reset = tuple(reg.reset for reg, _ in netlist.registers)
         self.reg_index = {reg.name: i for i, (reg, _) in enumerate(netlist.registers)}
+        self.widths = [reg.width for reg, _ in netlist.registers]
         inputs = [node.name for node in netlist.inputs]
         self.idle = (0,) * len(inputs)
         self.valid = inputs.index("in_valid")
@@ -380,8 +381,9 @@ def _run_plan(netlist, record_trace: bool) -> _RunPlan:
 def _program_rows(plan: _RunPlan, program, arf_init, max_cycles: int):
     """``program``'s rows on ``plan``'s netlist and the state after them.
 
-    The reset state with ``arf_init[i]`` in ``arf_w<i>`` for ``i > 0``,
-    each word a script step released by ``fetch_ready``, as in
+    The reset state with ``arf_init[i]`` in ``arf_w<i>`` for ``i > 0``
+    (a value that does not fit its register raises ValueError), each
+    word a script step released by ``fetch_ready``, as in
     :func:`program_context`, and the run stopped at the first
     ``pipe_quiesce`` row after the last accept (:func:`drive`).
     """
@@ -390,7 +392,10 @@ def _program_rows(plan: _RunPlan, program, arf_init, max_cycles: int):
         values = list(state)
         for i, value in enumerate(arf_init):
             if i:
-                values[plan.reg_index["arf_w%d" % i]] = value
+                name = "arf_w%d" % i
+                position = plan.reg_index[name]
+                check_width(name, value, plan.widths[position])
+                values[position] = value
         state = tuple(values)
     script = [(feed, plan.ready) for feed in plan.feeds(program)]
     return drive(plan.step, state, script, plan.idle, max_cycles, quiesce=plan.quiesce)

@@ -16,10 +16,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..rtl.module import Module
-from ..rtl.netlist import Netlist, elaborate
+from ..rtl.netlist import elaborate
 from ..rtl.nodes import mux, zext
 from ..core.pl import DesignMetadata, MicroFsm, PerformingLocation, PlSlot
 from ..mc.enumerative import Context

@@ -27,7 +27,7 @@ from .gen import (
     spec_from_dict,
     spec_to_dict,
 )
-from .oracle import Disagreement, OracleConfig, OracleReport, check_design
+from .oracle import Disagreement, OracleConfig, check_design
 from .shrink import shrink_spec
 
 __all__ = [

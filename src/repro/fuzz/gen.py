@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..rtl import Module, cat, elaborate, mux, redand, redor, zext
+from ..rtl import Module, elaborate, mux, redand, redor, zext
 from ..rtl.netlist import Netlist
 
 __all__ = [

@@ -46,7 +46,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..mc.bmc import BmcContext, SymbolicContextSpec

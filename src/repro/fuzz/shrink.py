@@ -26,7 +26,7 @@ from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .. import obs
-from .gen import DesignSpec, InputSpec, OpSpec, build_design
+from .gen import DesignSpec, OpSpec, build_design
 
 __all__ = ["shrink_spec", "shrink_sequence", "ddmin_chunks"]
 

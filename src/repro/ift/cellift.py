@@ -28,7 +28,7 @@ Three features mirror the paper's requirements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..rtl.module import Module
 from ..rtl.netlist import Netlist, elaborate

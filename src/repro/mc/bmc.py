@@ -31,7 +31,7 @@ from ..props.views import SymbolicOps, SymbolicTraceView
 from ..rtl.netlist import Netlist
 from ..solver.bitblast import Frame, blast_frame, paused_gc
 from ..solver.bits import BitBuilder
-from ..solver.sat import SAT, UNKNOWN, UNSAT, SatSolver
+from ..solver.sat import SAT, UNSAT, SatSolver
 from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from .stats import PropertyStats
 

@@ -32,7 +32,6 @@ each context: a walk of the input trie steps each distinct
 
 from __future__ import annotations
 
-import itertools
 import time
 import weakref
 from dataclasses import dataclass
@@ -162,13 +161,13 @@ def simulate_context(simulator: Simulator, context: Context) -> List[Tuple[int, 
     simulator.reset(dict(context.reset_overrides))
     idle = dict(context.idle)
     script = [
-        (simulator.pack_inputs({**idle, **dict(assignment)}),
+        (simulator.pack_checked({**idle, **dict(assignment)}),
          None if release is None else simulator.observable_index(release))
         for assignment, release in context.script
     ]
     rows, simulator.state = drive(
         compiled(simulator.netlist).step, simulator.state, script,
-        simulator.pack_inputs(idle), context.horizon,
+        simulator.pack_checked(idle), context.horizon,
     )
     simulator.cycle = context.horizon
     return rows
@@ -305,7 +304,7 @@ class ProductFamily:
         step = compiled(self.netlist).step
         names = simulator.observable_names
         index = {name: i for i, name in enumerate(names)}
-        packed = [simulator.pack_inputs(choice) for choice in self.per_cycle]
+        packed = [simulator.pack_checked(choice) for choice in self.per_cycle]
         radix = len(packed)
         horizon = self.horizon
         memo: Dict[tuple, tuple] = {}

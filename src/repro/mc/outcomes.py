@@ -10,7 +10,7 @@ it as reachable or unreachable, trading completeness against soundness
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["REACHABLE", "UNREACHABLE", "UNDETERMINED", "CheckResult"]

@@ -18,7 +18,7 @@ from .. import obs
 from ..props.query import Query
 from .bmc import BmcContext
 from .enumerative import EnumerativeEngine, TraceDB
-from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
+from .outcomes import UNDETERMINED, CheckResult
 from .stats import PropertyStats
 
 __all__ = ["PortfolioEngine"]

@@ -23,10 +23,10 @@ dispatch also validates the latency it used against the synthesized
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..designs.harness import GoldenStep, golden_steps, slot_pc
+from ..designs.harness import GoldenStep, golden_steps
 from .model import PerfModel
 
 __all__ = ["Prediction", "PredictError", "predict_program", "STALL_CLASSES"]
@@ -155,6 +155,7 @@ def predict_program(
     ld_entry: Optional[_Entry] = None
     lsq = False
     sstb: deque = deque()  # (pc, off) speculative stores, FIFO
+    sstb_young = 0  # how many at its tail dispatched after the stalled load
     cstb: deque = deque()  # (pc, off) committed stores awaiting drain
     drain: Optional[Tuple[int, int]] = None  # store draining this cycle
 
@@ -166,9 +167,10 @@ def predict_program(
     stalls = {cls: 0 for cls in STALL_CLASSES}
     out_of_model: List[dict] = []
 
-    def _match(off):
-        for _, o in sstb:
-            if o == off:
+    def _match(off, older_only=False):
+        older = len(sstb) - sstb_young if older_only else len(sstb)
+        for i, (_, o) in enumerate(sstb):
+            if i < older and o == off:
                 return True
         for _, o in cstb:
             if o == off:
@@ -201,9 +203,11 @@ def predict_program(
             retire.setdefault(cmt.pc, t)
             st_commit = cmt.isst
 
-        # load unit: a stalled load re-checks the offset matcher each cycle
+        # load unit: a stalled load re-checks the offset matcher each
+        # cycle, against the stores older than it
+        ld_stalled = ld_state == 1
         ld_mem_now = ld_state == 2
-        ld_unstall = ld_state == 1 and not _match(ld_off)
+        ld_unstall = ld_stalled and not _match(ld_off, older_only=True)
         ld_will_access = ld_unstall
         if ld_state == 1:
             stalls["st_ld_offset"] += 1
@@ -316,6 +320,7 @@ def predict_program(
         if disp_store:
             step = steps[iss_slot]
             sstb.append((step.pc, step.addr & off_mask))
+        sstb_young = sstb_young + disp_store if ld_stalled else 0
 
         # frontend
         iss_slot = id_slot if id_adv else None

@@ -8,8 +8,8 @@ considered trace (SVA ``assume``); ``prop`` is the cover target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from .exprs import CycleExpr
 from .trace_props import TraceProp

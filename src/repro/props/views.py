@@ -10,7 +10,7 @@ both the fast enumerative engine and the SAT-backed engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 __all__ = [
     "ConcreteOps",

@@ -14,8 +14,8 @@ by re-synthesizing uPATHs for sampled class members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from ..designs import isa
 from ..core.synthlc import LeakageSignature, SynthLCResult, TransmitterTag

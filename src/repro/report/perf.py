@@ -13,7 +13,7 @@ cross-checked against the SynthLC leakage labels.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..perf.model import PerfModel
 from .tables import render_table

@@ -9,8 +9,6 @@ reconciliation line (span-accounted checker seconds vs the run's
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..obs.profile import TraceProfile
 from .tables import render_table
 

@@ -10,8 +10,7 @@ property than whole-core verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from ..core.pl import DesignMetadata
 from ..mc.stats import PropertyStats

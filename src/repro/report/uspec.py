@@ -16,7 +16,7 @@ cycle-accurate features (per-PL revisit annotations).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from ..core.rtl2mupath import MuPathResult
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .nodes import Node, WidthError, cat, mux, zext
+from .nodes import Node, WidthError, mux, zext
 
 __all__ = ["Module", "Register", "Memory"]
 

@@ -36,8 +36,6 @@ Widths are checked strictly at construction time; use :func:`zext`,
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 __all__ = [
     "Node",
     "WidthError",

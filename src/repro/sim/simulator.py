@@ -7,6 +7,13 @@ engine -- run one to two orders of magnitude faster than tree-walking
 evaluation, which matters when a single RTL2MuPATH run executes hundreds of
 thousands of simulated cycles.
 
+1-bit logic is emitted as Python tests -- comparisons, ``and``, ``or``,
+``not`` -- wherever only a truth value is needed: a mux select reads a
+comparison directly, 1-bit ``and``/``or`` short-circuit, and a replicated
+taint bit guards the ``and`` it masks.  Every value the step returns is
+still an ``int``.  These rules are exact for states and inputs whose values
+fit their widths, which a run checks once, not per cycle (DESIGN §5m).
+
 Large cones of cells that read at most 16 bits of state and inputs -- an
 instruction decoder keyed on its opcode field, say -- are compiled as
 functions of their own and memoized per compile on the values of those
@@ -29,12 +36,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import operator
 import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..rtl.netlist import Netlist, netlist_fingerprint
 
-__all__ = ["Simulator", "compile_netlist", "compiled", "simulation_key"]
+__all__ = ["Simulator", "check_width", "compile_netlist", "compiled", "simulation_key"]
 
 
 # Deepest parenthesis nesting an inlined expression may reach; a deeper
@@ -58,48 +66,90 @@ def _observable_names(netlist: Netlist) -> List[str]:
     ]
 
 
-def _cell_expr(node, a) -> str:
-    """Python expression of one cell over its argument expressions ``a``."""
+def _replicated(node) -> bool:
+    """Whether ``node`` is a concat of one 1-bit signal repeated:
+    CellIFT's broadcast of a select taint over a word."""
+    if node.op != "concat" or len(node.args) < 2:
+        return False
+    bit = node.args[0]
+    return bit.width == 1 and all(arg is bit for arg in node.args)
+
+
+def _cell_expr(node, a, t) -> Tuple[str, Optional[str]]:
+    """Python expressions of one cell over its arguments' texts.
+
+    ``a`` holds each argument's value text and ``t`` its test text, or
+    None where the value text is its own test.  Returns ``(value,
+    test)``: ``value`` evaluates to the cell's value, always an ``int``;
+    ``test``, where not None, is an expression whose truth is the
+    value's.  1-bit logic is tested, not computed: comparisons feed mux
+    selects, 1-bit ``and``/``or`` short-circuit, and a replicated bit
+    guards the ``and`` it masks (DESIGN §5m).  Exact for argument values
+    that fit their widths.
+    """
     op = node.op
-    if op == "and":
-        return "%s & %s" % a
-    if op == "or":
-        return "%s | %s" % a
+    mask = (1 << node.width) - 1
+
+    def test(i):
+        return a[i] if t[i] is None else t[i]
+
+    if op in ("and", "or"):
+        if node.width == 1:
+            if t[0] is None and t[1] is None:
+                return "%s %s %s" % (a[0], op, a[1]), None
+            cond = "%s %s %s" % (test(0), op, test(1))
+            return "1 if %s else 0" % cond, cond
+        if op == "and":
+            for i in (0, 1):
+                if _replicated(node.args[i]):
+                    return "%s if %s else 0" % (a[1 - i], test(i)), None
+            return "%s & %s" % a, None
+        return "%s | %s" % a, None
     if op == "xor":
-        return "%s ^ %s" % a
+        return "%s ^ %s" % a, None
     if op == "add":
-        return "(%s + %s) & %d" % (a + ((1 << node.width) - 1,))
+        return "(%s + %s) & %d" % (a + (mask,)), None
     if op == "sub":
-        return "(%s - %s) & %d" % (a + ((1 << node.width) - 1,))
+        return "(%s - %s) & %d" % (a + (mask,)), None
     if op == "mul":
-        return "(%s * %s) & %d" % (a + ((1 << node.width) - 1,))
-    if op == "eq":
-        return "1 if %s == %s else 0" % a
-    if op == "ult":
-        return "1 if %s < %s else 0" % a
+        return "(%s * %s) & %d" % (a + (mask,)), None
+    if op in ("eq", "ult", "redor", "redand"):
+        if op == "eq":
+            cond = "%s == %s" % a
+        elif op == "ult":
+            cond = "%s < %s" % a
+        elif op == "redor":
+            cond = test(0)
+        else:
+            cond = "%s == %d" % (a[0], (1 << node.args[0].width) - 1)
+        return "1 if %s else 0" % cond, cond
     if op == "not":
-        return "%s ^ %d" % (a[0], (1 << node.width) - 1)
+        if node.width > 1:
+            return "%s ^ %d" % (a[0], mask), None
+        if t[0] is None:
+            return "%s ^ 1" % a[0], "not %s" % a[0]
+        return "0 if %s else 1" % t[0], "not %s" % t[0]
     if op == "shl":
-        return "(%s << %d) & %d" % (a[0], node.value, (1 << node.width) - 1)
+        return "(%s << %d) & %d" % (a[0], node.value, mask), None
     if op == "shr":
-        return "%s >> %d" % (a[0], node.value)
+        return "%s >> %d" % (a[0], node.value), None
     if op == "mux":
-        sel, hi, lo = a
-        return "%s if %s else %s" % (hi, sel, lo)
+        return "%s if %s else %s" % (a[1], test(0), a[2]), None
     if op == "concat":
+        if _replicated(node):
+            return "%d if %s else 0" % (mask, test(0)), test(0)
         # args are most-significant first
         parts = []
         shift = 0
         for arg, text in zip(reversed(node.args), reversed(a)):
-            parts.append("(%s << %d)" % (text, shift) if shift else text)
+            if arg.op != "const" or arg.value:
+                parts.append("(%s << %d)" % (text, shift) if shift else text)
             shift += arg.width
-        return " | ".join(parts)
+        return " | ".join(parts), None
     if op == "slice":
-        return "(%s >> %d) & %d" % (a[0], node.value, (1 << node.width) - 1)
-    if op == "redor":
-        return "1 if %s else 0" % a
-    if op == "redand":
-        return "1 if %s == %d else 0" % (a[0], (1 << node.args[0].width) - 1)
+        if node.value:
+            return "(%s >> %d) & %d" % (a[0], node.value, mask), None
+        return "%s & %d" % (a[0], mask), None
     raise NotImplementedError("simulator: unknown op %r" % op)
 
 
@@ -254,15 +304,16 @@ def _key_expr(atoms, text) -> str:
     return " | ".join(parts)
 
 
-def _emit(nodes, text, depth, uses, pinned, lines):
+def _emit(nodes, text, depth, tests, uses, pinned, lines):
     """Append one statement per non-inlined cell of ``nodes`` to ``lines``.
 
     ``nodes`` are topologically ordered.  Constants become literals; a
     cell with one reader in ``uses`` that is not in ``pinned`` is inlined
     into its reader unless that would nest deeper than ``_MAX_DEPTH``.
     ``text`` and ``depth`` map each done node to the text its readers use
-    and that text's parenthesis depth; nodes already in ``text`` are
-    skipped.
+    and the parenthesis depth of that text and of its test, which
+    ``tests`` holds for an inlined cell that has one (:func:`_cell_expr`);
+    nodes already in ``text`` are skipped.
     """
     for node in nodes:
         uid = node.uid
@@ -272,13 +323,18 @@ def _emit(nodes, text, depth, uses, pinned, lines):
             text[uid] = "%d" % node.value
             depth[uid] = 0
             continue
-        expr = _cell_expr(node, tuple(text[arg.uid] for arg in node.args))
-        level = 2 + max(depth[arg.uid] for arg in node.args)
+        args = node.args
+        value, test = _cell_expr(
+            node, tuple(text[arg.uid] for arg in args), tuple(tests.get(arg.uid) for arg in args)
+        )
+        level = 2 + max(depth[arg.uid] for arg in args)
         if uses.get(uid) == 1 and uid not in pinned and level <= _MAX_DEPTH:
-            text[uid] = "(%s)" % expr
+            text[uid] = "(%s)" % value
+            if test is not None:
+                tests[uid] = "(%s)" % test
             depth[uid] = level
         else:
-            lines.append("    v%d = %s" % (uid, expr))
+            lines.append("    v%d = %s" % (uid, value))
             text[uid] = "v%d" % uid
             depth[uid] = 0
 
@@ -315,7 +371,7 @@ def _emit_cone(index, atoms, frontier, position) -> List[str]:
     lines = ["def _c%d(%s):" % (index, ", ".join(text.values()))]
     _emit(
         sorted(cone.values(), key=lambda node: position[node.uid]), text,
-        dict.fromkeys(text, 0), _count_uses(cone.values()),
+        dict.fromkeys(text, 0), {}, _count_uses(cone.values()),
         {node.uid for node in frontier}, lines,
     )
     lines.append("    _r = _m%d[%s] = %s" % (index, _key_expr(atoms, text), _packed(frontier, text)))
@@ -374,6 +430,7 @@ def compile_netlist(netlist: Netlist):
     # inlined expression) and that text's parenthesis depth
     text: Dict[int, str] = {}
     depth: Dict[int, int] = {}
+    tests: Dict[int, str] = {}
     for leaves, source in (
         ([reg.q for reg, _ in netlist.registers], "state"),
         (netlist.inputs, "inputs"),
@@ -387,7 +444,7 @@ def compile_netlist(netlist: Netlist):
     key_atoms = {atom.uid: atom for atoms, _ in memoized for atom in atoms}
     _emit(
         sorted(key_atoms.values(), key=lambda node: position[node.uid]),
-        text, depth, uses, pinned, lines,
+        text, depth, tests, uses, pinned, lines,
     )
     for index, (atoms, frontier) in enumerate(memoized):
         for node in frontier:
@@ -397,7 +454,7 @@ def compile_netlist(netlist: Netlist):
             _packed(frontier, text), index, _key_expr(atoms, text),
             index, ", ".join(text[atom.uid] for atom in atoms),
         ))
-    _emit(step_cells, text, depth, uses, pinned, lines)
+    _emit(step_cells, text, depth, tests, uses, pinned, lines)
     lines.append("    return %s, %s" % (_packed(next_nodes, text), _packed(obs_nodes, text)))
     namespace: Dict[str, object] = {}
     for piece in pieces:
@@ -461,6 +518,18 @@ def compiled(netlist: Netlist) -> CompiledNetlist:
     return entry
 
 
+def check_width(name: str, value: int, width: int):
+    """Raise ValueError unless ``value`` fits ``width`` bits.
+
+    The compiled step is exact only for states and inputs whose values
+    fit their widths (DESIGN §5m).  What a run sets once -- reset
+    overrides, script steps, a program's ARF values -- is checked; the
+    per-cycle inputs of :meth:`Simulator.pack_inputs` are not.
+    """
+    if value >> width:
+        raise ValueError("%s = %r does not fit in %d bits" % (name, value, width))
+
+
 class Simulator:
     """A netlist's compiled step with its state, stepped one cycle a call.
 
@@ -476,7 +545,9 @@ class Simulator:
         self.observable_names = list(entry.observable_names)
         self._reg_names = [reg.name for reg, _ in netlist.registers]
         self._reg_index = {name: i for i, name in enumerate(self._reg_names)}
+        self._reg_widths = [reg.width for reg, _ in netlist.registers]
         self._input_names = [node.name for node in netlist.inputs]
+        self._input_widths = [node.width for node in netlist.inputs]
         self._input_set = frozenset(self._input_names)
         self._zero_inputs = (0,) * len(self._input_names)
         self._reset_values = tuple(reg.reset for reg, _ in netlist.registers)
@@ -495,12 +566,15 @@ class Simulator:
         Overrides model the paper's "only architectural state is symbolically
         initialized" reset: the verification harness enumerates or solves for
         architectural register/memory contents while everything else takes
-        its RTL reset value.
+        its RTL reset value.  An override that does not fit its register
+        raises ValueError.
         """
         if overrides:
             values = list(self._reset_values)
             for name, value in overrides.items():
-                values[self._reg_index[name]] = value
+                i = self._reg_index[name]
+                check_width(name, value, self._reg_widths[i])
+                values[i] = value
             self.state = tuple(values)
         else:
             self.state = self._reset_values
@@ -530,3 +604,13 @@ class Simulator:
         if not inputs.keys() <= self._input_set:
             raise KeyError("unknown inputs: %s" % sorted(set(inputs) - self._input_set))
         return tuple(map(inputs.get, self._input_names, self._zero_inputs))
+
+    def pack_checked(self, inputs: Optional[Dict[str, int]]):
+        """:meth:`pack_inputs`, and a value that does not fit its input
+        raises ValueError: for the tuples a run packs once, a script's
+        steps or a family's alphabet, not for each cycle's inputs."""
+        packed = self.pack_inputs(inputs)
+        if any(map(operator.rshift, packed, self._input_widths)):
+            for name, value, width in zip(self._input_names, packed, self._input_widths):
+                check_width(name, value, width)
+        return packed

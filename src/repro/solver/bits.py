@@ -12,7 +12,7 @@ variable asserted at the root level.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .sat import SatSolver
 

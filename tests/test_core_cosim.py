@@ -171,11 +171,35 @@ def test_recorded_traces_match_the_full_core(core):
     assert _first_mismatch(core, range(40), record_trace=True) is None
 
 
+@pytest.mark.parametrize("core", sorted(CORES))
+@pytest.mark.parametrize("names", [("SB", "LW", "SW"), ("SW", "LW", "SW")])
+def test_store_load_store_quiesces(core, names):
+    """A stalled load waits on older stores only: the younger store at
+    its offset cannot commit before it, so waiting on that store would
+    never end."""
+    build, _ = CORES[core]
+    sim = Simulator(build().netlist)
+    program = [isa.encode(name) for name in names]
+    run = run_program(sim, program, [0] * 8)
+    assert (run.arf, run.mem) == golden_model(program, [0] * 8)
+
+
+def _without_younger_store_bits(netlist):
+    """``netlist`` with every ``sstb*_yng`` bit held at its reset value 0,
+    so the stalled load's matcher sees the younger stores again."""
+    return Netlist(
+        netlist.name, netlist.order, netlist.inputs,
+        [(reg, reg.q if reg.name.endswith("_yng") else nxt) for reg, nxt in netlist.registers],
+        netlist.named, netlist.outputs,
+    )
+
+
 def test_a_run_that_never_quiesces_raises_on_both_loops():
-    """The core's known store -> load -> store deadlock: all three words
+    """The store -> load -> store deadlock, planted back: all three words
     are accepted, and from cycle 8 on the core steps to its own state with
     ``pipe_quiesce`` low, so ``run_program`` raises at cycle 9."""
-    sim = Simulator(build_core(CoreConfig(xlen=4)).netlist)
+    netlist = _without_younger_store_bits(build_core(CoreConfig(xlen=4)).netlist)
+    sim = Simulator(netlist)
     program = [isa.encode(name) for name in ("SB", "LW", "SW")]
     for record_trace in (False, True):
         with pytest.raises(RuntimeError, match="cycle 9 repeats cycle 8 forever"):
@@ -200,6 +224,14 @@ def test_planted_slice_dropping_a_word_is_caught(monkeypatch):
     program, arf_init = sample_sequence(0, xlen=4)
     with pytest.raises(ValueError, match="drops arf_w3"):
         run_program(sim, program, arf_init)
+
+
+def test_out_of_width_arf_value_raises():
+    sim = Simulator(build_core(CoreConfig(xlen=4)).netlist)
+    program = [isa.encode("ADD", rd=3, rs1=1, rs2=2)]
+    with pytest.raises(ValueError, match="arf_w2 = 16 does not fit in 4 bits"):
+        run_program(sim, program, [0, 1, 16])
+    assert run_program(sim, program, [0, 1, 15]).arf[3] == 0
 
 
 def test_planted_misplaced_instruction_input_is_caught(monkeypatch):

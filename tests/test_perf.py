@@ -193,6 +193,18 @@ class TestDifferentialAgreement:
                                       seed=seed)
             assert mismatch is None, (name, seed, mismatch and mismatch.brief())
 
+    @pytest.mark.parametrize("name", sorted(DESIGN_BUILDERS))
+    def test_store_load_store_agrees(self, name):
+        """The predictor's stalled load waits on older stores only, as
+        the core's does, so these runs quiesce on both sides."""
+        from repro.designs import isa
+
+        design, sim, model = _compiled(name)
+        for names in (("SB", "LW", "SW"), ("SW", "LW", "SW")):
+            program = [isa.encode(n) for n in names]
+            mismatch = check_sequence(design, sim, model, program, [0] * 8)
+            assert mismatch is None, (name, names, mismatch and mismatch.brief())
+
     def test_prediction_reports_per_instruction_retires(self):
         design, sim, model = _compiled("core")
         from repro.designs import run_program

@@ -17,15 +17,12 @@ class TestReceiver:
         from repro.mc import simulate_context
         from repro.sim import Simulator
 
-        receiver = UPathReceiver(core_design.metadata)
         sim = Simulator(core_design.netlist)
+        receiver = UPathReceiver(core_design.metadata, sim.observable_names)
         context = program_context(
             [("feed", (isa.encode("ADD", rd=3, rs1=1, rs2=2),))], {"arf_w1": 3}, horizon=10
         )
-        observations = [
-            receiver.observe(dict(zip(sim.observable_names, row)))
-            for row in simulate_context(sim, context)
-        ]
+        observations = [receiver.observe(row) for row in simulate_context(sim, context)]
         # the IF slot shows up as a PL#signal entry, no PC anywhere
         assert any(any(e.startswith("IF#") for e in obs) for obs in observations)
         assert all("pc" not in e for obs in observations for e in obs)

@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mc.enumerative import Context, ProductFamily, simulate_context
 from repro.rtl import Module, elaborate, mux
 from repro.sim import Simulator, trace_to_vcd
 
-from repro.fuzz.gen import MASK, WIDTH, build_random_expr
+from repro.fuzz.gen import MASK, build_random_expr
 
 
 class TestCounter:
@@ -47,6 +48,23 @@ class TestCounter:
         sim = Simulator(self._counter())
         sim.reset({"count": 9})
         assert sim.step({"en": 0})["value"] == 9
+
+    def test_out_of_width_override_raises(self):
+        # the compiled step is exact only for values that fit their
+        # widths, so what a run sets once is checked (DESIGN §5m)
+        sim = Simulator(self._counter())
+        for value in (16, -1):
+            with pytest.raises(ValueError, match="does not fit in 4 bits"):
+                sim.reset({"count": value})
+        sim.reset({"count": 15})
+        assert sim.step({"en": 0})["value"] == 15
+
+    def test_out_of_width_script_step_raises(self):
+        netlist = self._counter()
+        with pytest.raises(ValueError, match="en = 2 does not fit in 1 bits"):
+            simulate_context(Simulator(netlist), Context.make({}, [{"en": 1}, {"en": 2}]))
+        with pytest.raises(ValueError, match="en = 2 does not fit in 1 bits"):
+            ProductFamily(netlist, [{"en": 0}, {"en": 2}], 2).distinct_views()
 
     def test_reset_override_unknown_register(self):
         sim = Simulator(self._counter())

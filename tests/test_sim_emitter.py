@@ -18,6 +18,8 @@ import glob
 import os
 import random
 import sys
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,7 @@ from repro.designs.variants import build_cva6_mul, build_cva6_op
 from repro.fuzz import CampaignConfig, build_design, sample_spec
 from repro.fuzz.campaign import load_reproducer
 from repro.mc.enumerative import simulate_context
-from repro.rtl import Module, elaborate
+from repro.rtl import Module, elaborate, mux
 from repro.rtl.coi import observed_netlist
 from repro.sim import Simulator
 from repro.sim.simulator import compile_netlist
@@ -49,6 +51,16 @@ SMOKE_FAMILY = ContextFamilyConfig(
 # and its smoke-scale leakage taint family (LW's taint, DIV the transponder)
 SMOKE_TAINT_FAMILY = ContextFamilyConfig(
     horizon=32, neighbors=("DIV",), iuv_values=(0,), neighbor_values=(0,),
+    instrumented=True,
+)
+# the e2e benchmark's full-scale families (benchmarks/e2e/worker.py): the
+# upath family (also the leakage workload's synthesis family) and the
+# leakage taint family
+FULL_FAMILY = ContextFamilyConfig(
+    horizon=32, neighbors=("DIV",), iuv_values=(0, 1, 15), neighbor_values=(0, 15),
+)
+FULL_TAINT_FAMILY = ContextFamilyConfig(
+    horizon=32, neighbors=("DIV",), iuv_values=(0, 15), neighbor_values=(0, 15),
     instrumented=True,
 )
 
@@ -175,9 +187,17 @@ def first_disagreement(netlist, pairs):
     assert names == ref_names
     for state, inputs in list(pairs) * 2:
         got, want = step(state, inputs), ref(state, inputs)
-        if got != want:
+        if got != want or not all_ints(got):
             return state, inputs, got, want
     return None
+
+
+def all_ints(result):
+    """Whether every next-state and observable value is an exact ``int``:
+    a ``bool`` equals 1 or 0, but witness JSON and cache entries would
+    write it as ``true`` or ``false``."""
+    next_state, obs = result
+    return all(type(value) is int for value in next_state + obs)
 
 
 def memos(step):
@@ -299,15 +319,19 @@ def test_random_generated_design_matches_reference_at_block_floor_two(seed, pair
         assert first_disagreement(netlist, random_pairs(netlist, 40, pair_seed)) is None
 
 
-def test_smoke_upath_family_pairs_match_reference(netlists):
-    core = CoreContextProvider(xlen=4, config=SMOKE_FAMILY)
-    core_contexts = [c for g in core.mupath_groups("ADD") for c in g.contexts]
-    cache_contexts = [
-        c for g in CacheContextProvider(horizon=40).mupath_groups("LD") for c in g.contexts
+def test_full_scale_upath_family_pairs_match_reference(netlists):
+    core = CoreContextProvider(xlen=4, config=FULL_FAMILY)
+    core_contexts = [
+        c for name in ("ADD", "DIV", "LW", "SW", "BEQ")
+        for g in core.mupath_groups(name) for c in g.contexts
     ]
-    for name, contexts in (("core", core_contexts), ("cache", cache_contexts)):
+    cache = CacheContextProvider(horizon=40)
+    cache_contexts = [
+        c for name in ("LD", "ST") for g in cache.mupath_groups(name) for c in g.contexts
+    ]
+    for name, contexts, count in (("core", core_contexts, 5584), ("cache", cache_contexts, 2412)):
         pairs = reached_pairs(netlists[name], contexts)
-        assert len(pairs) > 100
+        assert len(pairs) == count
         assert first_disagreement(netlists[name], pairs) is None
 
 
@@ -325,9 +349,42 @@ def deep_chain():
     return elaborate(m)
 
 
+def deep_bit_chain():
+    # 400 chained single-use 1-bit cells, each a test its reader reads:
+    # and, or with an eq, not, a mux selected by an eq, and xor
+    m = Module("bits")
+    a = m.input("a", 64)
+    b = m.input("b", 1)
+    r = m.reg("r", 1)
+    node = b
+    for i in range(400):
+        lo = (7 * i) % 62
+        hit = a[lo:lo + 2].eq(m.const(i % 4, 2))
+        kind = i % 5
+        if kind == 0:
+            node = node & r.q
+        elif kind == 1:
+            node = node | hit
+        elif kind == 2:
+            node = ~node
+        elif kind == 3:
+            node = mux(hit, node, b)
+        else:
+            node = node ^ a[i % 64]
+    r.next = node
+    m.name_signal("out", node)
+    return elaborate(m)
+
+
 def test_deep_single_use_chain_compiles_and_matches():
     netlist = deep_chain()
     assert first_disagreement(netlist, random_pairs(netlist, 50)) is None
+
+
+def test_deep_bit_chain_compiles_and_matches():
+    netlist = deep_bit_chain()
+    assert netlist.num_cells > 400
+    assert first_disagreement(netlist, random_pairs(netlist, 200)) is None
 
 
 def test_deep_single_use_chain_matches_at_block_floor_two(monkeypatch):
@@ -340,17 +397,21 @@ def test_deep_single_use_chain_matches_at_block_floor_two(monkeypatch):
     assert first_disagreement(netlist, random_pairs(netlist, 50)) is None
 
 
-def test_smoke_leakage_taint_family_pairs_match_reference(netlists):
-    provider = CoreContextProvider(xlen=4, config=SMOKE_TAINT_FAMILY)
+def test_full_scale_leakage_family_pairs_match_reference():
+    # the leakage workload's taint family on the slice SynthLC steps: LW
+    # the transponder, DIV the transmitter, every assumption and operand
+    provider = CoreContextProvider(xlen=4, config=FULL_TAINT_FAMILY)
     contexts = [
         context
-        for assumption in ASSUMPTIONS if assumption != "intrinsic"
-        for group in provider.taint_groups("DIV", "LW", assumption, "rs1")
+        for assumption in ASSUMPTIONS
+        for operand in OPERANDS
+        for group in provider.taint_groups("LW", "DIV", assumption, operand)
         for context in group.contexts
     ]
-    pairs = reached_pairs(netlists["core-ift"], contexts)
-    assert len(pairs) > 50
-    assert first_disagreement(netlists["core-ift"], pairs) is None
+    observed = SynthLC(build_core(CoreConfig(xlen=4)), provider).observed()
+    pairs = reached_pairs(observed, contexts)
+    assert len(pairs) == 2276
+    assert first_disagreement(observed, pairs) is None
 
 
 @pytest.mark.parametrize("name", [
@@ -401,8 +462,8 @@ def repeats(rows):
 def test_observed_taint_rows_match_full_projection(smoke_taint):
     tool, contexts = smoke_taint
     full, observed = tool.ift.netlist, tool.observed()
-    assert (observed.num_cells, len(observed.registers), len(observed.named)) == (5475, 220, 93)
-    assert (full.num_cells, len(full.registers)) == (6679, 244)
+    assert (observed.num_cells, len(observed.registers), len(observed.named)) == (5513, 224, 93)
+    assert (full.num_cells, len(full.registers)) == (6717, 248)
     assert [node.name for node in observed.inputs] == [node.name for node in full.inputs]
     mismatch, elided = projection_mismatch(full, observed, contexts)
     assert mismatch is None
@@ -484,13 +545,73 @@ def test_planted_key_missing_an_atom_is_caught(netlists, monkeypatch, name):
 def test_planted_mux_arm_swap_on_inlined_cells_is_caught(netlists, monkeypatch):
     real = simulator_mod._cell_expr
 
-    def swap_inlined_arms(node, args):
+    def swap_inlined_arms(node, a, t):
         # inlined arguments are the parenthesized ones
-        if node.op == "mux" and any(arm.startswith("(") for arm in args[1:]):
-            sel, hi, lo = args
-            return real(node, (sel, lo, hi))
-        return real(node, args)
+        if node.op == "mux" and any(arm.startswith("(") for arm in a[1:]):
+            return real(node, (a[0], a[2], a[1]), (t[0], t[2], t[1]))
+        return real(node, a, t)
 
     monkeypatch.setattr(simulator_mod, "_cell_expr", swap_inlined_arms)
     netlist = netlists["core"]
     assert first_disagreement(netlist, random_pairs(netlist, 300)) is not None
+
+
+# Plants in the 1-bit rules of _cell_expr.  The core holds no replicated
+# bit (only CellIFT's select-taint broadcast does), so the short mask is
+# planted on core-ift alone.
+def swap_and_or(real, node, a, t):
+    if node.op in ("and", "or") and node.width == 1:
+        node = SimpleNamespace(op={"and": "or", "or": "and"}[node.op], width=1, args=node.args)
+    return real(node, a, t)
+
+
+def drop_not(real, node, a, t):
+    value, test = real(node, a, t)
+    if node.op == "not" and node.width == 1:
+        assert test.startswith("not ")
+        test = test[len("not "):]
+    return value, test
+
+
+def short_mask(real, node, a, t):
+    value, test = real(node, a, t)
+    if simulator_mod._replicated(node):
+        mask = "%d" % ((1 << node.width) - 1)
+        assert value.startswith(mask + " if ")
+        value = "%d%s" % ((1 << node.width - 1) - 1, value[len(mask):])
+    return value, test
+
+
+def bare_test(real, node, a, t):
+    value, test = real(node, a, t)
+    if node.op in ("and", "or") and node.width == 1 and test is not None:
+        value = test
+    return value, test
+
+
+@pytest.mark.parametrize("name, plant", [
+    ("core", swap_and_or), ("core-ift", swap_and_or),
+    ("core", drop_not), ("core-ift", drop_not),
+    ("core-ift", short_mask),
+])
+def test_planted_bit_rule_is_caught(netlists, monkeypatch, name, plant):
+    monkeypatch.setattr(simulator_mod, "_cell_expr", partial(plant, simulator_mod._cell_expr))
+    netlist = netlists[name]
+    # a short mask shows only where a select taint is set and the arms'
+    # top bits differ, which 60 random core-ift pairs need not reach
+    count = 60 if name.endswith("-ift") and plant is not short_mask else 300
+    pairs = random_pairs(netlist, count)
+    assert first_disagreement(netlist, pairs) is not None
+
+
+@pytest.mark.parametrize("name", ["core", "core-ift"])
+def test_planted_bool_value_is_caught_by_the_type_check_alone(netlists, monkeypatch, name):
+    # a rule-4 value emitted as its bare test is a bool wherever the test
+    # ends in a comparison: equal to the int under ==, not an int
+    monkeypatch.setattr(simulator_mod, "_cell_expr", partial(bare_test, simulator_mod._cell_expr))
+    netlist = netlists[name]
+    pairs = random_pairs(netlist, 60 if name.endswith("-ift") else 300)
+    step, _ = compile_netlist(netlist)
+    ref, _ = reference_compile(netlist)
+    assert all(step(state, inputs) == ref(state, inputs) for state, inputs in pairs)
+    assert first_disagreement(netlist, pairs) is not None
