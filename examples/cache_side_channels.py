@@ -11,7 +11,7 @@ Run:  python examples/cache_side_channels.py
 """
 
 from repro.designs.cache import CacheContextProvider, build_cache
-from repro.core import Rtl2MuPath, SynthLC, UhbGraph
+from repro.core import Rtl2MuPath, SynthLC
 
 
 def main():

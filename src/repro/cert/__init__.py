@@ -8,7 +8,8 @@ removes the "trusted model checker" assumption by making every final
 verdict carry an independently checkable *certificate*:
 
 * **REACHABLE** -- a *witness* certificate: the SAT model decoded into an
-  initial register state plus a per-cycle input trace, replayed on the
+  initial register state plus a per-cycle input trace
+  (:meth:`repro.mc.bmc.Unrolling.witness_certificate`), replayed on the
   concrete simulator (:mod:`repro.sim`) to confirm the cover actually
   fires at the claimed depth.  The replay shares zero code with the
   SAT engine, so a solver soundness bug cannot vouch for itself.
@@ -299,12 +300,21 @@ def cover_witness_certificate(name: str, payload: dict, replay) -> dict:
 def replay_witness(netlist, payload: dict, evaluate) -> bool:
     """Re-simulate a witness payload and evaluate the property on it.
 
-    Independent path: uses only :mod:`repro.sim` (the enumerative
-    engine's simulator) and the concrete property interpretation --
-    nothing the SAT engine touched.
+    Independent path: the payload's registers and per-cycle inputs
+    become a :class:`~repro.mc.enumerative.Context`, driven through a
+    fresh simulator by the stimulus loop
+    (:func:`~repro.mc.enumerative.simulate_context`), and the property
+    is interpreted concretely -- nothing the SAT engine touched.  A
+    malformed payload (an unknown register or input, a value wider than
+    its port) raises; the caller counts any replay exception as a
+    failed certificate.
     """
+    from ..mc.enumerative import Context, simulate_context
+    from ..props.views import ConcreteTraceView
     from ..sim.simulator import Simulator
-    from .witness import replay_view
 
-    view = replay_view(Simulator(netlist), payload)
-    return bool(evaluate(view))
+    sim = Simulator(netlist)
+    context = Context.make(payload.get("registers") or {},
+                           payload.get("inputs") or [])
+    rows = simulate_context(sim, context)
+    return bool(evaluate(ConcreteTraceView(rows, sim.observable_names)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-__all__ = ["CycleAccuratePath", "UhbNode", "UhbGraph", "extract_path"]
+__all__ = ["CycleAccuratePath", "UhbNode", "UhbGraph", "extract_path", "visit_sets"]
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,17 @@ def extract_path(
     over ``trace.index``) avoids re-resolving signal positions when
     extracting many paths from one trace database.
     """
+    return CycleAccuratePath.from_cycles(
+        iuv, visit_sets(trace, pls, iuv_pc, slot_index)
+    )
+
+
+def visit_sets(trace, pls, iuv_pc: int, slot_index=None) -> List[FrozenSet[str]]:
+    """The PLs instruction ``iuv_pc`` visits in each cycle of ``trace``,
+    untrimmed: entry t is cycle t's visit set."""
     if slot_index is None:
         slot_index = build_slot_index(pls, trace.index)
-    visit_sets = []
+    out = []
     prev_row = visited = None
     for row in trace.cycles:
         # the stimulus loop pads a fixed point's tail with one row object
@@ -222,8 +230,8 @@ def extract_path(
                 if row[occ_key] and row[pc_key] == iuv_pc
             )
             prev_row = row
-        visit_sets.append(visited)
-    return CycleAccuratePath.from_cycles(iuv, visit_sets)
+        out.append(visited)
+    return out
 
 
 def build_slot_index(pls, name_index):

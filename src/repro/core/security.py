@@ -24,7 +24,7 @@ transmitter's unsafe operand produce detectably different ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..designs.harness import program_context
 from ..mc.enumerative import simulate_context
@@ -36,6 +36,7 @@ __all__ = [
     "Observation",
     "ScSafeViolation",
     "check_sc_safe",
+    "default_secret_values",
     "violation_explained_by_signatures",
 ]
 
@@ -83,27 +84,40 @@ def _observation_trace(netlist, metadata, program, overrides, horizon):
     return [receiver.observe(row) for row in simulate_context(sim, context)]
 
 
+def default_secret_values(width: int) -> Tuple[int, ...]:
+    """The secret values swept in a ``width``-bit register: 0, 1, 3, 8,
+    the MSB alone and all-ones, those that fit, without duplicates
+    (``(0, 1, 3, 8, 128, 255)`` at 8 bits, ``(0, 1, 3, 8, 15)`` at 4)."""
+    values = (0, 1, 3, 8, 1 << (width - 1), (1 << width) - 1)
+    return tuple(dict.fromkeys(v for v in values if not v >> width))
+
+
 def check_sc_safe(
     design,
     program: Sequence[int],
     secret_registers: Sequence[str],
     public_overrides: Optional[Dict[str, int]] = None,
-    secret_values: Sequence[int] = (0, 1, 3, 8, 128, 255),
+    secret_values: Optional[Sequence[int]] = None,
     horizon: int = 48,
 ) -> Optional[ScSafeViolation]:
     """Check Eq. V.1 for one straight-line program.
 
     All registers outside ``secret_registers`` are fixed by
     ``public_overrides`` (low-equivalence); secret registers sweep over
-    pairs from ``secret_values``.  Returns the first violation found, or
+    pairs from ``secret_values``, by default :func:`default_secret_values`
+    of each register's width.  Returns the first violation found, or
     None when every pair yields identical observation traces.
     """
     public_overrides = dict(public_overrides or {})
     netlist = design.netlist
     metadata = design.metadata
+    widths = {reg.name: reg.width for reg, _ in netlist.registers}
     for register in secret_registers:
         baseline = None
-        for value in secret_values:
+        values = secret_values
+        if values is None:
+            values = default_secret_values(widths[register])
+        for value in values:
             overrides = dict(public_overrides)
             overrides[register] = value
             trace = _observation_trace(netlist, metadata, program, overrides, horizon)

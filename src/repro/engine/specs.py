@@ -442,7 +442,9 @@ class ReachJob:
     ``repro fuzz`` shrinks to), so any worker can rebuild it
     deterministically; the verdict is BMC-first (a horizon-bounded
     witness search) with a k-induction proof attempt when no witness is
-    found -- the same ladder the fuzz oracle's kinduction family uses.
+    found.  The proof runs on the legacy per-property prover, not on an
+    :class:`~repro.mc.incremental.InductionPool` as the fuzz oracle's
+    kinduction family and DUV PL pruning do.
 
     Unlike :class:`SynthesisJob`, reach jobs never share a proof context
     between properties: every execute builds fresh solver state, so the

@@ -10,9 +10,10 @@ four check families, each mapping onto the paper's three-verdict lattice
     sequences.  A value mismatch on any named signal is a disagreement.
 
 ``blast``
-    The simulator against the bit-blaster: frames chained with constant
-    input words must reproduce the simulator's named-signal values
-    exactly (this exercises the same translation BMC trusts).
+    The simulator against the bit-blaster: an
+    :class:`~repro.mc.bmc.Unrolling` driven with constant input words
+    must reproduce the simulator's named-signal values exactly (the
+    same unrolling BMC and both k-induction provers build on).
 
 ``engines``
     The enumerative engine over the *exhaustive* alphabet-constrained
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..mc.bmc import BmcContext, SymbolicContextSpec
+from ..mc.bmc import BmcContext, SymbolicContextSpec, Unrolling
 from ..mc.enumerative import Context, EnumerativeEngine, ProductFamily, TraceDB
 from ..mc.incremental import InductionPool
 from ..mc.kinduction import prove_unreachable_kinduction
@@ -66,9 +67,8 @@ from ..props import (
     sig,
 )
 from ..sim.simulator import Simulator
-from ..solver.bitblast import blast_frame
 from ..solver.bits import BitBuilder
-from ..solver.sat import SAT, SatSolver
+from ..solver.sat import SAT
 from .gen import GeneratedDesign
 
 __all__ = [
@@ -291,36 +291,24 @@ def _check_sim_vs_blast(design, count, sequence, report):
     sim = Simulator(netlist)
     for si in range(min(count, BLAST_SEQUENCES)):
         seq = sequence(si)
-        solver = SatSolver()
-        builder = BitBuilder(solver)
-        state = {
-            reg.name: builder.const_word(reg.reset, reg.width)
-            for reg, _next in netlist.registers
-        }
         sim.reset()
-        frames = []
-        for cycle in seq:
-            input_bits = {
-                node.name: builder.const_word(
-                    cycle.get(node.name, 0) & ((1 << node.width) - 1),
-                    node.width)
-                for node in netlist.inputs
-            }
-            frame = blast_frame(builder, netlist, state, input_bits)
-            frames.append((frame, sim.step(cycle)))
-            state = frame.next_state
+        sim_rows = [sim.step(cycle) for cycle in seq]
+        unrolling = Unrolling(netlist)
+        unrolling.extend_to(len(seq), lambda _builder, t: {
+            node.name: seq[t].get(node.name, 0) for node in netlist.inputs
+        })
         # constant propagation folds everything; solve() just fixes TRUE
-        assert solver.solve() == SAT
-        for t, (frame, sim_obs) in enumerate(frames):
-            for name in sorted(frame.named):
+        assert unrolling.solver.solve() == SAT
+        for t, (blasted, sim_obs) in enumerate(
+                zip(unrolling.witness(len(seq)), sim_rows)):
+            for name in sorted(blasted):
                 report.checks += 1
-                got = builder.word_value(frame.named[name])
-                if got != sim_obs[name]:
+                if blasted[name] != sim_obs[name]:
                     report.disagreements.append(Disagreement(
                         kind="sim-blast",
                         design=design.spec.name,
                         detail="sequence %d cycle %d signal %s: blast=%d sim=%d"
-                               % (si, t, name, got, sim_obs[name]),
+                               % (si, t, name, blasted[name], sim_obs[name]),
                     ))
                     return
 

@@ -1,4 +1,11 @@
-"""SAT-backed bounded model checking.
+"""SAT-backed bounded model checking, and the unrolling every SAT check uses.
+
+:class:`Unrolling` chains bit-blasted frames of a netlist over its own
+solver, from reset values, a free state, or reset values with some
+registers left symbolic.  BMC, both k-induction provers
+(:mod:`repro.mc.kinduction`, :mod:`repro.mc.incremental`) and the fuzz
+oracle's simulator-vs-bit-blaster check build on it, so one frame loop,
+one witness decoder and one witness certificate serve them all.
 
 :class:`BmcContext` unrolls a netlist once over a symbolic context (free or
 constrained inputs per cycle, symbolically initialized architectural state)
@@ -27,7 +34,7 @@ from typing import Dict, List, Optional
 
 from .. import obs
 from ..props.query import Query
-from ..props.views import SymbolicOps, SymbolicTraceView
+from ..props.views import ConcreteOps, SymbolicOps, SymbolicTraceView
 from ..rtl.netlist import Netlist
 from ..solver.bitblast import Frame, blast_frame, paused_gc
 from ..solver.bits import BitBuilder
@@ -35,7 +42,92 @@ from ..solver.sat import SAT, UNSAT, SatSolver
 from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 from .stats import PropertyStats
 
-__all__ = ["BmcContext", "SymbolicContextSpec"]
+__all__ = ["BmcContext", "SymbolicContextSpec", "Unrolling"]
+
+
+class Unrolling:
+    """One growing unrolling of ``netlist`` over its own solver.
+
+    Registers start at their reset values, except ``symbolic_registers``,
+    which start free; ``free=True`` frees every register (the inductive
+    step's arbitrary start state).  ``proof`` turns on the solver's proof
+    log (:mod:`repro.cert`).
+    """
+
+    def __init__(self, netlist: Netlist, symbolic_registers=(), free: bool = False,
+                 proof: bool = False):
+        self.netlist = netlist
+        self.solver = SatSolver(proof=proof)
+        self.builder = builder = BitBuilder(self.solver)
+        self.frames: List[Frame] = []
+        initial: Dict[str, List[int]] = {}
+        for reg, _ in netlist.registers:
+            if free or reg.name in symbolic_registers:
+                initial[reg.name] = builder.fresh_word(reg.width)
+            else:
+                initial[reg.name] = builder.const_word(reg.reset, reg.width)
+        # s_0 .. s_h: the initial state, then each frame's next state
+        self.states: List[Dict[str, List[int]]] = [initial]
+        self.view = SymbolicTraceView(self.frames, builder)
+        self.ops = SymbolicOps(builder)
+
+    def extend_to(self, horizon: int, drive=None):
+        """Blast the frames up to ``horizon`` on top of the last one.
+
+        ``drive(builder, cycle)`` returns ``{input_name: bits or int}``
+        for each new cycle; an input it omits is free (fresh variables).
+        """
+        builder = self.builder
+        with paused_gc():
+            for t in range(len(self.frames), horizon):
+                driven = drive(builder, t) if drive is not None else {}
+                inputs: Dict[str, List[int]] = {}
+                for node in self.netlist.inputs:
+                    value = driven.get(node.name)
+                    if value is None:
+                        value = builder.fresh_word(node.width)
+                    elif isinstance(value, int):
+                        value = builder.const_word(value, node.width)
+                    inputs[node.name] = value
+                frame = blast_frame(builder, self.netlist, self.states[-1], inputs)
+                self.frames.append(frame)
+                self.states.append(frame.next_state)
+
+    def assert_distinct(self, i: int, j: int):
+        """Assert that states ``i`` and ``j`` differ: one clause over their
+        per-bit difference gates (simple-path strengthening)."""
+        xor_ = self.builder.xor_
+        a, b = self.states[i], self.states[j]
+        diff: List[int] = []
+        for name in a:
+            diff.extend(xor_(x, y) for x, y in zip(a[name], b[name]))
+        self.solver.add_clause(diff)
+
+    def witness(self, depth: int) -> List[Dict[str, int]]:
+        """The live model's named-signal values in cycles 0..depth-1."""
+        value = self.builder.word_value
+        return [
+            {name: value(bits) for name, bits in frame.named.items()}
+            for frame in self.frames[:depth]
+        ]
+
+    def witness_certificate(self, depth: int, holds, name: str) -> Dict:
+        """Decode the live model -- initial registers and the first
+        ``depth`` cycles' inputs -- and replay-check it against ``holds``,
+        a predicate over the replayed trace view (:mod:`repro.cert`).
+
+        Models are transient (the next solve destroys them), so this
+        runs right after the SAT answer.
+        """
+        from ..cert import witness_certificate
+
+        value = self.builder.word_value
+        registers = {reg: value(word) for reg, word in self.states[0].items()}
+        inputs = [
+            {node: value(word) for node, word in frame.inputs.items()}
+            for frame in self.frames[:depth]
+        ]
+        return witness_certificate(self.netlist, registers, inputs, holds, name=name)
 
 
 class SymbolicContextSpec:
@@ -47,16 +139,11 @@ class SymbolicContextSpec:
 
     ``drive``: callable ``(builder, cycle) -> {input_name: bits or int}``.
     Inputs omitted from the returned dict are free (fresh variables).
-
-    ``constrain``: optional callable ``(builder, frames) -> [literals]``
-    returning environment assumptions (e.g. "fetch inputs always carry a
-    valid encoding"), asserted globally.
     """
 
-    def __init__(self, symbolic_registers=(), drive=None, constrain=None):
+    def __init__(self, symbolic_registers=(), drive=None):
         self.symbolic_registers = frozenset(symbolic_registers)
         self.drive = drive
-        self.constrain = constrain
 
 
 class BmcContext:
@@ -81,44 +168,11 @@ class BmcContext:
         self.complete_horizon = complete_horizon
         self.conflict_budget = conflict_budget
         self.stats = stats
-
-        self.solver = SatSolver(proof=certify)
-        self.builder = BitBuilder(self.solver)
-        self.frames: List[Frame] = []
         self._checks = 0
-        self._unroll()
-        self.view = SymbolicTraceView(self.frames, self.builder)
-        self.ops = SymbolicOps(self.builder)
-
-    # ------------------------------------------------------------------ build
-    def _unroll(self):
-        builder = self.builder
-        state: Dict[str, List[int]] = {}
-        for reg, _ in self.netlist.registers:
-            if reg.name in self.context.symbolic_registers:
-                state[reg.name] = builder.fresh_word(reg.width)
-            else:
-                state[reg.name] = builder.const_word(reg.reset, reg.width)
-        self._frontier_state = state
-        self._extend(self.horizon)
-
-    def _extend(self, new_horizon: int):
-        builder = self.builder
-        state = self._frontier_state
-        with paused_gc():
-            for t in range(len(self.frames), new_horizon):
-                input_bits = self._drive_inputs(t)
-                frame = blast_frame(builder, self.netlist, state, input_bits)
-                self.frames.append(frame)
-                state = frame.next_state
-        self._frontier_state = state
-        if self.context.constrain is not None:
-            # constraint literals are built through the builder's gate
-            # caches, so re-running the callable over the full frame list
-            # re-asserts the old cycles' (deduplicated) literals and picks
-            # up the new cycles
-            for lit in self.context.constrain(builder, self.frames):
-                self.solver.add_clause([lit])
+        self.unrolling = Unrolling(
+            netlist, self.context.symbolic_registers, proof=certify
+        )
+        self.unrolling.extend_to(horizon, self.context.drive)
 
     def extend_to(self, new_horizon: int, complete_horizon: Optional[bool] = None):
         """Deepen the unrolling in place to ``new_horizon`` cycles.
@@ -132,25 +186,10 @@ class BmcContext:
             raise ValueError(
                 "cannot shrink horizon %d -> %d" % (self.horizon, new_horizon)
             )
-        if new_horizon > self.horizon:
-            self._extend(new_horizon)
-            self.horizon = new_horizon
+        self.unrolling.extend_to(new_horizon, self.context.drive)
+        self.horizon = new_horizon
         if complete_horizon is not None:
             self.complete_horizon = complete_horizon
-
-    def _drive_inputs(self, t) -> Dict[str, List[int]]:
-        builder = self.builder
-        driven = self.context.drive(builder, t) if self.context.drive else {}
-        input_bits: Dict[str, List[int]] = {}
-        for node in self.netlist.inputs:
-            if node.name in driven:
-                value = driven[node.name]
-                if isinstance(value, int):
-                    value = builder.const_word(value, node.width)
-                input_bits[node.name] = value
-            else:
-                input_bits[node.name] = builder.fresh_word(node.width)
-        return input_bits
 
     # ------------------------------------------------------------------ check
     def check(self, query: Query) -> CheckResult:
@@ -165,40 +204,44 @@ class BmcContext:
                     "(learned clauses retained)",
                 ).inc(context="bmc")
             self._checks += 1
+            unrolling = self.unrolling
+            builder, view, ops = unrolling.builder, unrolling.view, unrolling.ops
             assumptions = []
             for expr in query.assumes:
-                combined = self.builder.TRUE
+                combined = builder.TRUE
                 for t in range(self.horizon):
-                    combined = self.builder.and_(
-                        combined, expr.evaluate(self.view, t, self.ops)
-                    )
+                    combined = builder.and_(combined, expr.evaluate(view, t, ops))
                 assumptions.append(combined)
-            target = query.prop.evaluate(self.view, self.ops)
-            assumptions.append(target)
-            verdict = self.solver.solve(
+            assumptions.append(query.prop.evaluate(view, ops))
+            verdict = unrolling.solver.solve(
                 assumptions=assumptions, max_conflicts=self.conflict_budget
             )
-            certificate = None
+            certificate = witness = None
             if verdict == SAT:
-                outcome = REACHABLE
-                witness = self._extract_witness()
-                detail = ""
+                outcome, detail = REACHABLE, ""
+                witness = unrolling.witness(self.horizon)
                 if self.certify:
-                    certificate = self._witness_certificate(query)
+                    certificate = unrolling.witness_certificate(
+                        self.horizon, _holds(query), query.name
+                    )
             elif verdict == UNSAT:
                 if self.complete_horizon:
                     outcome = UNREACHABLE
                     detail = "UNSAT within declared-complete horizon"
                     if self.certify:
-                        certificate = self._drat_certificate(query)
+                        from ..cert import drat_certificate
+
+                        solver = unrolling.solver
+                        certificate = drat_certificate(
+                            {"proof": (solver.proof_entries(), solver.final_lemma())},
+                            name=query.name,
+                            overflow=solver.proof_overflowed(),
+                        )
                 else:
                     outcome = UNDETERMINED
                     detail = "UNSAT within bounded horizon %d" % self.horizon
-                witness = None
             else:
-                outcome = UNDETERMINED
-                detail = "conflict budget exhausted"
-                witness = None
+                outcome, detail = UNDETERMINED, "conflict budget exhausted"
             elapsed = time.perf_counter() - start
             result = CheckResult(
                 query_name=query.name,
@@ -208,7 +251,7 @@ class BmcContext:
                 time_seconds=elapsed,
                 detail=detail,
                 depth=self.horizon,
-                solver=dict(self.solver.last_solve),
+                solver=dict(unrolling.solver.last_solve),
                 certificate=certificate,
             )
             sp.set("outcome", outcome)
@@ -217,45 +260,16 @@ class BmcContext:
                 obs.note_property(outcome, elapsed)
             return result
 
-    def _witness_certificate(self, query: Query) -> Dict:
-        """Decode the live SAT model and replay-confirm it (repro.cert)."""
-        from ..cert import witness_certificate
-        from ..cert.witness import decode_model_witness
-        from ..props.views import ConcreteOps
 
-        decoded = decode_model_witness(self.builder, self.frames)
+def _holds(query: Query):
+    """``query`` (its assumptions every cycle, then its property) as a
+    predicate over a concrete trace view."""
 
-        def _holds(view):
-            for expr in query.assumes:
-                for t in range(view.horizon):
-                    if not expr.evaluate(view, t, ConcreteOps):
-                        return False
-            return bool(query.prop.evaluate(view, ConcreteOps))
+    def holds(view):
+        for expr in query.assumes:
+            for t in range(view.horizon):
+                if not expr.evaluate(view, t, ConcreteOps):
+                    return False
+        return bool(query.prop.evaluate(view, ConcreteOps))
 
-        return witness_certificate(
-            self.netlist,
-            decoded["registers"],
-            decoded["inputs"],
-            _holds,
-            name=query.name,
-        )
-
-    def _drat_certificate(self, query: Query) -> Dict:
-        """Bundle the solver's proof log for this UNSAT answer (repro.cert)."""
-        from ..cert import drat_certificate
-
-        return drat_certificate(
-            {"proof": (self.solver.proof_entries(), self.solver.final_lemma())},
-            name=query.name,
-            overflow=self.solver.proof_overflowed(),
-        )
-
-    def _extract_witness(self) -> List[Dict[str, int]]:
-        witness = []
-        for frame in self.frames:
-            observation = {
-                name: self.builder.word_value(bits)
-                for name, bits in frame.named.items()
-            }
-            witness.append(observation)
-        return witness
+    return holds

@@ -1,10 +1,11 @@
 """Incremental k-induction: one growing proof context per design.
 
 The legacy :func:`~repro.mc.kinduction.prove_unreachable_kinduction`
-builds two fresh solvers (base + inductive step) and re-bit-blasts the
+builds two fresh unrollings (base + inductive step) and re-bit-blasts the
 whole design for every property.  :class:`IncrementalInductionContext`
-builds each unrolling once and answers every subsequent property against
-it:
+builds each :class:`~repro.mc.bmc.Unrolling` once and answers every
+subsequent property against it, through the same
+:class:`~repro.mc.kinduction.InductionProof` legs:
 
 * the **base case** swaps properties via solver assumptions on the single
   reset-rooted unrolling (Tseitin definitions of each property's target
@@ -25,7 +26,7 @@ simple-path constraints span exactly ``k + 1`` states, so a context
 answers at its *current* k only -- extension is monotonic.
 
 :class:`InductionPool` memoizes contexts per (netlist, sequential
-support, symbolic-register set, simple-path flag).  Each property is
+support, certify flag).  Each property is
 sliced to its sequential cone of influence (:mod:`repro.rtl.coi`)
 enriched with every named signal computable from the same support (a
 property's support is the union of its signals' supports, which
@@ -47,20 +48,19 @@ a bounded horizon" are definite facts both paths must agree on.
 
 from __future__ import annotations
 
-import time
 import weakref
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .. import obs
 from ..obs.metrics import REGISTRY
 from ..props.exprs import CycleExpr
-from ..props.views import SymbolicOps, SymbolicTraceView
 from ..rtl.coi import coi_slice, coi_supports
 from ..rtl.netlist import Netlist
-from ..solver.bitblast import blast_frame, paused_gc
-from ..solver.bits import BitBuilder
-from ..solver.sat import SAT, UNKNOWN, UNSAT, SatSolver
-from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
+from ..solver.bitblast import paused_gc
+from ..solver.sat import UNSAT
+from .bmc import Unrolling
+from .kinduction import InductionProof
+from .outcomes import CheckResult
 
 __all__ = ["IncrementalInductionContext", "InductionPool"]
 
@@ -72,49 +72,6 @@ def _reuse_counter():
     )
 
 
-class _Unrolling:
-    """One growing transition unrolling over its own solver."""
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        symbolic_init: bool,
-        symbolic_registers,
-        proof: bool = False,
-    ):
-        self.netlist = netlist
-        self.solver = SatSolver(proof=proof)
-        self.builder = BitBuilder(self.solver)
-        self.frames: List = []
-        state: Dict[str, List[int]] = {}
-        for reg, _ in netlist.registers:
-            if symbolic_init or reg.name in symbolic_registers:
-                state[reg.name] = self.builder.fresh_word(reg.width)
-            else:
-                state[reg.name] = self.builder.const_word(reg.reset, reg.width)
-        self.initial_state = state
-        self._frontier = state
-        self.view = SymbolicTraceView(self.frames, self.builder)
-        self.ops = SymbolicOps(self.builder)
-
-    def extend_to(self, horizon: int):
-        state = self._frontier
-        for _ in range(len(self.frames), horizon):
-            input_bits = {
-                node.name: self.builder.fresh_word(node.width)
-                for node in self.netlist.inputs
-            }
-            frame = blast_frame(self.builder, self.netlist, state, input_bits)
-            self.frames.append(frame)
-            state = frame.next_state
-        self._frontier = state
-
-    @property
-    def states(self):
-        """State vectors s_0 .. s_h (initial plus each frame's next)."""
-        return [self.initial_state] + [f.next_state for f in self.frames]
-
-
 class IncrementalInductionContext:
     """Reusable k-induction context for one netlist.
 
@@ -122,53 +79,27 @@ class IncrementalInductionContext:
     unrollings; see the module docstring for the sharing scheme.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        k: int,
-        symbolic_registers=(),
-        simple_path: bool = True,
-        certify: bool = False,
-    ):
+    def __init__(self, netlist: Netlist, k: int, certify: bool = False):
         if k < 1:
             raise ValueError("k-induction needs k >= 1, got %d" % k)
         self.certify = certify
         self.netlist = netlist
         self.k = k
-        self.symbolic_registers = frozenset(symbolic_registers)
-        self.simple_path = simple_path
         self.checks = 0
-        self._base = _Unrolling(netlist, False, self.symbolic_registers, proof=certify)
-        self._step = _Unrolling(netlist, True, (), proof=certify)
-        self._asserted_pairs: set = set()
-        self._build(k)
+        self._base = Unrolling(netlist, proof=certify)
+        self._step = Unrolling(netlist, free=True, proof=certify)
+        self._build(0, k)
 
-    def _build(self, k: int):
+    def _build(self, old_k: int, k: int):
         with paused_gc():
             self._base.extend_to(k)
             self._step.extend_to(k + 1)
-            if self.simple_path:
-                # pairwise distinctness over s_0 .. s_k; on extension only
-                # the pairs involving the new states are asserted.  Two
-                # states differ iff some bit differs: one clause over the
-                # per-bit difference gates -- the same constraint the
-                # legacy path asserts, encoded without the equality-gate
-                # tree and its unit-propagation cascade per pair
-                states = self._step.states[: k + 1]
-                xor_ = self._step.builder.xor_
-                add_clause = self._step.solver.add_clause
-                for i in range(len(states)):
-                    for j in range(i + 1, len(states)):
-                        if (i, j) in self._asserted_pairs:
-                            continue
-                        diff: List[int] = []
-                        for name in states[i]:
-                            diff.extend(
-                                xor_(x, y)
-                                for x, y in zip(states[i][name], states[j][name])
-                            )
-                        add_clause(diff)
-                        self._asserted_pairs.add((i, j))
+            # pairwise distinctness over s_0 .. s_k, asserted once and
+            # for good; on extension only the pairs involving the new
+            # states are added
+            for i in range(k + 1):
+                for j in range(max(i + 1, old_k + 1), k + 1):
+                    self._step.assert_distinct(i, j)
 
     def extend_k(self, new_k: int):
         """Monotonically deepen the context to answer at ``new_k``.
@@ -181,95 +112,25 @@ class IncrementalInductionContext:
                 "induction context cannot shrink k %d -> %d" % (self.k, new_k)
             )
         if new_k > self.k:
-            self._build(new_k)
+            self._build(self.k, new_k)
             self.k = new_k
 
     def prove(
         self, bad: CycleExpr, conflict_budget: Optional[int] = 200000
     ) -> CheckResult:
         """Try to prove ``bad`` globally unreachable at this context's k."""
-        start = time.perf_counter()
+        proof = InductionProof(bad, self.k, conflict_budget, self.certify)
         k = self.k
         if self.checks:
             _reuse_counter().inc(context="kinduction")
         self.checks += 1
 
-        query_name = "kind(%r)" % (bad,)
-
-        def _finish(sp, outcome, detail, solver_delta, witness=None, certificate=None):
-            elapsed = time.perf_counter() - start
-            sp.set("outcome", outcome)
-            return CheckResult(
-                query_name=query_name,
-                outcome=outcome,
-                engine="k-induction",
-                witness=witness,
-                time_seconds=elapsed,
-                detail=detail,
-                depth=k,
-                solver=solver_delta,
-                certificate=certificate,
-            )
-
         with obs.span("mc.kinduction", k=k, incremental=True) as root:
             # ---- base case: BMC from reset for k steps, property assumed
             with obs.span("mc.kinduction.base"):
-                base = self._base
-                target = base.builder.FALSE
-                for t in range(k):
-                    target = base.builder.or_(
-                        target, bad.evaluate(base.view, t, base.ops)
-                    )
-                verdict = base.solver.solve(
-                    assumptions=[target], max_conflicts=conflict_budget
-                )
-                base_delta = dict(base.solver.last_solve)
-                # snapshot the proof leg while the verdict is fresh: later
-                # properties (and their retraction units) append to the
-                # same shared log
-                base_leg = None
-                if self.certify and verdict == UNSAT:
-                    base_leg = (
-                        base.solver.proof_entries(),
-                        base.solver.final_lemma(),
-                    )
-            if verdict == SAT:
-                witness = [
-                    {
-                        name: base.builder.word_value(bits)
-                        for name, bits in frame.named.items()
-                    }
-                    for frame in base.frames[:k]
-                ]
-                certificate = None
-                if self.certify:
-                    from ..cert import witness_certificate
-                    from ..cert.witness import decode_model_witness
-                    from ..props.views import ConcreteOps
-
-                    decoded = decode_model_witness(base.builder, base.frames[:k])
-
-                    def _fires(view):
-                        return any(
-                            bad.evaluate(view, t, ConcreteOps)
-                            for t in range(min(k, view.horizon))
-                        )
-
-                    certificate = witness_certificate(
-                        self.netlist,
-                        decoded["registers"],
-                        decoded["inputs"],
-                        _fires,
-                        name=query_name,
-                    )
-                return _finish(
-                    root, REACHABLE, "base-case witness at k=%d" % k,
-                    base_delta, witness=witness, certificate=certificate,
-                )
-            if verdict == UNKNOWN:
-                return _finish(
-                    root, UNDETERMINED, "base case budget exhausted", base_delta
-                )
+                verdict = proof.solve_base(self._base)
+            if verdict != UNSAT:
+                return proof.base_verdict(root, verdict, self._base)
 
             # ---- inductive step: per-property constraints behind an
             # activation literal, retracted afterwards
@@ -279,57 +140,25 @@ class IncrementalInductionContext:
                 for t in range(k):
                     good = -bad.evaluate(step.view, t, step.ops)
                     step.solver.add_clause([good], activation=act)
-                bad_at_k = bad.evaluate(step.view, k, step.ops)
-                verdict = step.solver.solve(
-                    assumptions=[act, bad_at_k], max_conflicts=conflict_budget
+                # the step leg is snapshotted inside solve(), BEFORE
+                # retract(): retraction logs a root unit (-act) that
+                # would make the terminal lemma (which contains -act)
+                # trivially implied -- a vacuous certificate
+                verdict = proof.solve(
+                    "step", step, [act, bad.evaluate(step.view, k, step.ops)]
                 )
-                step_delta = dict(step.solver.last_solve)
-                # capture the step leg BEFORE retract(): retraction logs a
-                # root unit (-act) that would make the terminal lemma
-                # (which contains -act) trivially implied -- a vacuous
-                # certificate
-                step_leg = None
-                if self.certify and verdict == UNSAT:
-                    step_leg = (
-                        step.solver.proof_entries(),
-                        step.solver.final_lemma(),
-                    )
                 step.solver.retract(act)
-                merged: Dict[str, int] = {}
-                for delta in (base_delta, step_delta):
-                    for key, value in delta.items():
-                        merged[key] = merged.get(key, 0) + value
-            if verdict == UNSAT:
-                certificate = None
-                if self.certify and base_leg and step_leg:
-                    from ..cert import drat_certificate
-
-                    certificate = drat_certificate(
-                        {"base": base_leg, "step": step_leg},
-                        name=query_name,
-                        overflow=base.solver.proof_overflowed()
-                        or step.solver.proof_overflowed(),
-                    )
-                return _finish(
-                    root, UNREACHABLE, "induction closed at k=%d" % k, merged,
-                    certificate=certificate,
-                )
-            detail = (
-                "induction step SAT (k too small or property not inductive)"
-                if verdict == SAT
-                else "induction step budget exhausted"
-            )
-            return _finish(root, UNDETERMINED, detail, merged)
+            return proof.step_verdict(root, verdict)
 
 
 class InductionPool:
     """Memoized :class:`IncrementalInductionContext` instances.
 
     One pool per process (or per worker) is enough: contexts are keyed by
-    (netlist, sequential support, symbolic registers, simple-path), and a
-    property whose support is covered by an existing context's cone
-    reuses that context's solvers -- the "one worker drains a property
-    group" pattern the engine's same-design batching sets up.
+    (netlist, sequential support, certify flag), and a property whose
+    support is covered by an existing context's cone reuses that
+    context's solvers -- the "one worker drains a property group"
+    pattern the engine's same-design batching sets up.
     """
 
     def __init__(self, coi: bool = True):
@@ -364,16 +193,13 @@ class InductionPool:
         netlist: Netlist,
         bad: CycleExpr,
         k: int,
-        symbolic_registers=(),
-        simple_path: bool = True,
         certify: bool = False,
     ) -> IncrementalInductionContext:
-        symbolic_registers = frozenset(symbolic_registers)
         support = None
         if self.coi:
             targets = tuple(sorted(bad.signals()))
             support = self._support(netlist, targets)
-        key = (netlist, support, symbolic_registers, simple_path, certify)
+        key = (netlist, support, certify)
         ctx = self._contexts.get(key)
         if (ctx is None or ctx.k > k) and self.coi:
             # a context whose cone covers this property's support serves it
@@ -382,10 +208,8 @@ class InductionPool:
             # contexts already past this k (they cannot shrink)
             best = None
             for cand_key, cand in self._contexts.items():
-                nl, sup, sregs, sp, cert = cand_key
+                nl, sup, cert = cand_key
                 if nl is not netlist or sup is None or cand.k > k:
-                    continue
-                if sregs != symbolic_registers or sp != simple_path:
                     continue
                 if cert != certify:
                     continue
@@ -397,7 +221,7 @@ class InductionPool:
         if ctx is None or ctx.k > k:
             # contexts only grow; a smaller-k request gets a fresh context
             # (simple-path strengthening is k-specific, see module doc)
-            key = (netlist, support, symbolic_registers, simple_path, certify)
+            key = (netlist, support, certify)
             target_netlist = netlist
             if self.coi:
                 # enrich the slice with every named signal whose support
@@ -412,13 +236,7 @@ class InductionPool:
                     and supports[name][1] <= support[1]
                 ]
                 target_netlist = coi_slice(netlist, enriched)
-            ctx = IncrementalInductionContext(
-                target_netlist,
-                k,
-                symbolic_registers,
-                simple_path,
-                certify=certify,
-            )
+            ctx = IncrementalInductionContext(target_netlist, k, certify=certify)
             self._contexts[key] = ctx
         elif ctx.k < k:
             ctx.extend_k(k)
@@ -429,12 +247,8 @@ class InductionPool:
         netlist: Netlist,
         bad: CycleExpr,
         k: int,
-        symbolic_registers=(),
         conflict_budget: Optional[int] = 200000,
-        simple_path: bool = True,
         certify: bool = False,
     ) -> CheckResult:
-        ctx = self.context_for(
-            netlist, bad, k, symbolic_registers, simple_path, certify=certify
-        )
+        ctx = self.context_for(netlist, bad, k, certify=certify)
         return ctx.prove(bad, conflict_budget=conflict_budget)

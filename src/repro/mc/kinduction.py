@@ -6,11 +6,16 @@ instruction is an invariant proof, not a bounded cover, so BMC alone cannot
 conclude it.  k-induction establishes ``G !bad``:
 
 * **base**: no state within k steps of reset satisfies ``bad``;
-* **step**: no length-(k+1) path of *arbitrary* states, all of whose first
-  k states avoid ``bad``, ends in ``bad`` (with simple-path strengthening
-  on request).
+* **step**: no length-(k+1) simple path of *arbitrary* states, all of
+  whose first k states avoid ``bad``, ends in ``bad``.
 
 Both checks honor a conflict budget and can report UNDETERMINED.
+
+Two provers share :class:`InductionProof`, which reads the legs' answers
+as a verdict: :func:`prove_unreachable_kinduction` without a pool
+rebuilds both legs' unrollings (:class:`~repro.mc.bmc.Unrolling`) per
+property, and :class:`~repro.mc.incremental.IncrementalInductionContext`
+answers many properties on one pair of them.
 """
 
 from __future__ import annotations
@@ -20,45 +25,124 @@ from typing import Dict, List, Optional
 
 from .. import obs
 from ..props.exprs import CycleExpr
-from ..props.views import SymbolicOps, SymbolicTraceView
+from ..props.views import ConcreteOps
 from ..rtl.netlist import Netlist
-from ..solver.bitblast import blast_frame, paused_gc
-from ..solver.bits import BitBuilder
-from ..solver.sat import SAT, UNKNOWN, UNSAT, SatSolver
+from ..solver.bitblast import paused_gc
+from ..solver.sat import SAT, UNSAT
+from .bmc import Unrolling
 from .outcomes import REACHABLE, UNDETERMINED, UNREACHABLE, CheckResult
 
 __all__ = ["prove_unreachable_kinduction"]
 
 
-def _unroll(builder, netlist, initial_state, horizon, solver):
-    frames = []
-    state = initial_state
-    for _ in range(horizon):
-        input_bits = {
-            node.name: builder.fresh_word(node.width) for node in netlist.inputs
-        }
-        frame = blast_frame(builder, netlist, state, input_bits)
-        frames.append(frame)
-        state = frame.next_state
-    return frames
+class InductionProof:
+    """One k-induction proof attempt of ``G !bad``: each leg's solve and
+    the verdict they add up to."""
 
+    def __init__(self, bad: CycleExpr, k: int, conflict_budget: Optional[int],
+                 certify: bool):
+        self.start = time.perf_counter()
+        self.bad = bad
+        self.k = k
+        self.conflict_budget = conflict_budget
+        self.certify = certify
+        self.name = "kind(%r)" % (bad,)
+        self._deltas: List[Dict[str, int]] = []
+        self._solvers = []
+        self._legs: Dict = {}
 
-def _merge_counters(*deltas):
-    """Sum per-solve counter dicts (base + inductive step)."""
-    merged: Dict[str, int] = {}
-    for delta in deltas:
-        for key, value in delta.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
+    def solve_base(self, base: Unrolling) -> str:
+        """The base case on ``base`` (at least k frames from reset):
+        ``bad`` in some cycle t < k."""
+        builder = base.builder
+        target = builder.FALSE
+        for t in range(self.k):
+            target = builder.or_(target, self.bad.evaluate(base.view, t, base.ops))
+        return self.solve("base", base, [target])
+
+    def solve(self, leg: str, unrolling: Unrolling, assumptions) -> str:
+        """Solve one leg under ``assumptions``.  An UNSAT leg's proof is
+        snapshotted while the verdict is fresh: later properties (and
+        their retraction units) append to a shared solver's log."""
+        solver = unrolling.solver
+        verdict = solver.solve(
+            assumptions=assumptions, max_conflicts=self.conflict_budget
+        )
+        self._deltas.append(dict(solver.last_solve))
+        self._solvers.append(solver)
+        if self.certify and verdict == UNSAT:
+            self._legs[leg] = (solver.proof_entries(), solver.final_lemma())
+        return verdict
+
+    def base_verdict(self, span, verdict: str, base: Unrolling) -> CheckResult:
+        """The result of a base case that found a witness or punted."""
+        if verdict != SAT:
+            return self._finish(span, UNDETERMINED, "base case budget exhausted")
+        k, bad = self.k, self.bad
+        certificate = None
+        if self.certify:
+
+            def fires(view):
+                return any(
+                    bad.evaluate(view, t, ConcreteOps)
+                    for t in range(min(k, view.horizon))
+                )
+
+            certificate = base.witness_certificate(k, fires, self.name)
+        return self._finish(
+            span, REACHABLE, "base-case witness at k=%d" % k,
+            witness=base.witness(k), certificate=certificate,
+        )
+
+    def step_verdict(self, span, verdict: str) -> CheckResult:
+        """The result of the inductive step (the base case was UNSAT)."""
+        if verdict == UNSAT:
+            certificate = None
+            if self.certify:
+                from ..cert import drat_certificate
+
+                certificate = drat_certificate(
+                    self._legs,
+                    name=self.name,
+                    overflow=any(s.proof_overflowed() for s in self._solvers),
+                )
+            return self._finish(
+                span, UNREACHABLE, "induction closed at k=%d" % self.k,
+                certificate=certificate,
+            )
+        detail = (
+            "induction step SAT (k too small or property not inductive)"
+            if verdict == SAT
+            else "induction step budget exhausted"
+        )
+        return self._finish(span, UNDETERMINED, detail)
+
+    def _finish(self, span, outcome, detail, witness=None, certificate=None):
+        # note: no check_seconds accounting here -- the caller records the
+        # induction verdict into its PropertyStats and accounts the time
+        span.set("outcome", outcome)
+        solver: Dict[str, int] = {}
+        for delta in self._deltas:
+            for key, value in delta.items():
+                solver[key] = solver.get(key, 0) + value
+        return CheckResult(
+            query_name=self.name,
+            outcome=outcome,
+            engine="k-induction",
+            witness=witness,
+            time_seconds=time.perf_counter() - self.start,
+            detail=detail,
+            depth=self.k,
+            solver=solver,
+            certificate=certificate,
+        )
 
 
 def prove_unreachable_kinduction(
     netlist: Netlist,
     bad: CycleExpr,
     k: int = 4,
-    symbolic_registers=(),
     conflict_budget: Optional[int] = 200000,
-    simple_path: bool = True,
     pool=None,
     certify: bool = False,
 ) -> CheckResult:
@@ -75,172 +159,30 @@ def prove_unreachable_kinduction(
     """
     if pool is not None:
         return pool.prove(
-            netlist,
-            bad,
-            k=k,
-            symbolic_registers=symbolic_registers,
-            conflict_budget=conflict_budget,
-            simple_path=simple_path,
-            certify=certify,
+            netlist, bad, k=k, conflict_budget=conflict_budget, certify=certify
         )
-    start = time.perf_counter()
-    symbolic_registers = frozenset(symbolic_registers)
-    query_name = "kind(%r)" % (bad,)
-
-    def _finish(sp, outcome, detail, solver_delta, witness=None, certificate=None):
-        # note: no check_seconds accounting here -- the caller records the
-        # induction verdict into its PropertyStats and accounts the time
-        elapsed = time.perf_counter() - start
-        sp.set("outcome", outcome)
-        return CheckResult(
-            query_name=query_name,
-            outcome=outcome,
-            engine="k-induction",
-            witness=witness,
-            time_seconds=elapsed,
-            detail=detail,
-            depth=k,
-            solver=solver_delta,
-            certificate=certificate,
-        )
-
+    proof = InductionProof(bad, k, conflict_budget, certify)
     with obs.span("mc.kinduction", k=k) as root:
         # ---- base case: BMC from reset for k steps
         with obs.span("mc.kinduction.base"):
-            base_solver = SatSolver(proof=certify)
-            base_builder = BitBuilder(base_solver)
-            with paused_gc():
-                reset_state: Dict[str, List[int]] = {}
-                for reg, _ in netlist.registers:
-                    if reg.name in symbolic_registers:
-                        reset_state[reg.name] = base_builder.fresh_word(reg.width)
-                    else:
-                        reset_state[reg.name] = base_builder.const_word(
-                            reg.reset, reg.width
-                        )
-                base_frames = _unroll(
-                    base_builder, netlist, reset_state, k, base_solver
-                )
-            base_view = SymbolicTraceView(base_frames, base_builder)
-            base_ops = SymbolicOps(base_builder)
-            target = base_builder.FALSE
-            for t in range(k):
-                target = base_builder.or_(
-                    target, bad.evaluate(base_view, t, base_ops)
-                )
-            verdict = base_solver.solve(
-                assumptions=[target], max_conflicts=conflict_budget
-            )
-            base_delta = dict(base_solver.last_solve)
-        if verdict == SAT:
-            witness = [
-                {
-                    name: base_builder.word_value(bits)
-                    for name, bits in frame.named.items()
-                }
-                for frame in base_frames
-            ]
-            certificate = None
-            if certify:
-                from ..cert import witness_certificate
-                from ..cert.witness import decode_model_witness
-                from ..props.views import ConcreteOps
-
-                decoded = decode_model_witness(base_builder, base_frames)
-
-                def _fires(view):
-                    return any(
-                        bad.evaluate(view, t, ConcreteOps)
-                        for t in range(min(k, view.horizon))
-                    )
-
-                certificate = witness_certificate(
-                    netlist,
-                    decoded["registers"],
-                    decoded["inputs"],
-                    _fires,
-                    name=query_name,
-                )
-            return _finish(
-                root, REACHABLE, "base-case witness at k=%d" % k, base_delta,
-                witness=witness, certificate=certificate,
-            )
-        if verdict == UNKNOWN:
-            return _finish(
-                root, UNDETERMINED, "base case budget exhausted", base_delta
-            )
+            base = Unrolling(netlist, proof=certify)
+            base.extend_to(k)
+            verdict = proof.solve_base(base)
+        if verdict != UNSAT:
+            return proof.base_verdict(root, verdict, base)
 
         # ---- inductive step: arbitrary start state, k good steps, bad at k
         with obs.span("mc.kinduction.step"):
-            step_solver = SatSolver(proof=certify)
-            step_builder = BitBuilder(step_solver)
-            with paused_gc():
-                free_state: Dict[str, List[int]] = {
-                    reg.name: step_builder.fresh_word(reg.width)
-                    for reg, _ in netlist.registers
-                }
-                step_frames = _unroll(
-                    step_builder, netlist, free_state, k + 1, step_solver
-                )
-            step_view = SymbolicTraceView(step_frames, step_builder)
-            step_ops = SymbolicOps(step_builder)
+            step = Unrolling(netlist, free=True, proof=certify)
+            step.extend_to(k + 1)
             for t in range(k):
-                good = -bad.evaluate(step_view, t, step_ops)
-                step_solver.add_clause([good])
-            if simple_path:
-                # distinctness as one clause of per-bit difference gates
-                # per state pair -- the exact encoding the incremental
-                # context asserts, so the parity legs compare identical
-                # step formulas
-                states = [free_state] + [
-                    frame.next_state for frame in step_frames[:-1]
-                ]
-                with paused_gc():
-                    for i in range(len(states)):
-                        for j in range(i + 1, len(states)):
-                            diff: List[int] = []
-                            for name in states[i]:
-                                diff.extend(
-                                    step_builder.xor_(x, y)
-                                    for x, y in zip(
-                                        states[i][name], states[j][name]
-                                    )
-                                )
-                            step_solver.add_clause(diff)
-            bad_at_k = bad.evaluate(step_view, k, step_ops)
-            verdict = step_solver.solve(
-                assumptions=[bad_at_k], max_conflicts=conflict_budget
+                step.solver.add_clause([-bad.evaluate(step.view, t, step.ops)])
+            # simple-path strengthening: s_0 .. s_k pairwise distinct
+            with paused_gc():
+                for i in range(k + 1):
+                    for j in range(i + 1, k + 1):
+                        step.assert_distinct(i, j)
+            verdict = proof.solve(
+                "step", step, [bad.evaluate(step.view, k, step.ops)]
             )
-            merged = _merge_counters(base_delta, step_solver.last_solve)
-        if verdict == UNSAT:
-            certificate = None
-            if certify:
-                from ..cert import drat_certificate
-
-                # the base leg is also UNSAT here (REACHABLE returned
-                # above), so both legs of the unbounded proof are bundled
-                certificate = drat_certificate(
-                    {
-                        "base": (
-                            base_solver.proof_entries(),
-                            base_solver.final_lemma(),
-                        ),
-                        "step": (
-                            step_solver.proof_entries(),
-                            step_solver.final_lemma(),
-                        ),
-                    },
-                    name=query_name,
-                    overflow=base_solver.proof_overflowed()
-                    or step_solver.proof_overflowed(),
-                )
-            return _finish(
-                root, UNREACHABLE, "induction closed at k=%d" % k, merged,
-                certificate=certificate,
-            )
-        detail = (
-            "induction step SAT (k too small or property not inductive)"
-            if verdict == SAT
-            else "induction step budget exhausted"
-        )
-        return _finish(root, UNDETERMINED, detail, merged)
+        return proof.step_verdict(root, verdict)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
+from ..core.mhb import build_slot_index, visit_sets
 from ..mc.outcomes import CheckResult
+from ..props.views import ConcreteTraceView
 from ..sim.vcd import trace_to_vcd
 
 __all__ = ["witness_to_vcd", "witness_pl_timeline"]
@@ -33,16 +35,23 @@ def witness_to_vcd(
 
 
 def witness_pl_timeline(result: CheckResult, metadata, iuv_pc: int) -> List[str]:
-    """Human-readable per-cycle PL occupancy of ``iuv_pc`` in the witness."""
+    """Human-readable per-cycle PL occupancy of ``iuv_pc`` in the witness.
+
+    A slot whose signals the witness lacks reads as unoccupied: a
+    k-induction witness from a pooled context covers only its COI slice.
+    """
     if result.witness is None:
         raise ValueError("no witness to render")
-    lines = []
-    for cycle, obs in enumerate(result.witness):
-        visited = []
-        for name, pl in metadata.pls.items():
-            for slot in pl.slots:
-                if obs.get(slot.occ_signal) and obs.get(slot.pc_signal) == iuv_pc:
-                    visited.append(name)
-        if visited:
-            lines.append("cycle %2d: %s" % (cycle, ", ".join(sorted(set(visited)))))
-    return lines
+    present = set(result.witness[0]) if result.witness else set()
+    slots = [
+        (name, occ, pc)
+        for name, occ, pc in build_slot_index(metadata.pls, None)
+        if occ in present and pc in present
+    ]
+    rows = ConcreteTraceView(result.witness)
+    return [
+        "cycle %2d: %s" % (cycle, ", ".join(sorted(visited)))
+        for cycle, visited in enumerate(
+            visit_sets(rows, metadata.pls, iuv_pc, slots))
+        if visited
+    ]

@@ -307,12 +307,15 @@ class SatSolver:
     def new_and_gate(self, a: int, b: int) -> int:
         """Allocate a fresh variable and constrain it to ``a AND b``.
 
-        Fuses :meth:`new_var` + :meth:`add_and_gate` into one call and
-        inlines both: gate outputs account for nearly every variable a
-        circuit build allocates, so the saved dispatch and attribute
-        traffic is measurable on unrolled cores.  The fresh variable's
-        two watch lists are born pre-populated with its definition
-        clauses' entries instead of being extended after the fact.
+        The hottest call in circuit construction (hundreds of thousands
+        of gates per unrolled core).  With ``a`` and ``b`` unassigned at
+        the root, over distinct variables, and no decision level open,
+        none of the three Tseitin clauses over the fresh output can be
+        satisfied, unit, tautological or duplicated, so they skip
+        :meth:`add_clause`'s simplification: they are appended and
+        watched directly, and the fresh variable's two watch lists are
+        born pre-populated with their entries.  Any other case goes
+        through :meth:`add_clause`, which handles every case.
         """
         lit_val = self._lit_val
         ea = (a << 1) if a > 0 else ((-a) << 1) | 1
@@ -325,7 +328,9 @@ class SatSolver:
             or not self._ok
         ):
             out = self.new_var()
-            self.add_and_gate(out, a, b)
+            self.add_clause([-out, a])
+            self.add_clause([-out, b])
+            self.add_clause([out, -a, -b])
             return out
         out = self.num_vars + 1
         self.num_vars = out
@@ -360,7 +365,7 @@ class SatSolver:
     def new_xor_gate(self, a: int, b: int) -> int:
         """Allocate a fresh variable and constrain it to ``a XOR b``.
 
-        Same fusion as :meth:`new_and_gate`.
+        Same fast path and fallback as :meth:`new_and_gate`.
         """
         lit_val = self._lit_val
         ea = (a << 1) if a > 0 else ((-a) << 1) | 1
@@ -373,7 +378,10 @@ class SatSolver:
             or not self._ok
         ):
             out = self.new_var()
-            self.add_xor_gate(out, a, b)
+            self.add_clause([-out, a, b])
+            self.add_clause([-out, -a, -b])
+            self.add_clause([out, -a, b])
+            self.add_clause([out, a, -b])
             return out
         out = self.num_vars + 1
         self.num_vars = out
@@ -402,115 +410,6 @@ class SatSolver:
         watches[ea] += (c2, no, c3, po)
         watches[ea ^ 1] += (c1, no, c4, po)
         return out
-
-    def add_and_gate(self, out: int, a: int, b: int) -> bool:
-        """Emit the Tseitin clauses of ``out = a AND b`` (fast path).
-
-        Precondition: ``out`` is a freshly allocated variable no existing
-        clause mentions.  With ``a`` and ``b`` unassigned at the root and
-        over distinct variables, none of the three clauses can be
-        satisfied, unit, tautological or duplicated, so the generic
-        :meth:`add_clause` simplification is skipped and the clauses are
-        appended and watched directly -- this is the hottest call in
-        circuit construction (hundreds of thousands of gates per
-        unrolled core).  Any precondition miss (root-assigned input,
-        shared input variable, open decision level) falls back to
-        :meth:`add_clause`, which handles every case.
-        """
-        if not self._ok:
-            return False
-        lit_val = self._lit_val
-        ea = (a << 1) if a > 0 else ((-a) << 1) | 1
-        eb = (b << 1) if b > 0 else ((-b) << 1) | 1
-        if (
-            self._trail_lim
-            or lit_val[ea]
-            or lit_val[eb]
-            or ea >> 1 == eb >> 1
-        ):
-            return (
-                self.add_clause([-out, a])
-                and self.add_clause([-out, b])
-                and self.add_clause([out, -a, -b])
-            )
-        po = out << 1
-        no = po | 1
-        c1 = [no, ea]
-        c2 = [no, eb]
-        c3 = [po, ea ^ 1, eb ^ 1]
-        clauses = self._clauses
-        clauses.append(c1)
-        clauses.append(c2)
-        clauses.append(c3)
-        tags = self._proof_tags
-        if tags is not None:
-            if len(tags) + 3 <= _PROOF_CAP:
-                tags += b"iii"
-                self._proof_lits.extend(
-                    (-out, a, 0, -out, b, 0, out, -a, -b, 0)
-                )
-            else:
-                self._proof_overflow = True
-        # same layout _watch produces: binaries in the (other, clause)
-        # lists, the ternary under w^1 with the other watched lit as blocker
-        bin_watches = self._bin_watches
-        bin_watches[po].extend((ea, c1, eb, c2))
-        bin_watches[ea ^ 1].extend((no, c1))
-        bin_watches[eb ^ 1].extend((no, c2))
-        watches = self._watches
-        watches[no].extend((c3, ea ^ 1))
-        watches[ea].extend((c3, po))
-        return True
-
-    def add_xor_gate(self, out: int, a: int, b: int) -> bool:
-        """Emit the Tseitin clauses of ``out = a XOR b`` (fast path).
-
-        Same precondition and fallback discipline as :meth:`add_and_gate`.
-        """
-        if not self._ok:
-            return False
-        lit_val = self._lit_val
-        ea = (a << 1) if a > 0 else ((-a) << 1) | 1
-        eb = (b << 1) if b > 0 else ((-b) << 1) | 1
-        if (
-            self._trail_lim
-            or lit_val[ea]
-            or lit_val[eb]
-            or ea >> 1 == eb >> 1
-        ):
-            return (
-                self.add_clause([-out, a, b])
-                and self.add_clause([-out, -a, -b])
-                and self.add_clause([out, -a, b])
-                and self.add_clause([out, a, -b])
-            )
-        po = out << 1
-        no = po | 1
-        c1 = [no, ea, eb]
-        c2 = [no, ea ^ 1, eb ^ 1]
-        c3 = [po, ea ^ 1, eb]
-        c4 = [po, ea, eb ^ 1]
-        clauses = self._clauses
-        clauses.append(c1)
-        clauses.append(c2)
-        clauses.append(c3)
-        clauses.append(c4)
-        tags = self._proof_tags
-        if tags is not None:
-            if len(tags) + 4 <= _PROOF_CAP:
-                tags += b"iiii"
-                self._proof_lits.extend(
-                    (-out, a, b, 0, -out, -a, -b, 0,
-                     out, -a, b, 0, out, a, -b, 0)
-                )
-            else:
-                self._proof_overflow = True
-        watches = self._watches
-        watches[po].extend((c1, ea, c2, ea ^ 1))
-        watches[no].extend((c3, ea ^ 1, c4, ea))
-        watches[ea].extend((c2, no, c3, po))
-        watches[ea ^ 1].extend((c1, no, c4, po))
-        return True
 
     def _watch(self, clause):
         # watching clause[0] and clause[1]: the entry for a watched

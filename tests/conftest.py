@@ -13,7 +13,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.designs import (
     ContextFamilyConfig,
-    CoreConfig,
     CoreContextProvider,
     build_core,
 )

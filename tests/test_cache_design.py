@@ -5,7 +5,6 @@ import pytest
 from dataclasses import replace
 
 from repro.designs.cache import (
-    CacheConfig,
     CacheContextProvider,
     build_cache,
     cache_context,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.designs import CoreConfig, build_core, isa, program_context, slot_pc
+from repro.designs import isa, program_context, slot_pc
 from repro.designs.variants import build_cva6_mul, build_fixed_core
 from repro.mc import simulate_context
 from repro.sim import Simulator

@@ -51,8 +51,6 @@ class TestDivCovers:
         assert result.outcome == REACHABLE
 
     def test_witness_is_consistent_with_simulation(self, small_core, div_bmc):
-        from repro.sim import Simulator
-
         pl = small_core.metadata.pl("divU")
         result = div_bmc.check(Query("r", Eventually(pl.visited_by(slot_pc(0)))))
         # replay the witness's architectural state in the simulator and

@@ -1,7 +1,6 @@
 """Datapath helper tests: barrel shifts, priority encoder, divider."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.designs.dputils import (
     msb_index,

@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 import repro.fuzz.campaign as campaign_module
+import repro.mc.bmc as bmc_module
 import repro.sim.simulator as simulator_mod
 from repro.fuzz import (
     GenProfile,
@@ -190,6 +191,34 @@ class TestOracleInductionPool:
             per_design += proved[:1]
         assert len(pools) == 86
         assert len({id(pool) for pool in per_design}) == len(per_design)
+
+
+class TestSharedUnrolling:
+    """BMC, both k-induction provers and the blast leg unroll through one
+    ``repro.mc.bmc.Unrolling``, so a bug in it moves every SAT leg at
+    once and the parity suite cannot see it; the oracle's simulator legs
+    must."""
+
+    def test_planted_unchained_frames_are_caught(self, e2e_corpus, monkeypatch):
+        assert all(check_design(design).ok for design in e2e_corpus)
+        real_blast = bmc_module.blast_frame
+        initial = {}
+
+        def from_initial(builder, netlist, state, inputs):
+            # MUTANT: every frame is blasted from the initial state
+            state = initial.setdefault(builder, state)
+            return real_blast(builder, netlist, state, inputs)
+
+        monkeypatch.setattr(bmc_module, "blast_frame", from_initial)
+        caught = {}
+        for design in e2e_corpus:
+            report = check_design(design)
+            if report.disagreements:
+                caught[design.spec.name] = report.disagreements[0].kind
+        # 13 of the 28 designs fail the blast leg first, 2 more a
+        # verdict check
+        assert len(caught) == 15, caught
+        assert set(caught.values()) == {"sim-blast", "verdict"}
 
 
 class TestShrink:

@@ -7,7 +7,6 @@ circuits; the unit tests pin the per-cell rules and the introduction /
 blocking / flush mechanisms.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ift import IftConfig, instrument_ift

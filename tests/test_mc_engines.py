@@ -179,11 +179,11 @@ class TestKInduction:
     def test_k_too_small_is_undetermined(self, fsm):
         # within 1 step of reset s2 is not reachable, but 1-induction cannot
         # close the proof either (s1 -> s2 in the arbitrary-state world)
-        result = prove_unreachable_kinduction(fsm, sig("s2"), k=1, simple_path=False)
+        result = prove_unreachable_kinduction(fsm, sig("s2"), k=1)
         assert result.outcome == UNDETERMINED
 
     def test_result_interpretation_helper(self, fsm):
-        result = prove_unreachable_kinduction(fsm, sig("s2"), k=1, simple_path=False)
+        result = prove_unreachable_kinduction(fsm, sig("s2"), k=1)
         assert result.interpret_undetermined(UNREACHABLE) == UNREACHABLE
         assert result.interpret_undetermined(REACHABLE) == REACHABLE
         proved = prove_unreachable_kinduction(fsm, sig("s3"), k=3)

@@ -1,6 +1,5 @@
 """uHB graph and decision-extraction tests (SS III-B, SS IV-B)."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.decisions import Decision, extract_decisions

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.designs import isa, slot_pc
-from repro.mc import REACHABLE, UNREACHABLE, TraceDB, EnumerativeEngine
+from repro.mc import REACHABLE, TraceDB, EnumerativeEngine
 from repro.props import Eventually, Query, Sequence, VisitedCover
 from repro.core.mhb import UhbGraph
 import repro.core.rtl2mupath as rtl2mupath_module

@@ -4,14 +4,12 @@ import pytest
 
 from repro.rtl import (
     Module,
-    Netlist,
     WidthError,
     comb_connected,
     comb_fanin_inputs,
     comb_fanin_registers,
     connectivity_matrix,
     elaborate,
-    mux,
     registers_feeding_next_state,
 )
 from repro.sim import Simulator

@@ -350,6 +350,61 @@ class TestWatchInvariant:
         assert not s.model_value(b)
         assert s.check_watch_invariant()
 
+    @staticmethod
+    def _forces(s, out, a, b, op):
+        """Every assignment of ``a`` and ``b`` the formula allows forces
+        ``out`` to ``op(a, b)``; returns how many it allows."""
+        allowed = 0
+        for va, vb in itertools.product((False, True), repeat=2):
+            assume = [a if va else -a, b if vb else -b]
+            if s.solve(assumptions=assume) == UNSAT:
+                continue
+            allowed += 1
+            want = op(va, vb)
+            assert s.model_value(out) == want, (va, vb)
+            assert s.solve(assumptions=assume + [-out if want else out]) == UNSAT
+        return allowed
+
+    @staticmethod
+    def _open_trail():
+        # a SAT answer leaves its decisions on the trail until the next
+        # clause is added
+        s = SatSolver()
+        a, b = s.new_var(), s.new_var()
+        s.add_clause([a, b])
+        assert s.solve() == SAT and s._trail_lim
+        return s, a, b, 3  # (a or b) rules out one assignment
+
+    @staticmethod
+    def _root_assigned():
+        s = SatSolver()
+        a, b = s.new_var(), s.new_var()
+        s.add_clause([a])
+        return s, a, b, 2
+
+    @staticmethod
+    def _complementary():
+        s = SatSolver()
+        a = s.new_var()
+        return s, a, -a, 2
+
+    @pytest.mark.parametrize(
+        "case", ["_open_trail", "_root_assigned", "_complementary"])
+    @pytest.mark.parametrize("kind", ["and", "xor"])
+    def test_fallback_gate_emission(self, case, kind):
+        """Inputs the fused fast path may not take -- an open decision
+        level, a root-assigned input, ``a`` with ``-a`` -- go through
+        ``add_clause`` and still define the gate."""
+        s, a, b, allowed = getattr(self, case)()
+        if kind == "and":
+            out, op = s.new_and_gate(a, b), (lambda x, y: x and y)
+        else:
+            out, op = s.new_xor_gate(a, b), (lambda x, y: x != y)
+        assert out == s.num_vars
+        assert s.check_watch_invariant()
+        assert self._forces(s, out, a, b, op) == allowed
+        assert s.check_watch_invariant()
+
     def test_binary_and_long_clause_mix(self):
         s = SatSolver()
         for _ in range(6):

@@ -5,10 +5,12 @@ import pytest
 from repro.core.security import (
     UPathReceiver,
     check_sc_safe,
+    default_secret_values,
     violation_explained_by_signatures,
 )
 from repro.core.synthlc import LeakageSignature, TransmitterTag
 from repro.designs import isa
+from repro.designs.core import CoreConfig, build_core
 
 
 class TestReceiver:
@@ -94,6 +96,30 @@ class TestScSafe:
         program = [isa.encode("XOR", rd=3, rs1=1, rs2=2)]
         violation = check_sc_safe(core_design, program, [], {"arf_w1": 9})
         assert violation is None
+
+
+class TestDefaultSecretValues:
+    """Without ``secret_values``, each secret register sweeps values of
+    its own width."""
+
+    @pytest.fixture(scope="class")
+    def xlen4_core(self):
+        return build_core(CoreConfig(xlen=4))
+
+    def test_values_follow_the_width(self):
+        assert default_secret_values(8) == (0, 1, 3, 8, 128, 255)
+        assert default_secret_values(4) == (0, 1, 3, 8, 15)
+        assert default_secret_values(1) == (0, 1)
+
+    def test_add_on_secret_is_safe_at_xlen4(self, xlen4_core):
+        program = [isa.encode("ADD", rd=3, rs1=1, rs2=2)]
+        assert check_sc_safe(xlen4_core, program, ["arf_w1"]) is None
+
+    def test_div_on_secret_violates_at_xlen4(self, xlen4_core):
+        program = [isa.encode("DIV", rd=3, rs1=1, rs2=2)]
+        violation = check_sc_safe(xlen4_core, program, ["arf_w1"])
+        assert violation is not None
+        assert "divU" in violation.diverging_pls()
 
 
 class TestSignatureCompleteness:

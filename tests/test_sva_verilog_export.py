@@ -1,7 +1,5 @@
 """SVA rendering and Verilog export tests."""
 
-import pytest
-
 from repro.props import (
     ConsecutiveRevisit,
     ConsecutiveRunLength,

@@ -1,4 +1,5 @@
-"""No module of ``src/repro`` imports a name it never uses.
+"""No module of ``src/repro``, ``tests/`` or ``examples/`` imports a name
+it never uses.
 
 An AST scan, with no dependency beyond the standard library: a module
 uses an imported name when it loads it (as a bare name or the root of an
@@ -10,7 +11,8 @@ import to re-export, so they are left out.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCANNED = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "examples")
 
 
 def _quoted_names(tree):
@@ -77,8 +79,9 @@ def test_the_scan_sees_uses_and_re_exports():
 
 def test_no_module_imports_a_name_it_never_uses():
     found = [
-        "%s:%d %s" % (path.relative_to(SRC.parent), line, name)
-        for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+        "%s:%d %s" % (path.relative_to(ROOT), line, name)
+        for root in SCANNED
+        for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []

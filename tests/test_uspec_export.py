@@ -1,7 +1,5 @@
 """uSPEC-export tests (the Check-tools-facing output format)."""
 
-import pytest
-
 from repro.report import render_uspec_axiom, render_uspec_model
 
 

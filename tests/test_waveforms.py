@@ -58,6 +58,20 @@ class TestTimeline:
     def test_other_pc_empty(self, reachable_result, metadata):
         assert witness_pl_timeline(reachable_result, metadata, iuv_pc=8) == []
 
+    def test_slot_missing_from_the_witness_reads_unoccupied(self, metadata):
+        # a k-induction witness from a pooled context holds only the
+        # named signals of its COI slice: here ID's slot is cut away.
+        # Cycles keep their absolute numbers.
+        witness = [
+            {"pl_IF_occ": 0, "pl_IF_pc": 4},
+            {"pl_IF_occ": 1, "pl_IF_pc": 4},
+            {"pl_IF_occ": 0, "pl_IF_pc": 4},
+            {"pl_IF_occ": 1, "pl_IF_pc": 4},
+        ]
+        result = CheckResult("q", "reachable", "k-induction", witness=witness)
+        lines = witness_pl_timeline(result, metadata, iuv_pc=4)
+        assert lines == ["cycle  1: IF", "cycle  3: IF"]
+
     def test_end_to_end_with_bmc(self, core_design):
         """A real BMC witness renders to VCD and a PL timeline."""
         from repro.designs import isa, slot_pc
